@@ -29,6 +29,7 @@ from .affine import (
 from .lipschitz_solver import (
     RegressionBasis,
     SolutionEstimate,
+    backward_sweep,
     comparison_check,
     solve_ode_mode,
     solve_regression_mc,
@@ -60,7 +61,7 @@ __all__ = [
     "NONLINEAR_PLUS", "OdeClassification", "OdeFamilyScenario", "PathBundle",
     "PathologyCertificate", "PLUS_LAMBDA_Y", "RegressionBasis", "SchemeConfig",
     "SchemeReport", "SolutionEstimate", "TerminalSpec", "TimeGrid",
-    "TruncatedDriver", "certify_nonexistence", "certify_nonuniqueness",
+    "TruncatedDriver", "backward_sweep", "certify_nonexistence", "certify_nonuniqueness",
     "class_d_norm", "classify_ode", "comparison_check", "cumulative_intensity",
     "dump_bundle", "errors", "estimate_bmo", "estimate_lambda_f_integral",
     "fundamental_family", "load_bundle", "make_grid", "ode_family_member",

@@ -180,7 +180,7 @@ def _bound_margin(sol: AffineSolution, sup_norm: float) -> float:
 
 
 def _solve_affine_plus_markovian(problem, grid, bundle, basis):
-    from .lipschitz_solver import RegressionBasis, fit_conditional
+    from .lipschitz_solver import RegressionBasis, fit_coefficients
 
     if basis is None:
         basis = RegressionBasis.polynomial(3)
@@ -216,16 +216,16 @@ def _solve_affine_plus_markovian(problem, grid, bundle, basis):
     margin = 0.0
     for i in range(cap, -1, -1):
         tail += phi_nodes[:, i] * weights[i]
-        target = -math.exp(mass[i]) * tail
-        fitted = fit_conditional(basis, levels[:, i], target, node_index=i)
+        dt = pts[i + 1] - pts[i]
+        targets = np.column_stack([-math.exp(mass[i]) * tail,
+                                   fitted_next * bundle.increments[:, i, 0] / dt])
+        coef, design = fit_coefficients(basis, levels[:, i], targets, node_index=i)
+        fitted, z[:, i] = (design @ coef).T
         # the representation formula proves |Y| <= sup (T - t): enforce it,
         # recording how far the raw regression strayed
         bound = coeff.sup_norm * (horizon - float(pts[i]))
         margin = max(margin, float(np.max(np.abs(fitted) - bound)))
         y[:, i] = np.clip(fitted, -bound, 0.0)
-        dt = pts[i + 1] - pts[i]
-        z_target = fitted_next * bundle.increments[:, i, 0] / dt
-        z[:, i] = fit_conditional(basis, levels[:, i], z_target, node_index=i)
         fitted_next = y[:, i]
     return AffineSolution(grid=grid, y=y, z=z, provenance=REPRESENTATION,
                           bound_margin=margin)

@@ -2,8 +2,9 @@
 
 Every built-in scenario is a named, reproducible run that writes CSV tables and
 a plain-text report.  Exit codes: 0 success (including a certified no-solution
-outcome where that is the scenario's expected result), 1 usage or config error,
-2 scheme did not converge, 3 no-solution certified where a solution was asked for.
+outcome where that is the scenario's expected result), 1 usage, config or
+parameter error, 2 scheme did not converge, 3 no-solution certified where a
+solution was asked for.
 """
 
 from __future__ import annotations
@@ -347,6 +348,8 @@ def _run_nonlinear_exp(cfg: ScenarioConfig, info: ScenarioInfo) -> int:
     cfg.say(f"  monotone_violation = {_fmt(report.monotone_violation)}")
     cfg.say(f"  bounds_ok = {report.bounds_ok}")
     cfg.say(f"  box_violation = {_fmt(report.box_violation)}")
+    cfg.say("  box_excursion_raw = "
+            f"{_fmt(max(s.diagnostics['box_excursion_raw'] for s in report.solutions))}")
     cfg.say(f"  cauchy_gaps = {','.join(_fmt(g) for g in report.cauchy_gaps)}")
     cfg.say(f"  final_gap = {_fmt(report.cauchy_gaps[-1])}")
     cfg.say(f"  y_at_0 = {_fmt(float(np.mean(np.atleast_2d(final.y)[:, 0])))}")
@@ -481,7 +484,7 @@ def run_scenario(name: str, overrides: dict, out_dir, seed: int = 1,
     _report_header(cfg, info)
     try:
         return RUNNERS[name](cfg, info)
-    except LabError as exc:
+    except (LabError, ValueError) as exc:
         cfg.say(f"error: {exc}")
         return _finish(cfg, "failed", EXIT_USAGE)
 

@@ -32,7 +32,7 @@ from .coefficients import (
     TimeGrid,
 )
 from .errors import CertificateFailed
-from .lipschitz_solver import SolutionEstimate, solve_ode_mode
+from .lipschitz_solver import SolutionEstimate, backward_sweep
 from .paths import PathBundle
 
 Candidate = Union[AffineSolution, SolutionEstimate]
@@ -198,8 +198,7 @@ def certify_nonexistence(problem: BsdeProblem, schedule: Sequence[float],
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be increasing")
     series = []
-    for n in schedule:
-        sol = solve_ode_mode(problem, grid, lambda_cap=n)
+    for n, sol in zip(schedule, backward_sweep(problem, grid, schedule)):
         lam_vals = np.asarray(problem.intensity.truncated(n).value(grid.points))
         mass = float(np.trapezoid(lam_vals * np.abs(sol.y), grid.points))
         series.append((n, mass))

@@ -3,7 +3,9 @@
 Deterministic data reduce to a stiff backward ODE solved node by node with a
 safeguarded Newton iteration.  Markovian data run least-squares Monte Carlo:
 conditional expectations are fitted on basis functions of the Brownian level,
-the implicit step is solved per path with the regressed Z frozen.
+the implicit step is solved per path with the regressed Z frozen.  All levels
+of a truncation schedule share one backward pass and one factorisation of
+each node's design.
 
 The implicit treatment of the intensity term is what keeps the scheme stable
 as the truncation level grows; an explicit step would need dt ~ 1/n.
@@ -14,9 +16,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .coefficients import BsdeProblem, DriverSpec, TimeGrid
 from .errors import BasisDegenerate, NumericsError
@@ -81,24 +84,27 @@ def _degenerate_level(w: np.ndarray) -> bool:
 
 
 def fit_coefficients(basis: RegressionBasis, w: np.ndarray, target: np.ndarray,
-                     node_index: int = -1) -> np.ndarray:
-    """Least-squares fit with a condition-number guard on the design matrix."""
+                     node_index: int = -1) -> tuple:
+    """Least-squares fit of every column of ``target`` (M, T) on ``basis.design(w)``.
+
+    One QR factorisation serves all columns; the condition-number guard reads
+    the singular values of R.  On a level that carries no information the
+    sigma-algebra is trivial and the fit is the plain mean, held by the
+    intercept.  Returns ``(coef, design)``: the fitted values are ``design @ coef``.
+    """
     design = basis.design(w)
-    coef, _, rank, svals = np.linalg.lstsq(design, target, rcond=None)
-    if rank < design.shape[1] or svals[-1] <= 0 \
-            or svals[0] / svals[-1] > _COND_LIMIT:
+    if _degenerate_level(w):
+        coef = np.zeros((design.shape[1], target.shape[1]))
+        coef[0] = target.mean(axis=0)
+        return coef, design
+    if design.shape[0] < design.shape[1]:
+        raise BasisDegenerate(node_index, math.inf)
+    q, r = np.linalg.qr(design)
+    svals = np.linalg.svd(r, compute_uv=False)
+    if svals[-1] <= 0 or svals[0] / svals[-1] > _COND_LIMIT:
         cond = math.inf if svals[-1] <= 0 else svals[0] / svals[-1]
         raise BasisDegenerate(node_index, cond)
-    return coef
-
-
-def fit_conditional(basis: RegressionBasis, w: np.ndarray, target: np.ndarray,
-                    node_index: int = -1) -> np.ndarray:
-    if _degenerate_level(w):
-        # the sigma-algebra is trivial there: the fit is the plain mean
-        return np.full(len(np.asarray(target)), float(np.mean(target)))
-    coef = fit_coefficients(basis, w, target, node_index)
-    return basis.design(w) @ coef
+    return solve_triangular(r, q.T @ target), design
 
 
 # ---------------------------------------------------------------------------
@@ -141,136 +147,182 @@ def _effective_parts(problem: BsdeProblem, lambda_cap, driver_override):
 
 
 # ---------------------------------------------------------------------------
-# Deterministic mode
+# Implicit step
 # ---------------------------------------------------------------------------
 
-def _implicit_scalar_step(y_next: float, dt: float, phi_i: float, lam_i: float,
-                          driver: DriverSpec, b: float) -> tuple:
-    """Solve y = y_next - dt * (phi + lam f(y) + b y) by Newton, bisection fallback."""
-    def F(y):
-        return y - y_next + dt * (phi_i + lam_i * float(driver.f(y)) + b * y)
-
-    def Fp(y):
-        return 1.0 + dt * (lam_i * float(driver.fprime(y)) + b)
-
-    y = y_next
-    for _ in range(100):
-        fy = F(y)
-        if abs(fy) < NEWTON_TOL:
-            return y, abs(fy)
-        slope = Fp(y)
-        if abs(slope) < 1e-14:
-            break
-        step = fy / slope
-        if not math.isfinite(step):
-            break
-        y -= step
-
-    # safeguard: expand a bracket around y_next and bisect
-    width = max(1.0, abs(y_next))
-    lo = hi = y_next
-    flo = fhi = F(y_next)
+def _bracket_and_bisect(residual, start):
+    """Widen a bracket around ``start`` until the residual changes sign, then bisect."""
+    width = np.maximum(1.0, np.abs(start))
     for _ in range(200):
-        lo -= width
-        hi += width
-        flo, fhi = F(lo), F(hi)
-        if flo == 0.0:
-            return lo, 0.0
-        if fhi == 0.0:
-            return hi, 0.0
-        if flo * fhi < 0:
+        lo, hi = start - width, start + width
+        f_lo, f_hi = residual(lo), residual(hi)
+        open_ = ~(f_lo * f_hi <= 0)
+        if not open_.any():
             break
-        width *= 2.0
+        width = np.where(open_, 2.0 * width, width)
     else:
         raise NumericsError("implicit step: no sign change found for bisection")
     for _ in range(300):
         mid = 0.5 * (lo + hi)
-        fm = F(mid)
-        if abs(fm) < NEWTON_TOL or hi - lo < 1e-15 * max(1.0, abs(mid)):
-            return mid, abs(fm)
-        if flo * fm <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
+        f_mid = residual(mid)
+        if np.all((np.abs(f_mid) < NEWTON_TOL)
+                  | (hi - lo < 1e-15 * np.maximum(1.0, np.abs(mid)))):
+            return mid
+        left = f_lo * f_mid <= 0
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+        f_lo = np.where(left, f_lo, f_mid)
     raise NumericsError("implicit step failed to converge")
 
 
-def solve_ode_mode(problem: BsdeProblem, grid: TimeGrid,
-                   lambda_cap: Optional[float] = None,
-                   driver_override: Optional[DriverSpec] = None) -> SolutionEstimate:
-    """Backward implicit Euler for deterministic data: y_i = y_{i+1} - dt G(t_i, y_i)."""
-    if problem.coefficient.is_markovian:
-        raise ValueError("ODE mode needs deterministic coefficients")
-    if problem.terminal.kind == "random":
-        raise ValueError("ODE mode needs a deterministic terminal value")
-    intensity, driver = _effective_parts(problem, lambda_cap, driver_override)
-    pts = grid.points
-    n_pts = len(pts)
-    lam_nodes = np.asarray(intensity.value(pts[:-1]), dtype=float)
-    phi_nodes = np.asarray([problem.coefficient.value(float(t)) for t in pts[:-1]])
-    y = np.empty(n_pts)
-    y[-1] = float(problem.terminal.values())
-    worst_resid = 0.0
-    for i in range(n_pts - 2, -1, -1):
-        dt = float(pts[i + 1] - pts[i])
-        y[i], resid = _implicit_scalar_step(
-            y[i + 1], dt, float(phi_nodes[i]), float(lam_nodes[i]),
-            driver, problem.y_slope)
-        worst_resid = max(worst_resid, resid)
-    return SolutionEstimate(
-        grid=grid, y=y, z=np.zeros(n_pts - 1), mode="ode_exact",
-        problem=problem, lambda_cap=lambda_cap, driver_used=driver,
-        diagnostics={"residual_max": worst_resid,
-                     "y_min": float(y.min()), "y_max": float(y.max())})
+def _implicit_step(y_next, forcing, dt, lam, driver, b):
+    """Solve y = y_next - dt (forcing + lam f(y) + b y) entrywise for a (L, M) state.
 
+    Newton from ``y_next``; an entry stops moving once its residual is below
+    ``NEWTON_TOL``.  Entries that leave the finite range or do not converge
+    fall back to a bracket and bisection.  Returns the values and the worst
+    residual of each level (row).
+    """
+    def residual(y, y_next=y_next, forcing=forcing, lam=lam):
+        return y - y_next + dt * (forcing + lam * driver.f(y) + b * y)
 
-# ---------------------------------------------------------------------------
-# Regression Monte Carlo mode
-# ---------------------------------------------------------------------------
-
-def _implicit_vector_step(y_next_fit, dt, phi_vals, lam_i, driver, b, sigma, z_vals):
-    """Per-path implicit solve; returns the values and the worst residual."""
-    rhs = y_next_fit - dt * (phi_vals + sigma * z_vals)
-
-    y = np.array(y_next_fit, dtype=float)
-    for _ in range(80):
-        F = y + dt * (lam_i * driver.f(y) + b * y) - rhs
-        worst = float(np.max(np.abs(F)))
-        if worst < NEWTON_TOL:
-            return y, worst
-        Fp = 1.0 + dt * (lam_i * driver.fprime(y) + b)
-        y = y - F / Fp
-    # per-path bisection for any stragglers
-    F = y + dt * (lam_i * driver.f(y) + b * y) - rhs
-    stuck = np.abs(F) >= NEWTON_TOL
-    for idx in np.nonzero(stuck)[0]:
-        def F1(v, r=rhs[idx]):
-            return v + dt * (lam_i * float(driver.f(v)) + b * v) - r
-        lo, hi = y[idx] - 1.0, y[idx] + 1.0
-        for _ in range(200):
-            if F1(lo) * F1(hi) < 0:
-                break
-            lo -= 1.0
-            hi += 1.0
-        else:
-            raise NumericsError("pathwise implicit step found no bracket")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if F1(lo) * F1(mid) <= 0:
-                hi = mid
-            else:
-                lo = mid
-            if abs(F1(mid)) < NEWTON_TOL:
-                break
-        y[idx] = 0.5 * (lo + hi)
-    F = y + dt * (lam_i * driver.f(y) + b * y) - rhs
-    return y, float(np.max(np.abs(F)))
+    y = np.array(y_next, dtype=float)
+    F = residual(y)
+    for _ in range(100):
+        active = np.abs(F) >= NEWTON_TOL
+        if not active.any():
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = F / (1.0 + dt * (lam * driver.fprime(y) + b))
+        np.subtract(y, step, out=y, where=active)
+        F = residual(y)
+    bad = ~(np.abs(F) < NEWTON_TOL)
+    if bad.any():
+        y_next_bad, forcing_bad, lam_bad = (np.broadcast_to(a, y.shape)[bad]
+                                            for a in (y_next, forcing, lam))
+        y[bad] = _bracket_and_bisect(
+            lambda v: residual(v, y_next_bad, forcing_bad, lam_bad), y_next_bad)
+        F = residual(y)
+    return y, np.max(np.abs(F), axis=1)
 
 
 def _box_clamp_applies(problem: BsdeProblem) -> bool:
     d = problem.effective_driver()
     return (problem.terminal.is_zero and problem.coefficient.nonnegative
             and d.zero_at_zero and d.nondecreasing and d.below_identity)
+
+
+# ---------------------------------------------------------------------------
+# Backward sweep over a schedule of truncation levels
+# ---------------------------------------------------------------------------
+
+def backward_sweep(problem: BsdeProblem, grid: TimeGrid, caps: Sequence,
+                   bundle: Optional[PathBundle] = None,
+                   basis: Optional[RegressionBasis] = None,
+                   driver_override: Optional[DriverSpec] = None,
+                   clamp_margin: float = 1e-3) -> list:
+    """Backward implicit Euler for every truncation level in ``caps``, in one pass.
+
+    The state is node-major with shape (N, L, M): L levels and M paths, M = 1
+    without a bundle (ODE mode, deterministic data).  With a bundle the
+    conditional expectations are least-squares Monte Carlo fits on the
+    Brownian level: each node's design is built and factored once and all 2L
+    targets (Y and the Z increment products of every level) are fitted
+    against it.  Z is frozen inside the implicit step (it enters linearly with
+    a bounded slope, one pass is enough at these accuracy targets).  When the
+    problem's flags prove the a-priori box, each level's largest excursion
+    from it is recorded as ``box_excursion_raw``; in Monte Carlo mode the
+    values are then clamped into the box with ``clamp_margin`` slack.
+
+    Returns one ``SolutionEstimate`` per level, whose ``y`` and ``z`` are views
+    into the stacked buffers.
+    """
+    mc = bundle is not None
+    if mc:
+        if basis is None:
+            basis = RegressionBasis.polynomial(3)
+        if bundle.grid is not grid and not np.array_equal(bundle.grid.points, grid.points):
+            raise ValueError("bundle was simulated on a different grid")
+    elif problem.coefficient.is_markovian:
+        raise ValueError("ODE mode needs deterministic coefficients")
+    elif problem.terminal.kind == "random":
+        raise ValueError("ODE mode needs a deterministic terminal value")
+    parts = [_effective_parts(problem, cap, driver_override) for cap in caps]
+    driver = parts[0][1]
+    if mc and bundle.dim != 1:
+        raise ValueError("regression mode currently supports one Brownian dimension")
+    pts = grid.points
+    n_pts, n_levels = len(pts), len(parts)
+    m_paths = bundle.n_paths if mc else 1
+    lam_nodes = np.array([np.asarray(intensity.value(pts[:-1]), dtype=float)
+                          for intensity, _ in parts])
+    box = _box_clamp_applies(problem)
+    sup = problem.coefficient.sup_norm
+    b, sigma = problem.y_slope, problem.z_slope
+
+    y = np.empty((n_pts, n_levels, m_paths))
+    z = np.zeros((n_pts - 1, n_levels, m_paths))
+    if mc:
+        levels = bundle.levels[:, :, 0]
+        increments = bundle.increments[:, :, 0]
+        y[-1] = problem.terminal.values(levels[:, -1])
+    else:
+        y[-1] = float(problem.terminal.values())
+    worst_resid = np.zeros(n_levels)
+    excursion = np.zeros(n_levels)
+    for i in range(n_pts - 2, -1, -1):
+        t_i = float(pts[i])
+        dt = float(pts[i + 1] - t_i)
+        if mc:
+            w_i = levels[:, i]
+            targets = np.concatenate([y[i + 1], y[i + 1] * increments[:, i] / dt])
+            coef, design = fit_coefficients(basis, w_i, targets.T, node_index=i)
+            del targets
+            # fitted values (design @ coef).T, laid out level-major
+            y_fit = coef[:, :n_levels].T @ design.T
+            np.matmul(coef[:, n_levels:].T, design.T, out=z[i])
+            phi = np.asarray(problem.coefficient.value(t_i, w_i), dtype=float)
+        else:
+            y_fit = y[i + 1]
+            phi = np.asarray(problem.coefficient.value(t_i), dtype=float)
+        y_i, resid = _implicit_step(y_fit, phi + sigma * z[i], dt, lam_nodes[:, i, None],
+                                    driver, b)
+        np.maximum(worst_resid, resid, out=worst_resid)
+        if box:
+            lower = -(grid.horizon - t_i) * sup
+            np.maximum(excursion, np.maximum(y_i.max(axis=1), lower - y_i.min(axis=1)),
+                       out=excursion)
+            if mc:
+                np.clip(y_i, lower - clamp_margin, clamp_margin, out=y_i)
+        y[i] = y_i
+
+    solutions = []
+    for k, cap in enumerate(caps):
+        y_k, z_k = (y[:, k, :].T, z[:, k, :].T) if mc else (y[:, k, 0], z[:, k, 0])
+        diagnostics = {"residual_max": float(worst_resid[k]),
+                       "y_min": float(y_k.min()), "y_max": float(y_k.max())}
+        if box:
+            diagnostics["box_excursion_raw"] = float(excursion[k])
+        if mc:
+            diagnostics.update(paths=m_paths, basis=basis.kind,
+                               basis_degree=basis.degree, seed=bundle.seed,
+                               y0_mean=float(y[0, k].mean()))
+        solutions.append(SolutionEstimate(
+            grid=grid, y=y_k, z=z_k, mode="regression_mc" if mc else "ode_exact",
+            problem=problem, lambda_cap=cap, driver_used=driver,
+            diagnostics=diagnostics))
+    return solutions
+
+
+def solve_ode_mode(problem: BsdeProblem, grid: TimeGrid,
+                   lambda_cap: Optional[float] = None,
+                   driver_override: Optional[DriverSpec] = None) -> SolutionEstimate:
+    """Backward implicit Euler for deterministic data: y_i = y_{i+1} - dt G(t_i, y_i).
+
+    The one-level case of ``backward_sweep``.
+    """
+    return backward_sweep(problem, grid, [lambda_cap],
+                          driver_override=driver_override)[0]
 
 
 def solve_regression_mc(problem: BsdeProblem, grid: TimeGrid, bundle: PathBundle,
@@ -280,58 +332,12 @@ def solve_regression_mc(problem: BsdeProblem, grid: TimeGrid, bundle: PathBundle
                         clamp_margin: float = 1e-3) -> SolutionEstimate:
     """Least-squares Monte Carlo backward induction on the bundle's paths.
 
-    Z is regressed from increment products and frozen inside the implicit solve
-    (it enters linearly with a bounded slope, one pass is enough at these
-    accuracy targets).  When the problem's flags prove the a-priori box, the
-    per-node values are clamped into it with ``clamp_margin`` slack.
+    The one-level case of ``backward_sweep``; when the problem's flags prove
+    the a-priori box, the values are clamped into it with ``clamp_margin`` slack.
     """
-    if basis is None:
-        basis = RegressionBasis.polynomial(3)
-    if bundle.grid is not grid and not np.array_equal(bundle.grid.points, grid.points):
-        raise ValueError("bundle was simulated on a different grid")
-    intensity, driver = _effective_parts(problem, lambda_cap, driver_override)
-    if bundle.dim != 1:
-        raise ValueError("regression mode currently supports one Brownian dimension")
-    pts = grid.points
-    n_pts, m_paths = len(pts), bundle.n_paths
-    levels = bundle.levels[:, :, 0]
-    increments = bundle.increments[:, :, 0]
-    clamp = _box_clamp_applies(problem)
-    sup = problem.coefficient.sup_norm
-    horizon = grid.horizon
-
-    y = np.zeros((m_paths, n_pts))
-    z = np.zeros((m_paths, n_pts - 1))
-    y[:, -1] = problem.terminal.values(levels[:, -1])
-    worst_resid = 0.0
-    for i in range(n_pts - 2, -1, -1):
-        dt = float(pts[i + 1] - pts[i])
-        lam_i = float(intensity.value(float(pts[i])))
-        w_i = levels[:, i]
-        y_fit = fit_conditional(basis, w_i, y[:, i + 1], node_index=i)
-        z_fit = fit_conditional(basis, w_i, y[:, i + 1] * increments[:, i] / dt,
-                                node_index=i)
-        z[:, i] = z_fit
-        phi_vals = np.asarray(problem.coefficient.value(float(pts[i]), w_i), dtype=float)
-        if phi_vals.ndim == 0:
-            phi_vals = np.full(m_paths, float(phi_vals))
-        y_i, resid = _implicit_vector_step(y_fit, dt, phi_vals, lam_i, driver,
-                                           problem.y_slope, problem.z_slope, z_fit)
-        worst_resid = max(worst_resid, resid)
-        if clamp:
-            lo = -(horizon - float(pts[i])) * sup - clamp_margin
-            y_i = np.clip(y_i, lo, clamp_margin)
-        y[:, i] = y_i
-
-    means = y.mean(axis=0)
-    return SolutionEstimate(
-        grid=grid, y=y, z=z, mode="regression_mc",
-        problem=problem, lambda_cap=lambda_cap, driver_used=driver,
-        diagnostics={"residual_max": worst_resid,
-                     "y_min": float(y.min()), "y_max": float(y.max()),
-                     "paths": m_paths, "basis": basis.kind,
-                     "basis_degree": basis.degree, "seed": bundle.seed,
-                     "y0_mean": float(means[0])})
+    return backward_sweep(problem, grid, [lambda_cap], bundle=bundle, basis=basis,
+                          driver_override=driver_override,
+                          clamp_margin=clamp_margin)[0]
 
 
 # ---------------------------------------------------------------------------

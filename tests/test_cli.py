@@ -194,3 +194,27 @@ class TestFromConfig:
         assert run(["run", "nonlinear_exp", "--config", str(cfg),
                     "--out", str(tmp_path / "x")]) == 1
         assert "broken.ini" in capsys.readouterr().err
+
+
+class TestBadParameters:
+    @pytest.mark.parametrize("args", [["affine_plus", "--p", "-1"],
+                                      ["nonlinear_exp", "--n-grid", "1"]])
+    def test_value_error_exits_1_with_report(self, tmp_path, args):
+        out = tmp_path / "bad"
+        assert run(["run", *args, "--out", str(out)]) == 1
+        report = (out / "report.txt").read_text()
+        assert "status: failed" in report
+        assert "exit_code: 1" in report
+        assert "error: " in report
+
+
+class TestBoxExcursion:
+    def test_mc_report_prints_raw_excursion(self, tmp_path):
+        out = tmp_path / "mc"
+        assert run(["run", "nonlinear_exp", "--mode", "mc", "--m-paths", "2000",
+                    "--n-grid", "41", "--schedule", "4,16", "--tol", "0.5",
+                    "--out", str(out)]) == 0
+        fields = dict(line.strip().split(" = ", 1)
+                      for line in (out / "report.txt").read_text().splitlines()
+                      if " = " in line)
+        assert float(fields["box_excursion_raw"]) >= float(fields["box_violation"])

@@ -167,3 +167,20 @@ class TestFunctionals:
         sol = bl.solve_ode_mode(prob, grid, lambda_cap=256.0, driver_override=clipped)
         mass = bl.estimate_lambda_f_integral(sol)
         assert mass <= abs(sol.y[0]) + 1.0 + 0.05
+
+
+class TestMonotoneViolation:
+    def test_mc_value_is_the_two_pass_formula(self, power1):
+        # the paired difference is formed once; the value must not move a bit
+        from bsdelab.singular_scheme import _monotone_violation
+
+        grid = bl.make_grid(power1, 41, mass_cap=8.0)
+        bundle = bl.simulate_paths(grid, 1, 4000, seed=31)
+        prob = theorem_problem(power1, bl.DriverSpec.exp_utility(1.0))
+        clipped = bl.truncate(prob.driver, 1.0, 1.0).to_driver_spec()
+        lo, hi = bl.backward_sweep(prob, grid, [4.0, 8.0], bundle=bundle,
+                                   driver_override=clipped)
+        for a, b in ((lo, hi), (hi, lo)):
+            mean = (a.y - b.y).mean(axis=0)
+            stderr = (a.y - b.y).std(axis=0) / math.sqrt(a.y.shape[0])
+            assert _monotone_violation(a, b) == float(np.max(mean - 3.0 * stderr))
