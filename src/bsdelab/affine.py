@@ -24,7 +24,7 @@ from .coefficients import (
     IntensityModel,
     TimeGrid,
 )
-from .errors import NoParticularSolution, NoSolution, NumericsError
+from .errors import LabError, NoParticularSolution, NoSolution, NumericsError
 from .paths import PathBundle
 
 U_SPAN = 45.0                 # exp(-45) ~ 2.9e-20: below every tolerance in use
@@ -396,7 +396,7 @@ def classify_ode(model: IntensityModel, coefficient, tolerance: float,
         try:
             estimates.append((float(t), _averaged_prefix(
                 model, float(t), coefficient, err_cap=max(tolerance / 100, 1e-9))))
-        except Exception as exc:        # quadrature breakdown
+        except (LabError, ArithmeticError) as exc:      # quadrature breakdown
             raise NumericsError(f"prefix integral failed at eps={e:g}: {exc}") from exc
     tailvals = [v for _, v in estimates[-3:]]
     spread = max(tailvals) - min(tailvals)

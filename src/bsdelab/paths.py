@@ -2,18 +2,20 @@
 
 Each path owns a Philox stream keyed by (seed, path index), so regenerating any
 subset of paths, in any partitioning across workers, reproduces the same bits.
+The streams are computed by a numpy Philox4x64-10 kernel, one block of paths
+per pass, bit for bit equal to numpy's ``Philox`` bit generator.
 Gaussians come from the inverse normal CDF applied to the raw counter output;
 no rejection sampling, so the draw count per path is fixed.
 """
 
 from __future__ import annotations
 
+import operator
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Philox
 from scipy.special import ndtri
 
 from .coefficients import TimeGrid
@@ -21,6 +23,14 @@ from .errors import ResourceLimit
 
 MEMORY_CAP_ELEMENTS = 200_000_000      # ~1.6 GB of float64 per bundle
 _STREAM_SCHEME = "philox4x64:key=(seed,path)"
+DRAW_BLOCK = 1 << 16      # raw draws per block of paths: cache-sized temporaries
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_PHILOX_ROUNDS = 10
+_PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 
 
 @dataclass(frozen=True)
@@ -44,11 +54,43 @@ class PathBundle:
         return w[:, 0] if self.dim == 1 else w
 
 
-def _path_uniforms(seed: int, path_index: int, count: int) -> np.ndarray:
-    bg = Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, path_index], dtype=np.uint64))
-    raw = bg.random_raw(count)
-    # strictly inside (0, 1) so ndtri never hits an endpoint
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+def _mulhilo(a: np.ndarray, mul: int) -> tuple:
+    """High and low 64-bit words of the 128-bit product ``a * mul``, elementwise.
+
+    The low word is numpy's wrapping uint64 multiply; the high word is
+    assembled from 32-bit halves, whose partial products cannot overflow.
+    """
+    m_hi, m_lo = np.uint64(mul >> 32), np.uint64(mul & 0xFFFFFFFF)
+    a_hi, a_lo = a >> _SHIFT32, a & _LOW32
+    ll, lh, hl = a_lo * m_lo, a_lo * m_hi, a_hi * m_lo
+    mid = (ll >> _SHIFT32) + (lh & _LOW32) + (hl & _LOW32)
+    hi = a_hi * m_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
+    return hi, a * np.uint64(mul)
+
+
+def _philox_raw(seed: int, paths: np.ndarray, count: int) -> np.ndarray:
+    """First ``count`` raw words of the Philox4x64-10 stream keyed by (seed, m),
+    for every path index m in ``paths``: a (len(paths), count) uint64 array.
+
+    Bit for bit numpy's ``Philox(key=[seed, m]).random_raw(count)``: the
+    counter [c, 0, 0, 0] runs over c = 1, 2, ... (numpy increments it before
+    the first block) and each block yields its four output words in order.
+    Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11).
+    """
+    n_ctr = -(-count // 4)
+    # (1, 1)-shaped zeros keep every operand an array, so uint64 arithmetic
+    # wraps silently; broadcasting grows the words to (paths, n_ctr) by round 2
+    zero = np.zeros((1, 1), dtype=np.uint64)
+    x0, x1, x2, x3 = np.arange(1, n_ctr + 1, dtype=np.uint64)[None, :], zero, zero, zero
+    key1 = np.asarray(paths, dtype=np.uint64)[:, None]
+    for r in range(_PHILOX_ROUNDS):
+        k0 = np.uint64((seed + r * _PHILOX_BUMP[0]) & _MASK64)
+        k1 = key1 + np.uint64((r * _PHILOX_BUMP[1]) & _MASK64)
+        hi0, lo0 = _mulhilo(x0, _PHILOX_MUL[0])
+        hi1, lo1 = _mulhilo(x2, _PHILOX_MUL[1])
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+    words = np.stack(np.broadcast_arrays(x0, x1, x2, x3), axis=-1)
+    return words.reshape(len(key1), 4 * n_ctr)[:, :count]
 
 
 def simulate_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int,
@@ -56,11 +98,15 @@ def simulate_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int,
                    memory_cap: int = MEMORY_CAP_ELEMENTS) -> PathBundle:
     """Simulate ``n_paths`` independent d-dimensional Brownian paths on the grid.
 
-    Deterministic in ``seed`` and independent of ``workers``; the worker count
-    only partitions the embarrassingly parallel per-path generation.
+    Deterministic in ``seed``, which must lie in [0, 2^64), and independent of
+    ``workers``. Paths are generated in blocks of about ``DRAW_BLOCK`` draws;
+    the worker count only spreads the blocks over a thread pool.
     """
     if n_paths < 1 or dim < 1:
         raise ValueError("n_paths and dim must be positive")
+    seed = operator.index(seed)
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     n_steps = grid.n_points - 1
     if n_paths * grid.n_points * dim > memory_cap:
         raise ResourceLimit(
@@ -69,19 +115,24 @@ def simulate_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int,
     gaps = grid.gaps
     scale = np.sqrt(gaps)[None, :, None]
     increments = np.empty((n_paths, n_steps, dim), dtype=np.float64)
+    count = n_steps * dim
+    rows = increments.reshape(n_paths, count)
 
     def fill(block):
         lo, hi = block
-        for m in range(lo, hi):
-            u = _path_uniforms(seed, m, n_steps * dim)
-            increments[m] = ndtri(u).reshape(n_steps, dim)
+        raw = _philox_raw(seed, np.arange(lo, hi, dtype=np.uint64), count)
+        # strictly inside (0, 1) so ndtri never hits an endpoint
+        u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+        ndtri(u, out=rows[lo:hi])
 
-    if workers <= 1:
-        fill((0, n_paths))
+    per_block = max(1, DRAW_BLOCK // count)
+    blocks = [(lo, min(lo + per_block, n_paths)) for lo in range(0, n_paths, per_block)]
+    pool_size = min(workers, len(blocks))
+    if pool_size <= 1:
+        for block in blocks:
+            fill(block)
     else:
-        chunk = -(-n_paths // workers)
-        blocks = [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=pool_size) as pool:
             list(pool.map(fill, blocks))
 
     increments *= scale
@@ -109,10 +160,10 @@ def stochastic_integral(bundle: PathBundle, integrand) -> np.ndarray:
 
 
 def dump_bundle(bundle: PathBundle, path) -> None:
-    """Cross-implementation dump: little-endian int64 header (seed, M, N, d),
-    then the increments row major as little-endian float64."""
+    """Cross-implementation dump: little-endian header of the seed as uint64
+    and (M, N, d) as int64, then the increments row major as little-endian float64."""
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<qqqq", bundle.seed, bundle.n_paths,
+        fh.write(struct.pack("<Qqqq", bundle.seed, bundle.n_paths,
                              bundle.grid.n_points, bundle.dim))
         fh.write(np.ascontiguousarray(bundle.increments, dtype="<f8").tobytes())
 
@@ -120,7 +171,7 @@ def dump_bundle(bundle: PathBundle, path) -> None:
 def load_bundle(path, grid: TimeGrid) -> PathBundle:
     """Rebuild a bundle from a dump; the grid is not part of the wire format."""
     with open(path, "rb") as fh:
-        seed, m, n, d = struct.unpack("<qqqq", fh.read(32))
+        seed, m, n, d = struct.unpack("<Qqqq", fh.read(32))
         inc = np.frombuffer(fh.read(8 * m * (n - 1) * d), dtype="<f8")
     if grid.n_points != n:
         raise ValueError(f"dump was written on a {n}-point grid, got {grid.n_points}")

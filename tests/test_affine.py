@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import bsdelab as bl
-from bsdelab.errors import NoParticularSolution, NoSolution
+from bsdelab.errors import NoParticularSolution, NoSolution, NumericsError
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +171,18 @@ class TestClassifyOde:
             return np.asarray(power1.value(t)) * np.cos(np.asarray(power1.cumulative(t)))
         out = bl.classify_ode(power1, osc, tolerance=1e-6)
         assert not out.converges
+
+    def test_programming_error_in_coefficient_surfaces(self, power1):
+        def broken(t):
+            raise TypeError("coefficient bug")
+        with pytest.raises(TypeError, match="coefficient bug"):
+            bl.classify_ode(power1, broken, tolerance=1e-6)
+
+    def test_arithmetic_breakdown_rewrapped(self, power1):
+        def overflowing(t):
+            raise OverflowError("coefficient overflow")
+        with pytest.raises(NumericsError, match="prefix integral failed"):
+            bl.classify_ode(power1, overflowing, tolerance=1e-6)
 
 
 class TestOdeFamilyMember:

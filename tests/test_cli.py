@@ -1,9 +1,12 @@
 import csv
 import io
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bsdelab import cli
 
@@ -218,3 +221,36 @@ class TestBoxExcursion:
                       for line in (out / "report.txt").read_text().splitlines()
                       if " = " in line)
         assert float(fields["box_excursion_raw"]) >= float(fields["box_violation"])
+
+
+class TestSeedDomain:
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed_exits_1(self, tmp_path, seed):
+        out = tmp_path / "seed"
+        assert run(["run", "nonlinear_exp", "--mode", "mc", "--m-paths", "50",
+                    "--n-grid", "9", "--seed", seed, "--out", str(out)]) == 1
+        report = (out / "report.txt").read_text()
+        assert "status: failed" in report
+        assert "seed must lie in [0, 2^64)" in report
+
+
+class TestCliNeverCrashes:
+    @settings(max_examples=40, deadline=None)
+    @given(scenario=st.sampled_from(sorted(cli.SCENARIOS)),
+           p=st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
+           n_grid=st.sampled_from([0, 1, 2, 9]),
+           m_paths=st.sampled_from([0, 1, 50]),
+           mode=st.sampled_from(["ode", "mc"]),
+           threads=st.sampled_from([0, 1, 2]),
+           seed=st.sampled_from([-1, 0, 2**64 - 1]))
+    def test_exit_code_documented_and_report_written(self, scenario, p, n_grid,
+                                                     m_paths, mode, threads, seed):
+        takes = cli.SCENARIOS[scenario].defaults
+        args = ["run", scenario, "--threads", str(threads), "--seed", str(seed)]
+        for key, value in [("p", p), ("n_grid", n_grid), ("m_paths", m_paths),
+                           ("mode", mode)]:
+            if key in takes:
+                args += [f"--{key.replace('_', '-')}", str(value)]
+        with tempfile.TemporaryDirectory() as out:
+            assert run(args + ["--out", out]) in (0, 1, 2, 3)
+            assert (Path(out) / "report.txt").is_file()

@@ -129,3 +129,21 @@ class TestMultidimensional:
         w = bundle.terminal_levels()
         corr = float(np.corrcoef(w[:, 0], w[:, 1])[0, 1])
         assert abs(corr) < 4.0 / np.sqrt(100_000)
+
+
+class TestSeedDomain:
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+    def test_out_of_range_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            bl.simulate_paths(uniform_grid(3), 1, 4, seed=seed)
+
+    def test_largest_seed_roundtrips_through_dump(self, tmp_path):
+        import struct
+        grid = uniform_grid(4)
+        bundle = bl.simulate_paths(grid, 1, 3, seed=2**64 - 1)
+        path = tmp_path / "bundle.bin"
+        bl.dump_bundle(bundle, path)
+        assert struct.unpack("<Q", path.read_bytes()[:8]) == (2**64 - 1,)
+        loaded = bl.load_bundle(path, grid)
+        assert loaded.seed == 2**64 - 1
+        assert np.array_equal(loaded.increments, bundle.increments)

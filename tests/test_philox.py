@@ -1,0 +1,86 @@
+"""Differential tests of the vectorised Philox4x64-10 kernel in ``bsdelab.paths``.
+
+The oracle is the original per-path generator: one numpy ``Philox`` bit
+generator per path, keyed by (seed, path index).
+"""
+
+import numpy as np
+import pytest
+from numpy.random import Philox
+from scipy.special import ndtri
+
+import bsdelab as bl
+from bsdelab import paths
+
+MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def reference_raw(seed: int, path_index: int, count: int) -> np.ndarray:
+    bg = Philox(key=np.array([seed & MASK64, path_index], dtype=np.uint64))
+    return bg.random_raw(count)
+
+
+def reference_uniforms(seed: int, path_index: int, count: int) -> np.ndarray:
+    raw = reference_raw(seed, path_index, count)
+    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+
+
+def reference_increments(grid, dim: int, n_paths: int, seed: int) -> np.ndarray:
+    n_steps = grid.n_points - 1
+    out = np.empty((n_paths, n_steps, dim))
+    for m in range(n_paths):
+        out[m] = ndtri(reference_uniforms(seed, m, n_steps * dim)).reshape(n_steps, dim)
+    return out * np.sqrt(grid.gaps)[None, :, None]
+
+
+def uniform_grid(n):
+    return bl.TimeGrid(points=np.linspace(0.0, 1.0, n), cap_index=n - 2)
+
+
+PATH_INDICES = [0, 1, 2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 2**63 + 1, MASK64]
+
+
+class TestRawDraws:
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 2, 2**64 - 1])
+    @pytest.mark.parametrize("count", [1, 3, 4, 5, 20, 241])
+    def test_bit_identical_to_numpy_philox(self, seed, count):
+        got = paths._philox_raw(seed, np.array(PATH_INDICES, dtype=np.uint64), count)
+        want = np.stack([reference_raw(seed, m, count) for m in PATH_INDICES])
+        assert got.dtype == np.uint64
+        assert got.shape == (len(PATH_INDICES), count)
+        assert np.array_equal(got, want)
+
+
+class TestSimulatePathsAgainstOracle:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_increments_bit_identical(self, workers):
+        grid, dim = uniform_grid(11), 2
+        per_block = paths.DRAW_BLOCK // (10 * dim)
+        n_paths = 2 * per_block + per_block // 3     # three blocks, the last ragged
+        bundle = bl.simulate_paths(grid, dim, n_paths, seed=2**64 - 3, workers=workers)
+        want = reference_increments(grid, dim, n_paths, 2**64 - 3)
+        assert bundle.increments.tobytes() == want.tobytes()
+
+    def test_pool_capped_at_block_count(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(paths, "ThreadPoolExecutor", SerialPool)
+        grid = uniform_grid(11)
+        per_block = paths.DRAW_BLOCK // 10
+        many = bl.simulate_paths(grid, 1, 2 * per_block + 1, seed=4, workers=10**6)
+        few = bl.simulate_paths(grid, 1, 5, seed=4, workers=10**6)
+        assert sizes == [3]                 # one-block runs start no pool at all
+        assert np.array_equal(few.increments, many.increments[:5])
