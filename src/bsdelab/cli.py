@@ -3,8 +3,8 @@
 Every built-in scenario is a named, reproducible run that writes CSV tables and
 a plain-text report.  Exit codes: 0 success (including a certified no-solution
 outcome where that is the scenario's expected result), 1 usage, config or
-parameter error, 2 scheme did not converge, 3 no-solution certified where a
-solution was asked for.
+parameter error, 2 scheme did not converge or a certificate was inconclusive,
+3 no-solution certified where a solution was asked for.
 """
 
 from __future__ import annotations
@@ -247,6 +247,8 @@ def _run_affine_plus(cfg: ScenarioConfig, info: ScenarioInfo) -> int:
     cfg.say("  representation_argument = terminal value must vanish")
     cfg.say(f"  witness_monotone_divergent = {cert.monotone_divergent}")
     cfg.say(f"  witness_growth_ratio = {_fmt(cert.metadata['ratio'])}")
+    if not cert.monotone_divergent:
+        return _finish(cfg, "witness_inconclusive", EXIT_NOT_CONVERGED)
     return _finish(cfg, "no_solution_certified_expected", EXIT_OK)
 
 

@@ -19,6 +19,7 @@ from .errors import InfeasibleGrid, SingularEvaluation
 
 QUAD_ABS_TOL = 1e-10          # adaptive quadrature target for custom intensities
 BISECTION_TOL = 1e-12         # bracket width for inverting the cumulative mass
+MASS_TOL = 1e-10              # mass residual for inverting the cumulative mass
 _EPS_GAP = 1e-14              # never evaluate a singular intensity closer to T than this
 
 
@@ -227,14 +228,30 @@ class IntensityModel:
             ])
         return float(out[0]) if scalar else out
 
-    def inverse_cumulative(self, target: float, tol: float = BISECTION_TOL,
-                           mass_tol: float = 1e-10) -> float:
-        """Solve Lam(t) = target by bisection.
+    def mass_inverse(self, target: float) -> float:
+        """The inverse of Lam: the time where the cumulative mass reaches ``target``.
 
-        Terminates once the bracket is below ``tol`` in time AND the mass
-        residual is below ``mass_tol`` (where the intensity is steep, the time
-        criterion alone cannot control the mass error).  Raises
-        ``InfeasibleGrid`` when the total mass never reaches the target.
+        Closed form for power_gap, exp_gap and bounded intensities (clamped to
+        [0, T]), bisection for custom and truncated ones.
+        """
+        T = self.horizon
+        if self.kind == POWER_GAP:
+            t = T * (1.0 - math.exp(-target / self.p))
+        elif self.kind == EXP_GAP:
+            g = self.gamma
+            t = T + math.log1p(math.expm1(-g * T) * math.exp(-target)) / g
+        elif self.kind == BOUNDED and self.level > 0:
+            t = target / self.level
+        else:
+            return self._bisect_inverse(target)
+        return min(max(t, 0.0), T)
+
+    def _bisect_inverse(self, target: float) -> float:
+        """Solve Lam(t) = target by bisection (the kinds without a closed form).
+
+        Stops once the bracket is below ``BISECTION_TOL`` in time AND the mass
+        residual below ``MASS_TOL`` (where the intensity is steep, time alone
+        cannot control the mass error).  A target beyond the total mass gives ~T.
         """
         if target < 0:
             raise ValueError("target mass must be nonnegative")
@@ -242,10 +259,6 @@ class IntensityModel:
             return 0.0
         T = self.horizon
         hi = T * (1.0 - _EPS_GAP)
-        if not self.is_singular and self.total_mass() < target:
-            raise InfeasibleGrid(
-                f"cumulative mass tops out at {self.total_mass():.6g} < {target:.6g}"
-            )
         if self.is_singular:
             # walk the bracket toward T until the mass exceeds the target
             hi = T * 0.5
@@ -254,12 +267,11 @@ class IntensityModel:
                 if T - hi < _EPS_GAP * T:
                     raise InfeasibleGrid("target mass unreachable in floating point")
         lo = 0.0
-        mid = 0.5 * (lo + hi)
         # ~170 halvings exhaust double precision on any bracket
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             mass = self.cumulative(mid)
-            if hi - lo <= tol and abs(mass - target) <= mass_tol:
+            if hi - lo <= BISECTION_TOL and abs(mass - target) <= MASS_TOL:
                 return mid
             if mid <= lo or mid >= hi:      # bracket exhausted in floating point
                 return mid
@@ -268,26 +280,6 @@ class IntensityModel:
             else:
                 hi = mid
         return mid
-
-    def _closed_inverse(self, target: float) -> Optional[float]:
-        """Closed-form inverse of Lam where available (used by the quadrature paths)."""
-        T = self.horizon
-        if self.kind == POWER_GAP:
-            return T * (1.0 - math.exp(-target / self.p))
-        if self.kind == EXP_GAP:
-            g = self.gamma
-            inner = -math.expm1(-g * T) * math.exp(-target)
-            return T + math.log1p(-inner) / g
-        if self.kind == BOUNDED and self.level > 0:
-            return target / self.level
-        return None
-
-    def mass_inverse(self, target: float) -> float:
-        """Inverse cumulative mass, closed form when possible, bisection otherwise."""
-        closed = self._closed_inverse(target)
-        if closed is not None:
-            return min(max(closed, 0.0), self.horizon)
-        return self.inverse_cumulative(target)
 
     def inverse_rate_at_mass(self, u: float) -> float:
         """1 / lam(t) evaluated at the time where Lam(t) = u.
@@ -598,7 +590,7 @@ def make_grid(model: IntensityModel, n: int, scheme: str = INTENSITY_MASS, *,
 
     ``uniform``: n equally spaced points.
     ``intensity_mass``: n nodes with equal increments of Lam up to ``mass_cap``
-    (inverted by bisection), then the terminal node appended.  The equal-mass
+    (placed by ``mass_inverse``), then the terminal node appended.  The equal-mass
     property holds to 1e-9 while lam at the cap stays below ~1e6/T; beyond
     that the time coordinate can no longer resolve the mass increments.
     ``geometric_tail``: distances to T shrink geometrically down to ``eps_min``.
@@ -612,11 +604,11 @@ def make_grid(model: IntensityModel, n: int, scheme: str = INTENSITY_MASS, *,
     if scheme == INTENSITY_MASS:
         if mass_cap <= 0:
             raise ValueError("mass_cap must be positive")
+        if not model.is_singular and model.total_mass() < mass_cap:
+            raise InfeasibleGrid(
+                f"cumulative mass tops out at {model.total_mass():.6g} < {mass_cap:.6g}")
         targets = np.linspace(0.0, mass_cap, n)
-        interior = [0.0]
-        for u in targets[1:]:
-            interior.append(model.inverse_cumulative(float(u)))
-        pts = np.append(np.asarray(interior), T)
+        pts = np.array([0.0] + [model.mass_inverse(float(u)) for u in targets[1:]] + [T])
         if np.any(np.diff(pts) <= 0):
             raise InfeasibleGrid("mass-equidistributed nodes collide near the horizon")
         return TimeGrid(points=pts, cap_index=n - 1)

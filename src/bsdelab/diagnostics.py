@@ -195,6 +195,8 @@ def certify_nonexistence(problem: BsdeProblem, schedule: Sequence[float],
         raise ValueError("nonlinear certificates need a monotone driver")
 
     schedule = [float(n) for n in schedule]
+    if len(schedule) < 2:
+        raise ValueError("the schedule needs at least two levels to witness growth")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be increasing")
     series = []

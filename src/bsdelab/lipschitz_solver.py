@@ -180,8 +180,9 @@ def _implicit_step(y_next, forcing, dt, lam, driver, b):
 
     Newton from ``y_next``; an entry stops moving once its residual is below
     ``NEWTON_TOL``.  Entries that leave the finite range or do not converge
-    fall back to a bracket and bisection.  Returns the values and the worst
-    residual of each level (row).
+    fall back to a bracket and bisection; where 1 + dt (lam f'(y) + b) <= 0 at a
+    Newton iterate the step is not monotone in ``y_next``: ``NumericsError``.
+    Returns the values and the worst residual of each level (row).
     """
     def residual(y, y_next=y_next, forcing=forcing, lam=lam):
         return y - y_next + dt * (forcing + lam * driver.f(y) + b * y)
@@ -192,9 +193,12 @@ def _implicit_step(y_next, forcing, dt, lam, driver, b):
         active = np.abs(F) >= NEWTON_TOL
         if not active.any():
             break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = F / (1.0 + dt * (lam * driver.fprime(y) + b))
-        np.subtract(y, step, out=y, where=active)
+        deriv = 1.0 + dt * (lam * driver.fprime(y) + b)
+        if not np.all(deriv > 0):
+            raise NumericsError(f"implicit step not monotone: 1 + dt (lam f' + b) = "
+                                f"{float(np.min(deriv)):.3g} <= 0 at dt = {dt:.3g}")
+        np.subtract(y, F / deriv, out=y, where=active)
+        del deriv       # freed before residual(): holding it raised the MC peak memory
         F = residual(y)
     bad = ~(np.abs(F) < NEWTON_TOL)
     if bad.any():

@@ -6,6 +6,7 @@ import pytest
 
 import bsdelab as bl
 from bsdelab import lipschitz_solver
+from bsdelab.errors import NumericsError
 
 import per_level_reference as ref
 
@@ -148,3 +149,18 @@ def test_raw_box_excursion_is_the_ode_box_violation(power1):
     report = bl.run_scheme(prob, grid, [2, 4, 8], config=bl.SchemeConfig(tol=1.0))
     raw = max(s.diagnostics["box_excursion_raw"] for s in report.solutions)
     assert raw == report.box_violation
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_monotone_step_raises(power1):
+    # power_gap: lam(t_cap) (T - t_cap) = p, so with p = 1 the minus-form step
+    # on the last segment divides by 1 - dt lam = 0
+    grid = bl.make_grid(power1, 9, mass_cap=0.5)
+    prob = bl.BsdeProblem(intensity=power1,
+                          coefficient=bl.CoefficientProcess.constant(1.0, 1.0),
+                          sign=bl.MINUS_LAMBDA_Y, terminal=bl.TerminalSpec.constant(1.0))
+    with pytest.raises(NumericsError, match="not monotone"):
+        lipschitz_solver.backward_sweep(prob, grid, [2.0, 4.0])
+    # a finer last segment keeps dt lam below 1 and the step monotone
+    fine = bl.make_grid(power1, 9, mass_cap=12.0)
+    lipschitz_solver.backward_sweep(prob, fine, [2.0, 4.0])

@@ -66,6 +66,34 @@ class TestRunScenarios:
         assert len(series) == 4
         assert series[-1] / series[0] >= 10.0
 
+    def test_affine_plus_one_level_witness_exits_1(self, tmp_path):
+        out = tmp_path / "ap1"
+        assert run(["run", "affine_plus", "--terminal", "1", "--schedule", "4",
+                    "--out", str(out)]) == 1
+        report = (out / "report.txt").read_text()
+        assert "at least two levels" in report
+        assert "status: failed" in report
+
+    @pytest.mark.parametrize("schedule", ["2,3", "100,101"])
+    def test_affine_plus_weak_witness_is_inconclusive(self, tmp_path, schedule):
+        out = tmp_path / "ap1"
+        assert run(["run", "affine_plus", "--terminal", "1", "--schedule", schedule,
+                    "--out", str(out)]) == 2
+        report = (out / "report.txt").read_text()
+        assert "witness_monotone_divergent = False" in report
+        assert "status: witness_inconclusive" in report
+        assert "no_solution_certified_expected" not in report
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_affine_plus_non_monotone_step_fails(self, tmp_path):
+        # on the last segment dt * lam(t_cap) = p = 1: the minus-form step is singular
+        out = tmp_path / "ap1"
+        assert run(["run", "affine_plus", "--terminal", "1", "--mass-cap", "0.5",
+                    "--n-grid", "9", "--schedule", "2,4", "--out", str(out)]) == 1
+        report = (out / "report.txt").read_text()
+        assert "implicit step not monotone" in report
+        assert "status: failed" in report
+
     def test_nonlinear_exp_converges(self, tmp_path):
         out = tmp_path / "nl"
         assert run(["run", "nonlinear_exp", "--alpha", "1", "--tol", "0.01",

@@ -79,6 +79,15 @@ class TestCertifyNonexistence:
             bl.certify_nonexistence(prob, [4, 16], grid241)
 
 
+    @pytest.mark.parametrize("schedule", [[], [4], [256]])
+    def test_schedule_too_short_to_witness_growth(self, power1, grid241, schedule):
+        prob = bl.BsdeProblem(
+            intensity=power1, coefficient=bl.CoefficientProcess.constant(1.0, 1.0),
+            sign=bl.MINUS_LAMBDA_Y, terminal=bl.TerminalSpec.constant(1.0))
+        with pytest.raises(ValueError, match="at least two levels"):
+            bl.certify_nonexistence(prob, schedule, grid241)
+
+
 class TestCertifyNonuniqueness:
     def test_fundamental_minus_members(self, power1, grid241):
         cert = bl.certify_nonuniqueness(
