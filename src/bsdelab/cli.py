@@ -15,6 +15,7 @@ import csv
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,32 +134,37 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _member_rows(members):
-    rows = []
-    for k, member in enumerate(members):
-        y = np.atleast_2d(member.y)
-        z = np.atleast_2d(member.z if member.z.ndim else member.z)
-        for i, t in enumerate(member.grid.points):
-            zi = z[..., i] if z.shape[-1] == len(member.grid.points) else \
-                (z[..., min(i, z.shape[-1] - 1)] if z.size else 0.0)
-            rows.append((k, t, float(np.mean(y[:, i])), float(np.std(y[:, i])),
-                         float(np.mean(zi)), ""))
-    return rows
-
-
-def _solution_rows(grid, y, z, bound_values=None):
+def _solution_rows(grid, y, z, last_column=None):
+    """One row per grid node: t, the mean and sd of Y, the mean of Z, and
+    ``last_column[i]`` (blank when None)."""
     y2 = np.atleast_2d(y)
+    z2 = None if z is None else np.atleast_2d(z)
     rows = []
     for i, t in enumerate(grid.points):
-        if z is None:
+        if z2 is None or not z2.size:
             z_mean = 0.0
         else:
-            z2 = np.atleast_2d(z)
-            z_mean = float(np.mean(z2[..., min(i, z2.shape[-1] - 1)])) if z2.size else 0.0
-        check = "" if bound_values is None else bound_values[i]
+            z_mean = float(np.mean(z2[..., min(i, z2.shape[-1] - 1)]))
+        last = "" if last_column is None else last_column[i]
         rows.append((t, float(np.mean(y2[:, i])), float(np.std(y2[:, i])),
-                     z_mean, check))
+                     z_mean, last))
     return rows
+
+
+def _write_family(cfg: ScenarioConfig, cert, count_label: str) -> None:
+    """The member table, the residual certificate and the pairwise distances
+    of a non-uniqueness certificate."""
+    _write_csv(cfg.out_dir / "solution.csv",
+               ["member", "t", "Y_mean", "Y_sd", "Z_mean", "bound_check"],
+               [(k, *row) for k, m in enumerate(cert.members)
+                for row in _solution_rows(m.grid, m.y, m.z)])
+    _write_csv(cfg.out_dir / "certificate.csv",
+               ["member", "y0", "max_residual"],
+               [(k, m.y0, r) for k, (m, r) in
+                enumerate(zip(cert.members, cert.member_residuals))])
+    cfg.say(f"  {count_label} = {len(cert.members)}")
+    for i, j, d in cert.pairwise_sup_distance:
+        cfg.say(f"  sup_distance[{i},{j}] = {_fmt(d)}")
 
 
 def _finish(cfg: ScenarioConfig, status: str, exit_code: int) -> int:
@@ -199,17 +205,8 @@ def _run_ek_red(cfg: ScenarioConfig, info: ScenarioInfo) -> int:
     scenario = EkRed(r=p["r"], sigma=p["sigma"], gamma=p["gamma"],
                      y0_list=_parse_y0_list(p["y0_list"]))
     cert = certify_nonuniqueness(scenario, grid)
-    _write_csv(cfg.out_dir / "solution.csv",
-               ["member", "t", "Y_mean", "Y_sd", "Z_mean", "bound_check"],
-               _member_rows(cert.members))
-    _write_csv(cfg.out_dir / "certificate.csv",
-               ["member", "y0", "max_residual"],
-               [(k, m.y0, r) for k, (m, r) in
-                enumerate(zip(cert.members, cert.member_residuals))])
     cfg.say("results:")
-    cfg.say(f"  verified_members = {len(cert.members)}")
-    for i, j, d in cert.pairwise_sup_distance:
-        cfg.say(f"  sup_distance[{i},{j}] = {_fmt(d)}")
+    _write_family(cfg, cert, "verified_members")
     cfg.say(f"  max_member_residual = {_fmt(max(cert.member_residuals))}")
     return _finish(cfg, "non_uniqueness_certified", EXIT_OK)
 
@@ -228,7 +225,7 @@ def _run_affine_plus(cfg: ScenarioConfig, info: ScenarioInfo) -> int:
         bound = coeff.sup_norm * (grid.horizon - grid.points) - np.abs(sol.y)
         _write_csv(cfg.out_dir / "solution.csv",
                    ["t", "Y_mean", "Y_sd", "Z_mean", "bound_check"],
-                   _solution_rows(grid, sol.y, sol.z, bound_values=bound))
+                   _solution_rows(grid, sol.y, sol.z, bound))
         cfg.say(f"  y_at_0 = {_fmt(float(sol.y[0]))}")
         cfg.say(f"  bound_margin = {_fmt(sol.bound_margin)}")
         return _finish(cfg, "solved", EXIT_OK)
@@ -258,17 +255,8 @@ def _run_affine_minus_family(cfg: ScenarioConfig, info: ScenarioInfo) -> int:
     grid = make_grid(model, int(p["n_grid"]), mass_cap=p["mass_cap"])
     scenario = FundamentalMinus(model=model, y0_list=_parse_y0_list(p["y0_list"]))
     cert = certify_nonuniqueness(scenario, grid)
-    _write_csv(cfg.out_dir / "solution.csv",
-               ["member", "t", "Y_mean", "Y_sd", "Z_mean", "bound_check"],
-               _member_rows(cert.members))
-    _write_csv(cfg.out_dir / "certificate.csv",
-               ["member", "y0", "max_residual"],
-               [(k, m.y0, r) for k, (m, r) in
-                enumerate(zip(cert.members, cert.member_residuals))])
     cfg.say("results:")
-    cfg.say(f"  verified_members = {len(cert.members)}")
-    for i, j, d in cert.pairwise_sup_distance:
-        cfg.say(f"  sup_distance[{i},{j}] = {_fmt(d)}")
+    _write_family(cfg, cert, "verified_members")
     cfg.say(f"  max_member_residual = {_fmt(max(cert.member_residuals))}")
     return _finish(cfg, "non_uniqueness_certified", EXIT_OK)
 
@@ -291,16 +279,7 @@ def _run_ode_trichotomy(cfg: ScenarioConfig, info: ScenarioInfo) -> int:
     scenario = OdeFamilyScenario(model=model, coefficient=coeff,
                                  limit=classification.limit, y0_list=(0.0, 1.0))
     cert = certify_nonuniqueness(scenario, grid)
-    _write_csv(cfg.out_dir / "solution.csv",
-               ["member", "t", "Y_mean", "Y_sd", "Z_mean", "bound_check"],
-               _member_rows(cert.members))
-    _write_csv(cfg.out_dir / "certificate.csv",
-               ["member", "y0", "max_residual"],
-               [(k, m.y0, r) for k, (m, r) in
-                enumerate(zip(cert.members, cert.member_residuals))])
-    cfg.say(f"  family_members_written = {len(cert.members)}")
-    for i, j, d in cert.pairwise_sup_distance:
-        cfg.say(f"  sup_distance[{i},{j}] = {_fmt(d)}")
+    _write_family(cfg, cert, "family_members_written")
     return _finish(cfg, "converges_with_family", EXIT_OK)
 
 
@@ -329,14 +308,9 @@ def _run_nonlinear_exp(cfg: ScenarioConfig, info: ScenarioInfo) -> int:
         return _finish(cfg, "no_solution_certified", EXIT_NO_SOLUTION)
     final = report.final
     resid = final.diagnostics.get("residual_max", 0.0)
-    rows = []
-    y2 = np.atleast_2d(final.y)
-    for i, t in enumerate(grid.points):
-        rows.append((t, float(np.mean(y2[:, i])), float(np.std(y2[:, i])),
-                     0.0 if final.z is None else float(np.mean(np.atleast_2d(final.z)[..., min(i, final.z.shape[-1] - 1)])),
-                     resid))
     _write_csv(cfg.out_dir / "solution.csv",
-               ["t", "Y_mean", "Y_sd", "Z_mean", "residual"], rows)
+               ["t", "Y_mean", "Y_sd", "Z_mean", "residual"],
+               _solution_rows(grid, final.y, final.z, [resid] * len(grid.points)))
     _write_csv(cfg.out_dir / "scheme.csv",
                ["n", "Y0", "cauchy_gap", "monotone_violation",
                 "lambda_f_integral", "bmo_estimate"],
@@ -378,33 +352,34 @@ RUNNERS = {
 # Config file handling
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEY_MAP = {
-    ("scenario", "name"): None,            # handled separately
-    ("intensity", "p"): "p",
-    ("intensity", "gamma"): "gamma",
-    ("intensity", "level"): "level",
-    ("coefficient", "value"): "phi_value",
-    ("coefficient", "c"): "c",
-    ("driver", "alpha"): "alpha",
-    ("grid", "n"): "n_grid",
-    ("grid", "mass_cap"): "mass_cap",
-    ("mc", "m_paths"): "m_paths",
-    ("mc", "basis_degree"): "basis_degree",
-    ("scheme", "schedule"): "schedule",
-    ("scheme", "tol"): "tol",
-    ("scheme", "mode"): "mode",
-    ("run", "terminal"): "terminal",
-    ("run", "r"): "r",
-    ("run", "sigma"): "sigma",
-    ("run", "gamma"): "gamma",
-    ("run", "y0_list"): "y0_list",
-    ("run", "seed"): "seed",
-    ("run", "threads"): "threads",
-}
+class Param(NamedTuple):
+    type: type
+    section: str        # INI section
+    key: str            # INI key
 
-_NUMERIC_KEYS = {"p", "gamma", "level", "phi_value", "c", "alpha", "mass_cap",
-                 "tol", "terminal", "r", "sigma"}
-_INT_KEYS = {"n_grid", "m_paths", "basis_degree", "seed", "threads"}
+
+# Every run parameter, declared once: the --flag is the name with dashes,
+# the config file sets it under [section] key, and both are coerced to type.
+PARAMS = {
+    "p": Param(float, "intensity", "p"),
+    "gamma": Param(float, "intensity", "gamma"),
+    "phi_value": Param(float, "coefficient", "value"),
+    "c": Param(float, "coefficient", "c"),
+    "alpha": Param(float, "driver", "alpha"),
+    "n_grid": Param(int, "grid", "n"),
+    "mass_cap": Param(float, "grid", "mass_cap"),
+    "m_paths": Param(int, "mc", "m_paths"),
+    "basis_degree": Param(int, "mc", "basis_degree"),
+    "schedule": Param(str, "scheme", "schedule"),
+    "tol": Param(float, "scheme", "tol"),
+    "mode": Param(str, "scheme", "mode"),
+    "terminal": Param(float, "run", "terminal"),
+    "r": Param(float, "run", "r"),
+    "sigma": Param(float, "run", "sigma"),
+    "y0_list": Param(str, "run", "y0_list"),
+    "seed": Param(int, "run", "seed"),
+    "threads": Param(int, "run", "threads"),
+}
 
 
 def _load_config(path: str):
@@ -415,6 +390,7 @@ def _load_config(path: str):
         raise ValueError(f"config file {path}: {exc}") from exc
     if not read:
         raise ValueError(f"config file {path}: not found or unreadable")
+    names = {(spec.section, spec.key): name for name, spec in PARAMS.items()}
     out = {}
     scenario = None
     for section in parser.sections():
@@ -422,17 +398,12 @@ def _load_config(path: str):
             if (section, key) == ("scenario", "name"):
                 scenario = raw.strip()
                 continue
-            mapped = _CONFIG_KEY_MAP.get((section, key))
-            if mapped is None:
+            name = names.get((section, key))
+            if name is None:
                 raise ValueError(
                     f"config file {path}, section [{section}]: unknown key {key!r}")
             try:
-                if mapped in _NUMERIC_KEYS:
-                    out[mapped] = float(raw)
-                elif mapped in _INT_KEYS:
-                    out[mapped] = int(raw)
-                else:
-                    out[mapped] = raw.strip()
+                out[name] = PARAMS[name].type(raw.strip())
             except ValueError as exc:
                 raise ValueError(
                     f"config file {path}, section [{section}], key {key!r}: "
@@ -504,19 +475,15 @@ def main(argv=None) -> int:
     p_run.add_argument("scenario")
     p_run.add_argument("--config", default=None, help="INI config file")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--threads", type=int, default=None)
-    for flag, typ in [("alpha", float), ("c", float), ("p", float),
-                      ("gamma", float), ("r", float), ("sigma", float),
-                      ("terminal", float), ("phi-value", float),
-                      ("mass-cap", float), ("tol", float),
-                      ("n-grid", int), ("m-paths", int), ("basis-degree", int)]:
-        p_run.add_argument(f"--{flag}", type=typ, default=None)
-    p_run.add_argument("--y0-list", default=None)
-    p_run.add_argument("--schedule", default=None)
-    p_run.add_argument("--mode", default=None, choices=["ode", "mc"])
+    for name, spec in PARAMS.items():
+        p_run.add_argument(f"--{name.replace('_', '-')}", type=spec.type, default=None)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code:             # a usage error; --help exits 0 as usual
+            return EXIT_USAGE
+        raise
     if args.command == "list":
         return list_scenarios(args.format)
     if args.command != "run":
@@ -534,17 +501,9 @@ def main(argv=None) -> int:
         overrides.update(cfg_params)
         if cfg_scenario:
             scenario = cfg_scenario if scenario == "from-config" else scenario
-    for key in ["alpha", "c", "p", "gamma", "r", "sigma", "terminal",
-                "phi_value", "mass_cap", "tol", "n_grid", "m_paths",
-                "basis_degree", "y0_list", "schedule", "mode", "seed", "threads"]:
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
-
-    out_dir = args.out or f"runs/{scenario}"
-    seed = overrides.pop("seed", 1)
-    threads = overrides.pop("threads", 1)
-    return run_scenario(scenario, overrides, out_dir, seed=seed, threads=threads)
+    flags = vars(args)
+    overrides.update({name: flags[name] for name in PARAMS if flags[name] is not None})
+    return run_scenario(scenario, overrides, args.out or f"runs/{scenario}")
 
 
 if __name__ == "__main__":

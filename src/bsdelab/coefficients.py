@@ -436,28 +436,20 @@ class CoefficientProcess:
 
     def value(self, t, w=None):
         if self.kind == "constant":
-            base = np.full(np.shape(t) or (), self.value_const, dtype=float)
-            if w is not None and np.ndim(w):
-                return np.broadcast_to(base, np.shape(w)).copy()
-            return base if base.ndim else float(base)
-        if self.kind == "time_function":
+            out = np.full(np.shape(t) or (), self.value_const, dtype=float)
+        elif self.kind == "time_function":
             out = np.asarray(self.fn(np.asarray(t, dtype=float)), dtype=float)
-            if w is not None and np.ndim(w):
-                return np.broadcast_to(out, np.shape(w)).copy()
-            return out if out.ndim else float(out)
-        if self.kind == "exp_minus_mass":
+        elif self.kind == "exp_minus_mass":
             out = self.model.exp_minus_cumulative(t)
-            if w is not None and np.ndim(w):
-                return np.broadcast_to(np.asarray(out), np.shape(w)).copy()
-            return out
-        if self.kind == "intensity_multiple":
+        elif self.kind == "intensity_multiple":
             out = self.value_const * np.asarray(self.model.value(t), dtype=float)
-            if w is not None and np.ndim(w):
-                return np.broadcast_to(np.asarray(out), np.shape(w)).copy()
-            return out if out.ndim else float(out)
-        if w is None:
-            raise ValueError("markovian coefficient needs the Brownian level")
-        return np.asarray(self.fn(t, np.asarray(w, dtype=float)), dtype=float)
+        else:
+            if w is None:
+                raise ValueError("markovian coefficient needs the Brownian level")
+            return np.asarray(self.fn(t, np.asarray(w, dtype=float)), dtype=float)
+        if w is not None and np.ndim(w):
+            return np.broadcast_to(np.asarray(out), np.shape(w)).copy()
+        return out if np.ndim(out) else float(out)
 
 
 # ---------------------------------------------------------------------------

@@ -132,15 +132,6 @@ def _monotone_violation(lower: SolutionEstimate, higher: SolutionEstimate) -> fl
     return comparison_check(lower, higher).max_violation
 
 
-def _box_violation(sol: SolutionEstimate, sup: float) -> float:
-    pts = sol.grid.points
-    lower = -(sol.grid.horizon - pts) * sup
-    y = np.atleast_2d(sol.y)
-    over = np.max(y) - 0.0
-    under = np.max(lower[None, :] - y)
-    return float(max(over, under, 0.0))
-
-
 def run_scheme(problem: BsdeProblem, grid: TimeGrid, schedule: Sequence[float],
                t0: Optional[float] = None,
                config: Optional[SchemeConfig] = None) -> SchemeReport:
@@ -181,7 +172,8 @@ def run_scheme(problem: BsdeProblem, grid: TimeGrid, schedule: Sequence[float],
     gaps = tuple(_sup_gap(a, b, upto) for a, b in zip(solutions, solutions[1:]))
     mono = max(max(_monotone_violation(a, b) for a, b in zip(solutions, solutions[1:])), 0.0)
     box_slack = BOX_SLACK_ODE if config.mode == "ode" else config.clamp_margin + 1e-12
-    box_viol = max(_box_violation(s, sup) for s in solutions)
+    # the sweep's excursion before the Monte Carlo clamp, not the clamped values
+    box_viol = max(s.diagnostics["box_excursion_raw"] for s in solutions)
     bounds_ok = box_viol <= box_slack
 
     final = _extrapolated_final(solutions, schedule, sup) \

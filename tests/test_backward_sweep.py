@@ -164,3 +164,15 @@ def test_non_monotone_step_raises(power1):
     # a finer last segment keeps dt lam below 1 and the step monotone
     fine = bl.make_grid(power1, 9, mass_cap=12.0)
     lipschitz_solver.backward_sweep(prob, fine, [2.0, 4.0])
+
+
+def test_mc_box_certificate_reads_the_raw_excursion(markovian_case):
+    # the clamp keeps the stored values within clamp_margin of the box; the
+    # certificate must read the excursion before it, so here it fails
+    prob, grid, bundle, _, schedule = markovian_case
+    config = bl.SchemeConfig(mode="mc", tol=1.0, bundle=bundle)
+    report = bl.run_scheme(prob, grid, schedule, config=config)
+    raw = max(s.diagnostics["box_excursion_raw"] for s in report.solutions)
+    assert report.box_violation == raw
+    assert raw > config.clamp_margin
+    assert not report.bounds_ok

@@ -282,3 +282,54 @@ class TestCliNeverCrashes:
         with tempfile.TemporaryDirectory() as out:
             assert run(args + ["--out", out]) in (0, 1, 2, 3)
             assert (Path(out) / "report.txt").is_file()
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("args", [["--n-grid", "abc"], ["--no-such-flag", "1"]])
+    def test_bad_flag_exits_1(self, tmp_path, args):
+        assert run(["run", "nonlinear_exp", *args, "--out", str(tmp_path / "u")]) == 1
+
+    def test_unknown_mode_fails_in_the_scheme(self, tmp_path):
+        out = tmp_path / "mode"
+        assert run(["run", "nonlinear_exp", "--mode", "bogus", "--n-grid", "9",
+                    "--out", str(out)]) == 1
+        report = (out / "report.txt").read_text()
+        assert "unknown scheme mode 'bogus'" in report
+        assert "status: failed" in report
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["run", "--help"])
+        assert exc.value.code == 0
+        assert "--n-grid" in capsys.readouterr().out
+
+
+class TestParamTable:
+    def test_table_matches_scenario_defaults(self):
+        taken = set().union(*(info.defaults for info in cli.SCENARIOS.values()))
+        assert set(cli.PARAMS) - {"seed", "threads"} == taken
+
+    def test_one_ini_key_per_param(self):
+        keys = [(spec.section, spec.key) for spec in cli.PARAMS.values()]
+        assert len(set(keys)) == len(keys)
+
+    @pytest.mark.parametrize("section,key,scenario", [("intensity", "level", "nonlinear_exp"),
+                                                      ("run", "gamma", "ek_red")])
+    def test_dropped_keys_are_unknown(self, tmp_path, capsys, section, key, scenario):
+        cfg = tmp_path / "old.ini"
+        cfg.write_text(f"[{section}]\n{key} = 1.0\n")
+        assert run(["run", scenario, "--config", str(cfg),
+                    "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert "unknown key" in err and f"section [{section}]" in err
+
+    def test_readme_example_runs(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = tmp_path / "readme.ini"
+        cfg.write_text(example)
+        scenario, params = cli._load_config(str(cfg))
+        assert scenario == "nonlinear_exp" and params["n_grid"] == 241
+        out = tmp_path / "readme"
+        assert run(["run", "from-config", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "status: converged" in (out / "report.txt").read_text()

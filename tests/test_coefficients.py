@@ -224,3 +224,25 @@ class TestCustomModelEndToEnd:
         out = model.value(np.array([0.0, 0.5, 1.0]))
         assert np.isinf(out[-1])
         assert calls and max(calls) < 1.0
+
+
+class TestCoefficientBroadcast:
+    @pytest.mark.parametrize("make", [
+        lambda m: bl.CoefficientProcess.constant(0.7, 1.0),
+        lambda m: bl.CoefficientProcess.from_function(lambda t: 1.0 + np.sin(t), 1.0),
+        lambda m: bl.CoefficientProcess.exp_minus_mass(m),
+        lambda m: bl.CoefficientProcess.intensity_multiple(2.0, m),
+    ], ids=["constant", "time_function", "exp_minus_mass", "intensity_multiple"])
+    def test_deterministic_value_broadcasts_over_w(self, make):
+        coeff = make(bl.IntensityModel.power_gap(1.0, 1.0))
+        at_t = coeff.value(0.3)
+        assert type(at_t) is float
+        assert coeff.value(0.3, 0.2) == at_t
+        w = np.linspace(-1.0, 1.0, 5)
+        spread = coeff.value(0.3, w)
+        assert spread.shape == w.shape and spread.flags.writeable
+        assert np.all(spread == at_t)
+        ts = np.array([0.1, 0.5, 0.9])
+        grid = coeff.value(ts, np.zeros((4, 3)))
+        assert grid.shape == (4, 3)
+        assert np.array_equal(grid, np.broadcast_to(coeff.value(ts), (4, 3)))
