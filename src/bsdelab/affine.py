@@ -219,8 +219,8 @@ def _solve_affine_plus_markovian(problem, grid, bundle, basis):
         dt = pts[i + 1] - pts[i]
         targets = np.column_stack([-math.exp(mass[i]) * tail,
                                    fitted_next * bundle.increments[:, i, 0] / dt])
-        coef, design = fit_coefficients(basis, levels[:, i], targets, node_index=i)
-        fitted, z[:, i] = (design @ coef).T
+        coef, fit = fit_coefficients(basis, levels[:, i], targets, node_index=i)
+        fitted, z[:, i] = (fit.design @ coef).T
         # the representation formula proves |Y| <= sup (T - t): enforce it,
         # recording how far the raw regression strayed
         bound = coeff.sup_norm * (horizon - float(pts[i]))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -314,18 +315,16 @@ def _run_nonlinear_exp(cfg: ScenarioConfig, info: ScenarioInfo) -> int:
     _write_csv(cfg.out_dir / "scheme.csv",
                ["n", "Y0", "cauchy_gap", "monotone_violation",
                 "lambda_f_integral", "bmo_estimate"],
-               [(n,
-                 float(np.mean(np.atleast_2d(sol.y)[:, 0])),
+               [(n, y0,
                  report.cauchy_gaps[k - 1] if k else "",
                  report.monotone_violation,
                  report.lambda_f_integrals[k],
                  report.bmo_estimate)
-                for k, (n, sol) in enumerate(zip(report.schedule, report.solutions))])
+                for k, (n, y0) in enumerate(zip(report.schedule, report.y0))])
     cfg.say(f"  monotone_violation = {_fmt(report.monotone_violation)}")
     cfg.say(f"  bounds_ok = {report.bounds_ok}")
     cfg.say(f"  box_violation = {_fmt(report.box_violation)}")
-    cfg.say("  box_excursion_raw = "
-            f"{_fmt(max(s.diagnostics['box_excursion_raw'] for s in report.solutions))}")
+    cfg.say(f"  box_excursion_raw = {_fmt(max(report.box_excursion_raw))}")
     cfg.say(f"  cauchy_gaps = {','.join(_fmt(g) for g in report.cauchy_gaps)}")
     cfg.say(f"  final_gap = {_fmt(report.cauchy_gaps[-1])}")
     cfg.say(f"  y_at_0 = {_fmt(float(np.mean(np.atleast_2d(final.y)[:, 0])))}")
@@ -463,6 +462,23 @@ def run_scenario(name: str, overrides: dict, out_dir, seed: int = 1,
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    A reader that closes stdout early (``bsdelab list | head -1``) ends the
+    command with ``EXIT_OK``: stdout is pointed at ``os.devnull``, so the
+    interpreter's own flush at exit finds nothing to fail on.
+    """
+    try:
+        try:
+            return _dispatch(argv)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
+
+
+def _dispatch(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="bsdelab",
         description="Reproducible experiments on terminal-singular backward SDEs")

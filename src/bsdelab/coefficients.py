@@ -252,31 +252,40 @@ class IntensityModel:
         Stops once the bracket is below ``BISECTION_TOL`` in time AND the mass
         residual below ``MASS_TOL`` (where the intensity is steep, time alone
         cannot control the mass error).  A target beyond the total mass gives ~T.
+        Where Lam is a quadrature, the mass at the bracket's lower end is carried
+        and only [lo, mid] is integrated at each step.
         """
         if target < 0:
             raise ValueError("target mass must be nonnegative")
         if target == 0.0:
             return 0.0
+        quadrature = self.kind == CUSTOM or (self.kind == TRUNCATED
+                                             and self.base.kind == CUSTOM)
+
+        def mass_from(lo: float, mass_lo: float, t: float) -> float:
+            return mass_lo + self._quad_mass(lo, t) if quadrature else self.cumulative(t)
+
         T = self.horizon
+        lo, mass_lo = 0.0, 0.0
         hi = T * (1.0 - _EPS_GAP)
         if self.is_singular:
             # walk the bracket toward T until the mass exceeds the target
             hi = T * 0.5
-            while self.cumulative(hi) < target:
+            while (mass_hi := mass_from(lo, mass_lo, hi)) < target:
+                lo, mass_lo = hi, mass_hi
                 hi = T - 0.5 * (T - hi)
                 if T - hi < _EPS_GAP * T:
                     raise InfeasibleGrid("target mass unreachable in floating point")
-        lo = 0.0
         # ~170 halvings exhaust double precision on any bracket
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            mass = self.cumulative(mid)
+            mass = mass_from(lo, mass_lo, mid)
             if hi - lo <= BISECTION_TOL and abs(mass - target) <= MASS_TOL:
                 return mid
             if mid <= lo or mid >= hi:      # bracket exhausted in floating point
                 return mid
             if mass < target:
-                lo = mid
+                lo, mass_lo = mid, mass
             else:
                 hi = mid
         return mid
@@ -469,6 +478,7 @@ class DriverSpec:
     nonincreasing: bool = False
     below_identity: bool = False
     derivative_floor: float = 0.0      # lower bound of f' on the negative axis
+    joint: Optional[Callable] = None   # x -> (f(x), f'(x)) from one evaluation
 
     @classmethod
     def identity(cls) -> "DriverSpec":
@@ -488,14 +498,29 @@ class DriverSpec:
 
     @classmethod
     def exp_utility(cls, alpha: float) -> "DriverSpec":
-        """f(x) = (1 - exp(-alpha x)) / alpha; f' = exp(-alpha x) >= 1 on x <= 0."""
+        """f(x) = (1 - exp(-alpha x)) / alpha; f' = exp(-alpha x) >= 1 on x <= 0.
+
+        The joint form takes both from one ``expm1``: f' = 1 + expm1(-alpha x),
+        within an ulp of ``exp``, and f keeps the ``expm1`` accuracy near 0.
+        """
         if alpha <= 0:
             raise ValueError("alpha must be positive")
+
+        def joint(x):
+            e = np.expm1(-alpha * np.asarray(x, dtype=float))
+            return -e / alpha, 1.0 + e
+
         return cls(name=f"exp_utility({alpha:g})",
                    f=lambda x: -np.expm1(-alpha * np.asarray(x, dtype=float)) / alpha,
                    fprime=lambda x: np.exp(-alpha * np.asarray(x, dtype=float)),
                    zero_at_zero=True, nondecreasing=True, below_identity=True,
-                   derivative_floor=1.0)
+                   derivative_floor=1.0, joint=joint)
+
+    def f_fprime(self, x) -> tuple:
+        """(f(x), f'(x)): one call of ``joint`` where the driver declares it."""
+        if self.joint is not None:
+            return self.joint(x)
+        return self.f(x), self.fprime(x)
 
     @property
     def monotone(self) -> bool:

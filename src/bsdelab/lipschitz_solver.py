@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -83,6 +83,24 @@ def _degenerate_level(w: np.ndarray) -> bool:
     return bool(np.ptp(w) < 1e-14 * (1.0 + np.max(np.abs(w))))
 
 
+@dataclass(frozen=True)
+class NodeFit:
+    """A node's design and its QR factors; ``q`` is None on a level that carries
+    no information, where every fit is the plain mean."""
+
+    design: np.ndarray
+    q: Optional[np.ndarray] = None
+    r: Optional[np.ndarray] = None
+
+    def solve(self, target: np.ndarray) -> np.ndarray:
+        """Least-squares coefficients of every column of ``target`` (M, T)."""
+        if self.q is None:
+            coef = np.zeros((self.design.shape[1], target.shape[1]))
+            coef[0] = target.mean(axis=0)
+            return coef
+        return solve_triangular(self.r, self.q.T @ target)
+
+
 def fit_coefficients(basis: RegressionBasis, w: np.ndarray, target: np.ndarray,
                      node_index: int = -1) -> tuple:
     """Least-squares fit of every column of ``target`` (M, T) on ``basis.design(w)``.
@@ -90,13 +108,14 @@ def fit_coefficients(basis: RegressionBasis, w: np.ndarray, target: np.ndarray,
     One QR factorisation serves all columns; the condition-number guard reads
     the singular values of R.  On a level that carries no information the
     sigma-algebra is trivial and the fit is the plain mean, held by the
-    intercept.  Returns ``(coef, design)``: the fitted values are ``design @ coef``.
+    intercept.  Returns ``(coef, fit)``: the fitted values are
+    ``fit.design @ coef``, and ``fit.solve`` fits further targets on the same
+    factorisation.
     """
     design = basis.design(w)
     if _degenerate_level(w):
-        coef = np.zeros((design.shape[1], target.shape[1]))
-        coef[0] = target.mean(axis=0)
-        return coef, design
+        fit = NodeFit(design)
+        return fit.solve(target), fit
     if design.shape[0] < design.shape[1]:
         raise BasisDegenerate(node_index, math.inf)
     q, r = np.linalg.qr(design)
@@ -104,7 +123,8 @@ def fit_coefficients(basis: RegressionBasis, w: np.ndarray, target: np.ndarray,
     if svals[-1] <= 0 or svals[0] / svals[-1] > _COND_LIMIT:
         cond = math.inf if svals[-1] <= 0 else svals[0] / svals[-1]
         raise BasisDegenerate(node_index, cond)
-    return solve_triangular(r, q.T @ target), design
+    fit = NodeFit(design, q, r)
+    return fit.solve(target), fit
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +134,12 @@ def fit_coefficients(basis: RegressionBasis, w: np.ndarray, target: np.ndarray,
 @dataclass(frozen=True)
 class SolutionEstimate:
     """Backward-solve output.  ``y`` is nodal (N,) in ODE mode, path-nodal (M, N)
-    in regression mode; ``z`` lives on the left nodes."""
+    in regression mode; ``z`` lives on the left nodes (None for a level whose Z
+    a scheme run did not keep)."""
 
     grid: TimeGrid
     y: np.ndarray
-    z: np.ndarray
+    z: Optional[np.ndarray]
     mode: str                               # ode_exact | regression_mc
     problem: BsdeProblem
     lambda_cap: Optional[float] = None      # truncation level applied, if any
@@ -178,36 +199,41 @@ def _bracket_and_bisect(residual, start):
 def _implicit_step(y_next, forcing, dt, lam, driver, b):
     """Solve y = y_next - dt (forcing + lam f(y) + b y) entrywise for a (L, M) state.
 
-    Newton from ``y_next``; an entry stops moving once its residual is below
-    ``NEWTON_TOL``.  Entries that leave the finite range or do not converge
-    fall back to a bracket and bisection; where 1 + dt (lam f'(y) + b) <= 0 at a
-    Newton iterate the step is not monotone in ``y_next``: ``NumericsError``.
-    Returns the values and the worst residual of each level (row).
+    Newton from ``y_next``, with f and f' from one joint evaluation per
+    iterate; an entry stops moving once its residual is below ``NEWTON_TOL``.
+    Entries that leave the finite range or do not converge fall back to a
+    bracket and bisection; where 1 + dt (lam f'(y) + b) <= 0 at a Newton
+    iterate the step is not monotone in ``y_next``: ``NumericsError``.
+    Returns the values, f at the values, and the worst residual of each level (row).
     """
-    def residual(y, y_next=y_next, forcing=forcing, lam=lam):
-        return y - y_next + dt * (forcing + lam * driver.f(y) + b * y)
+    def residual(y, fy, y_next=y_next, forcing=forcing, lam=lam):
+        return y - y_next + dt * (forcing + lam * fy + b * y)
 
     y = np.array(y_next, dtype=float)
-    F = residual(y)
+    fy, dfy = driver.f_fprime(y)
+    F = residual(y, fy)
     for _ in range(100):
         active = np.abs(F) >= NEWTON_TOL
         if not active.any():
             break
-        deriv = 1.0 + dt * (lam * driver.fprime(y) + b)
+        deriv = 1.0 + dt * (lam * dfy + b)
         if not np.all(deriv > 0):
             raise NumericsError(f"implicit step not monotone: 1 + dt (lam f' + b) = "
                                 f"{float(np.min(deriv)):.3g} <= 0 at dt = {dt:.3g}")
         np.subtract(y, F / deriv, out=y, where=active)
-        del deriv       # freed before residual(): holding it raised the MC peak memory
-        F = residual(y)
+        del deriv, fy, dfy      # freed before the next evaluation allocates its own
+        fy, dfy = driver.f_fprime(y)
+        F = residual(y, fy)
     bad = ~(np.abs(F) < NEWTON_TOL)
     if bad.any():
         y_next_bad, forcing_bad, lam_bad = (np.broadcast_to(a, y.shape)[bad]
                                             for a in (y_next, forcing, lam))
         y[bad] = _bracket_and_bisect(
-            lambda v: residual(v, y_next_bad, forcing_bad, lam_bad), y_next_bad)
-        F = residual(y)
-    return y, np.max(np.abs(F), axis=1)
+            lambda v: residual(v, driver.f(v), y_next_bad, forcing_bad, lam_bad),
+            y_next_bad)
+        fy = driver.f(y)
+        F = residual(y, fy)
+    return y, fy, np.max(np.abs(F), axis=1)
 
 
 def _box_clamp_applies(problem: BsdeProblem) -> bool:
@@ -220,6 +246,141 @@ def _box_clamp_applies(problem: BsdeProblem) -> bool:
 # Backward sweep over a schedule of truncation levels
 # ---------------------------------------------------------------------------
 
+class SweepNode(NamedTuple):
+    """Every level's values at one grid node of a backward sweep."""
+
+    index: int
+    y: np.ndarray                     # (L, M) values, after the Monte Carlo clamp
+    f: np.ndarray                     # (L, M) driver f at y
+    z: Optional[np.ndarray] = None    # (L, M) Z on the left node; None at T
+    fit: Optional[NodeFit] = None     # the node's regression (Monte Carlo mode)
+
+
+class NodeSweep:
+    """Backward implicit Euler for every truncation level in ``caps``, node by node.
+
+    The state at a node has shape (L, M): L levels and M paths, M = 1 without a
+    bundle (ODE mode, deterministic data).  With a bundle the conditional
+    expectations are least-squares Monte Carlo fits on the Brownian level: each
+    node's design is built and factored once and all 2L targets (Y and the Z
+    increment products of every level) are fitted against it.  Z is frozen
+    inside the implicit step (it enters linearly with a bounded slope, one pass
+    is enough at these accuracy targets).  When the problem's flags prove the
+    a-priori box, each level's largest excursion from it is recorded before
+    the Monte Carlo clamp pulls the values into the box with ``clamp_margin``
+    slack.
+
+    ``nodes()`` yields one ``SweepNode`` per grid index, from T backward; only
+    the current node is held.  Once it is exhausted, ``residual_max``,
+    ``box_excursion_raw``, ``y_min``, ``y_max`` and ``y0_mean`` hold one value
+    per level.
+    """
+
+    def __init__(self, problem: BsdeProblem, grid: TimeGrid, caps: Sequence,
+                 bundle: Optional[PathBundle] = None,
+                 basis: Optional[RegressionBasis] = None,
+                 driver_override: Optional[DriverSpec] = None,
+                 clamp_margin: float = 1e-3):
+        self.mc = bundle is not None
+        if self.mc:
+            if basis is None:
+                basis = RegressionBasis.polynomial(3)
+            if bundle.grid is not grid and not np.array_equal(bundle.grid.points,
+                                                              grid.points):
+                raise ValueError("bundle was simulated on a different grid")
+        elif problem.coefficient.is_markovian:
+            raise ValueError("ODE mode needs deterministic coefficients")
+        elif problem.terminal.kind == "random":
+            raise ValueError("ODE mode needs a deterministic terminal value")
+        parts = [_effective_parts(problem, cap, driver_override) for cap in caps]
+        if self.mc and bundle.dim != 1:
+            raise ValueError("regression mode currently supports one Brownian dimension")
+        self.problem, self.grid, self.caps = problem, grid, list(caps)
+        self.bundle, self.basis, self.clamp_margin = bundle, basis, clamp_margin
+        self.driver = parts[0][1]
+        self.m_paths = bundle.n_paths if self.mc else 1
+        self.box = _box_clamp_applies(problem)
+        self._lam_nodes = np.array([np.asarray(intensity.value(grid.points[:-1]),
+                                               dtype=float) for intensity, _ in parts])
+        n_levels = len(parts)
+        self.residual_max = np.zeros(n_levels)
+        self.box_excursion_raw = np.zeros(n_levels)
+        self.y_min = np.full(n_levels, np.inf)
+        self.y_max = np.full(n_levels, -np.inf)
+        self.y0_mean = np.full(n_levels, np.nan)
+
+    def nodes(self):
+        """Yield a ``SweepNode`` per grid index, from the terminal node backward."""
+        problem, grid, driver = self.problem, self.grid, self.driver
+        pts = grid.points
+        n_levels = len(self.caps)
+        sup = problem.coefficient.sup_norm
+        b, sigma = problem.y_slope, problem.z_slope
+        y_next = np.empty((n_levels, self.m_paths))
+        if self.mc:
+            levels = self.bundle.levels[:, :, 0]
+            increments = self.bundle.increments[:, :, 0]
+            y_next[:] = problem.terminal.values(levels[:, -1])
+        else:
+            y_next[:] = float(problem.terminal.values())
+        self._extremes(y_next)
+        yield SweepNode(len(pts) - 1, y_next, driver.f(y_next))
+        for i in range(len(pts) - 2, -1, -1):
+            t_i = float(pts[i])
+            dt = float(pts[i + 1] - t_i)
+            fit = None
+            if self.mc:
+                w_i = levels[:, i]
+                targets = np.concatenate([y_next, y_next * increments[:, i] / dt])
+                coef, fit = fit_coefficients(self.basis, w_i, targets.T, node_index=i)
+                del targets
+                # fitted values (design @ coef).T, laid out level-major
+                y_fit = coef[:, :n_levels].T @ fit.design.T
+                z_i = coef[:, n_levels:].T @ fit.design.T
+                phi = np.asarray(problem.coefficient.value(t_i, w_i), dtype=float)
+            else:
+                y_fit = y_next
+                z_i = np.zeros((n_levels, 1))
+                phi = np.asarray(problem.coefficient.value(t_i), dtype=float)
+            y_i, f_i, resid = _implicit_step(y_fit, phi + sigma * z_i, dt,
+                                             self._lam_nodes[:, i, None], driver, b)
+            np.maximum(self.residual_max, resid, out=self.residual_max)
+            if self.box:
+                lower = -(grid.horizon - t_i) * sup
+                np.maximum(self.box_excursion_raw,
+                           np.maximum(y_i.max(axis=1), lower - y_i.min(axis=1)),
+                           out=self.box_excursion_raw)
+                if self.mc:
+                    lo, hi = lower - self.clamp_margin, self.clamp_margin
+                    moved = (y_i < lo) | (y_i > hi)
+                    np.clip(y_i, lo, hi, out=y_i)
+                    if moved.any():
+                        f_i[moved] = driver.f(y_i[moved])
+            self._extremes(y_i)
+            yield SweepNode(i, y_i, f_i, z_i, fit)
+            y_next = y_i
+        self.y0_mean = y_next.mean(axis=1)
+
+    def _extremes(self, y: np.ndarray) -> None:
+        np.minimum(self.y_min, y.min(axis=1), out=self.y_min)
+        np.maximum(self.y_max, y.max(axis=1), out=self.y_max)
+
+    def solution(self, k: int, y: np.ndarray, z: Optional[np.ndarray]) -> SolutionEstimate:
+        """Level ``k``'s ``SolutionEstimate`` around the given arrays, with its diagnostics."""
+        diagnostics = {"residual_max": float(self.residual_max[k]),
+                       "y_min": float(self.y_min[k]), "y_max": float(self.y_max[k])}
+        if self.box:
+            diagnostics["box_excursion_raw"] = float(self.box_excursion_raw[k])
+        if self.mc:
+            diagnostics.update(paths=self.m_paths, basis=self.basis.kind,
+                               basis_degree=self.basis.degree, seed=self.bundle.seed,
+                               y0_mean=float(self.y0_mean[k]))
+        return SolutionEstimate(
+            grid=self.grid, y=y, z=z, mode="regression_mc" if self.mc else "ode_exact",
+            problem=self.problem, lambda_cap=self.caps[k], driver_used=self.driver,
+            diagnostics=diagnostics)
+
+
 def backward_sweep(problem: BsdeProblem, grid: TimeGrid, caps: Sequence,
                    bundle: Optional[PathBundle] = None,
                    basis: Optional[RegressionBasis] = None,
@@ -227,95 +388,22 @@ def backward_sweep(problem: BsdeProblem, grid: TimeGrid, caps: Sequence,
                    clamp_margin: float = 1e-3) -> list:
     """Backward implicit Euler for every truncation level in ``caps``, in one pass.
 
-    The state is node-major with shape (N, L, M): L levels and M paths, M = 1
-    without a bundle (ODE mode, deterministic data).  With a bundle the
-    conditional expectations are least-squares Monte Carlo fits on the
-    Brownian level: each node's design is built and factored once and all 2L
-    targets (Y and the Z increment products of every level) are fitted
-    against it.  Z is frozen inside the implicit step (it enters linearly with
-    a bounded slope, one pass is enough at these accuracy targets).  When the
-    problem's flags prove the a-priori box, each level's largest excursion
-    from it is recorded as ``box_excursion_raw``; in Monte Carlo mode the
-    values are then clamped into the box with ``clamp_margin`` slack.
-
-    Returns one ``SolutionEstimate`` per level, whose ``y`` and ``z`` are views
-    into the stacked buffers.
+    Runs a ``NodeSweep`` and stacks its nodes into node-major (N, L, M)
+    buffers.  Returns one ``SolutionEstimate`` per level, whose ``y`` and ``z``
+    are views into the stacked buffers.
     """
-    mc = bundle is not None
-    if mc:
-        if basis is None:
-            basis = RegressionBasis.polynomial(3)
-        if bundle.grid is not grid and not np.array_equal(bundle.grid.points, grid.points):
-            raise ValueError("bundle was simulated on a different grid")
-    elif problem.coefficient.is_markovian:
-        raise ValueError("ODE mode needs deterministic coefficients")
-    elif problem.terminal.kind == "random":
-        raise ValueError("ODE mode needs a deterministic terminal value")
-    parts = [_effective_parts(problem, cap, driver_override) for cap in caps]
-    driver = parts[0][1]
-    if mc and bundle.dim != 1:
-        raise ValueError("regression mode currently supports one Brownian dimension")
-    pts = grid.points
-    n_pts, n_levels = len(pts), len(parts)
-    m_paths = bundle.n_paths if mc else 1
-    lam_nodes = np.array([np.asarray(intensity.value(pts[:-1]), dtype=float)
-                          for intensity, _ in parts])
-    box = _box_clamp_applies(problem)
-    sup = problem.coefficient.sup_norm
-    b, sigma = problem.y_slope, problem.z_slope
-
-    y = np.empty((n_pts, n_levels, m_paths))
-    z = np.zeros((n_pts - 1, n_levels, m_paths))
-    if mc:
-        levels = bundle.levels[:, :, 0]
-        increments = bundle.increments[:, :, 0]
-        y[-1] = problem.terminal.values(levels[:, -1])
-    else:
-        y[-1] = float(problem.terminal.values())
-    worst_resid = np.zeros(n_levels)
-    excursion = np.zeros(n_levels)
-    for i in range(n_pts - 2, -1, -1):
-        t_i = float(pts[i])
-        dt = float(pts[i + 1] - t_i)
-        if mc:
-            w_i = levels[:, i]
-            targets = np.concatenate([y[i + 1], y[i + 1] * increments[:, i] / dt])
-            coef, design = fit_coefficients(basis, w_i, targets.T, node_index=i)
-            del targets
-            # fitted values (design @ coef).T, laid out level-major
-            y_fit = coef[:, :n_levels].T @ design.T
-            np.matmul(coef[:, n_levels:].T, design.T, out=z[i])
-            phi = np.asarray(problem.coefficient.value(t_i, w_i), dtype=float)
-        else:
-            y_fit = y[i + 1]
-            phi = np.asarray(problem.coefficient.value(t_i), dtype=float)
-        y_i, resid = _implicit_step(y_fit, phi + sigma * z[i], dt, lam_nodes[:, i, None],
-                                    driver, b)
-        np.maximum(worst_resid, resid, out=worst_resid)
-        if box:
-            lower = -(grid.horizon - t_i) * sup
-            np.maximum(excursion, np.maximum(y_i.max(axis=1), lower - y_i.min(axis=1)),
-                       out=excursion)
-            if mc:
-                np.clip(y_i, lower - clamp_margin, clamp_margin, out=y_i)
-        y[i] = y_i
-
-    solutions = []
-    for k, cap in enumerate(caps):
-        y_k, z_k = (y[:, k, :].T, z[:, k, :].T) if mc else (y[:, k, 0], z[:, k, 0])
-        diagnostics = {"residual_max": float(worst_resid[k]),
-                       "y_min": float(y_k.min()), "y_max": float(y_k.max())}
-        if box:
-            diagnostics["box_excursion_raw"] = float(excursion[k])
-        if mc:
-            diagnostics.update(paths=m_paths, basis=basis.kind,
-                               basis_degree=basis.degree, seed=bundle.seed,
-                               y0_mean=float(y[0, k].mean()))
-        solutions.append(SolutionEstimate(
-            grid=grid, y=y_k, z=z_k, mode="regression_mc" if mc else "ode_exact",
-            problem=problem, lambda_cap=cap, driver_used=driver,
-            diagnostics=diagnostics))
-    return solutions
+    sweep = NodeSweep(problem, grid, caps, bundle=bundle, basis=basis,
+                      driver_override=driver_override, clamp_margin=clamp_margin)
+    n_pts, n_levels = len(grid.points), len(sweep.caps)
+    y = np.empty((n_pts, n_levels, sweep.m_paths))
+    z = np.zeros((n_pts - 1, n_levels, sweep.m_paths))
+    for node in sweep.nodes():
+        y[node.index] = node.y
+        if node.z is not None:
+            z[node.index] = node.z
+    if sweep.mc:
+        return [sweep.solution(k, y[:, k, :].T, z[:, k, :].T) for k in range(n_levels)]
+    return [sweep.solution(k, y[:, k, 0], z[:, k, 0]) for k in range(n_levels)]
 
 
 def solve_ode_mode(problem: BsdeProblem, grid: TimeGrid,
@@ -355,6 +443,11 @@ class ComparisonReport:
     ok: bool
 
 
+def paired_moments(diff: np.ndarray, axis: int) -> tuple:
+    """Mean and Monte Carlo standard error of paired differences along the path ``axis``."""
+    return diff.mean(axis=axis), diff.std(axis=axis) / math.sqrt(diff.shape[axis])
+
+
 def comparison_check(sol_low: SolutionEstimate, sol_high: SolutionEstimate,
                      tolerance: Optional[float] = None) -> ComparisonReport:
     """Check the ordering sol_low.Y <= sol_high.Y node by node.
@@ -367,9 +460,7 @@ def comparison_check(sol_low: SolutionEstimate, sol_high: SolutionEstimate,
     if sol_low.pathwise != sol_high.pathwise:
         raise ValueError("solutions come from different modes")
     if sol_low.pathwise:
-        diff = sol_low.y - sol_high.y
-        mean = diff.mean(axis=0)
-        stderr = diff.std(axis=0) / math.sqrt(diff.shape[0])
+        mean, stderr = paired_moments(sol_low.y - sol_high.y, axis=0)
         tol = 3.0 * stderr if tolerance is None else tolerance
         excess = mean - tol
         max_violation = float(np.max(excess))

@@ -19,11 +19,11 @@ import numpy as np
 from .coefficients import NONLINEAR_PLUS, BsdeProblem, DriverSpec, TimeGrid
 from .errors import NoSolution
 from .lipschitz_solver import (
+    NodeSweep,
     RegressionBasis,
     SolutionEstimate,
-    backward_sweep,
-    comparison_check,
     fit_coefficients,
+    paired_moments,
 )
 from .paths import PathBundle
 
@@ -55,6 +55,12 @@ class TruncatedDriver:
         inside = x >= self.lower_clip
         return np.where(inside, self.base.fprime(np.maximum(x, self.lower_clip)), 0.0)
 
+    def f_fprime_tilde(self, x):
+        """(f_tilde(x), fprime_tilde(x)), clipping once for both."""
+        x = np.asarray(x, dtype=float)
+        f, fprime = self.base.f_fprime(np.maximum(x, self.lower_clip))
+        return f, np.where(x >= self.lower_clip, fprime, 0.0)
+
     def to_driver_spec(self) -> DriverSpec:
         return DriverSpec(
             name=f"clipped[{self.base.name}]",
@@ -64,6 +70,7 @@ class TruncatedDriver:
             nondecreasing=self.base.nondecreasing,
             below_identity=False,   # the clip breaks f <= x below L; irrelevant on [L, 0]
             derivative_floor=0.0,
+            joint=self.f_fprime_tilde,
         )
 
 
@@ -88,7 +95,8 @@ def truncate(driver: DriverSpec, coefficient_bound: float, horizon: float) -> Tr
 @dataclass(frozen=True)
 class SchemeReport:
     schedule: tuple
-    solutions: tuple                 # SolutionEstimate per level
+    solutions: tuple                 # SolutionEstimate of the last two levels; the
+                                     # second-to-last keeps Y only (z is None)
     t0: float
     cauchy_gaps: tuple               # sup-norm gaps on [0, t0] between consecutive levels
     monotone_violation: float        # worst ordering violation across consecutive levels
@@ -102,6 +110,11 @@ class SchemeReport:
     lambda_f_integrals: tuple
     envelope_bound: float            # sup|phi|: on (t_cap, T] the solution sits in
     t_cap: float                     # [-(T-t) * envelope_bound, 0]
+    y0: tuple                        # per level: mean of Y at t = 0
+    residual_max: tuple              # per level: worst implicit-step residual
+    box_excursion_raw: tuple         # per level: excursion from the box before the clamp
+    y_min: tuple                     # per level: smallest Y over nodes and paths
+    y_max: tuple                     # per level: largest Y over nodes and paths
     notes: dict = field(default_factory=dict)
 
     @property
@@ -119,23 +132,16 @@ class SchemeConfig:
     extrapolate_final: bool = True
 
 
-def _sup_gap(a: SolutionEstimate, b: SolutionEstimate, upto: int) -> float:
-    if a.pathwise:
-        d = np.abs(a.y[:, :upto + 1] - b.y[:, :upto + 1])
-        return float(math.sqrt(np.mean(np.max(d, axis=1) ** 2)))
-    return float(np.max(np.abs(a.y[:upto + 1] - b.y[:upto + 1])))
-
-
-def _monotone_violation(lower: SolutionEstimate, higher: SolutionEstimate) -> float:
-    """Exact ordering violation in ODE mode; in Monte Carlo mode the mean of the
-    paired difference in excess of three standard errors."""
-    return comparison_check(lower, higher).max_violation
-
-
 def run_scheme(problem: BsdeProblem, grid: TimeGrid, schedule: Sequence[float],
                t0: Optional[float] = None,
                config: Optional[SchemeConfig] = None) -> SchemeReport:
     """Run the full truncation program over an increasing level schedule.
+
+    The certificates are folded into the backward sweep node by node: the
+    ordering of consecutive levels, their sup gaps on [0, t0], the driver mass
+    integrands, and in Monte Carlo mode the BMO tail of the top level, fitted
+    on the regression the sweep factored at each node.  Full (M, N) arrays are
+    kept only for the last two levels, which the final estimate needs.
 
     A nonzero terminal value is a certified failure (``NoSolution``); schedule
     exhaustion above the tolerance is an informative ``not_converged`` report,
@@ -166,32 +172,66 @@ def run_scheme(problem: BsdeProblem, grid: TimeGrid, schedule: Sequence[float],
     bundle = config.bundle if config.mode == "mc" else None
     if config.mode == "mc" and bundle is None:
         raise ValueError("mc mode needs a path bundle")
-    solutions = backward_sweep(problem, grid, schedule, bundle=bundle, basis=config.basis,
-                               driver_override=clipped, clamp_margin=config.clamp_margin)
+    sweep = NodeSweep(problem, grid, schedule, bundle=bundle, basis=config.basis,
+                      driver_override=clipped, clamp_margin=config.clamp_margin)
 
-    gaps = tuple(_sup_gap(a, b, upto) for a, b in zip(solutions, solutions[1:]))
-    mono = max(max(_monotone_violation(a, b) for a, b in zip(solutions, solutions[1:])), 0.0)
+    mc, dts = sweep.mc, grid.gaps
+    n_pts, n_levels, m_paths = len(grid.points), len(schedule), sweep.m_paths
+    excess = np.full(n_levels - 1, -np.inf)    # worst ordering excess per level pair
+    gap = np.zeros((n_levels - 1, m_paths))    # per-path sup |Y^k - Y^(k+1)| on [0, t0]
+    mean_abs_f = np.empty((n_pts, n_levels))
+    y_top = np.empty((n_pts, 2, m_paths))      # the last two levels
+    z_top = np.zeros((n_pts - 1, m_paths))     # the last level
+    bmo = _BmoFold(sweep.basis) if mc else None
+    for node in sweep.nodes():
+        i = node.index
+        diff = node.y[:-1] - node.y[1:]
+        if mc:
+            mean, stderr = paired_moments(diff, axis=1)
+            np.maximum(excess, mean - 3.0 * stderr, out=excess)
+        else:
+            np.maximum(excess, diff[:, 0], out=excess)
+        if i <= upto:
+            np.maximum(gap, np.abs(diff), out=gap)
+        mean_abs_f[i] = _mean_abs(node.f)
+        y_top[i] = node.y[-2:]
+        if node.z is not None:
+            z_top[i] = node.z[-1]
+            if mc:
+                bmo.add(bundle.levels[:, i, 0], node.z[-1], dts[i], node.fit)
+
+    if mc:
+        gaps = tuple(float(math.sqrt(np.mean(g ** 2))) for g in gap)
+        kept = ((y_top[:, 0, :].T, None), (y_top[:, 1, :].T, z_top.T))
+        bmo_value, bmo_stderr = bmo.value, bmo.stderr
+    else:
+        gaps = tuple(float(g[0]) for g in gap)
+        kept = ((y_top[:, 0, 0], None), (y_top[:, 1, 0], z_top[:, 0]))
+        bmo_value, bmo_stderr = 0.0, 0.0
+    solutions = tuple(sweep.solution(n_levels - 2 + j, y, z) for j, (y, z) in enumerate(kept))
+    mono = max(float(np.max(excess)), 0.0)
     box_slack = BOX_SLACK_ODE if config.mode == "ode" else config.clamp_margin + 1e-12
     # the sweep's excursion before the Monte Carlo clamp, not the clamped values
-    box_viol = max(s.diagnostics["box_excursion_raw"] for s in solutions)
+    box_viol = float(np.max(sweep.box_excursion_raw))
     bounds_ok = box_viol <= box_slack
 
     final = _extrapolated_final(solutions, schedule, sup) \
         if config.extrapolate_final else solutions[-1]
-    masses = tuple(estimate_lambda_f_integral(s) for s in solutions)
-    if config.mode == "mc":
-        bmo = estimate_bmo(solutions[-1], config.bundle)
-        bmo_value, bmo_stderr = bmo.value, bmo.stderr
-    else:
-        bmo_value, bmo_stderr = 0.0, 0.0
+    masses = _lambda_f_integrals(problem, grid, schedule, mean_abs_f)
     converged = gaps[-1] < config.tol
 
+    def per_level(values):
+        return tuple(float(v) for v in values)
+
     return SchemeReport(
-        schedule=tuple(schedule), solutions=tuple(solutions), t0=float(t0),
+        schedule=tuple(schedule), solutions=solutions, t0=float(t0),
         cauchy_gaps=gaps, monotone_violation=mono, bounds_ok=bounds_ok,
         box_violation=box_viol, final=final, converged=converged,
         tolerance=config.tol, bmo_estimate=bmo_value, bmo_stderr=bmo_stderr,
         lambda_f_integrals=masses, envelope_bound=sup, t_cap=t_cap,
+        y0=per_level(sweep.y0_mean), residual_max=per_level(sweep.residual_max),
+        box_excursion_raw=per_level(sweep.box_excursion_raw),
+        y_min=per_level(sweep.y_min), y_max=per_level(sweep.y_max),
         notes={"mode": config.mode,
                "envelope": "on (t_cap, T] the solution lies between "
                            "-(T-t)*envelope_bound and 0"})
@@ -211,13 +251,52 @@ def _extrapolated_final(solutions, schedule, sup) -> SolutionEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Certified functionals
+# Certified functionals: one per-node step each, folded by run_scheme during
+# the sweep and by the public estimators over a stored solution
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class BmoEstimate:
     value: float
     stderr: float
+
+
+class _BmoFold:
+    """Largest conditional remaining Z quadratic variation, folded backward over nodes.
+
+    Carries the pathwise tail sum of |Z|^2 dt; at each node the tail is
+    regressed on the Brownian level and the fitted surface is maximised over an
+    inner-quantile range of evaluation points.
+    """
+
+    def __init__(self, basis: RegressionBasis, quantile: float = 0.005, n_eval: int = 41):
+        self.basis, self.quantile, self.n_eval = basis, quantile, n_eval
+        self.tail = 0.0
+        self.value, self.stderr = 0.0, 0.0
+
+    def add(self, w, z, dt, fit=None, node_index: int = -1) -> None:
+        """Fold in the node with Brownian level ``w`` and Z values ``z`` over a step
+        ``dt``; ``fit`` is the node's factored design on ``w`` when a sweep built it."""
+        self.tail = self.tail + z ** 2 * dt
+        target = self.tail.reshape(-1, 1)
+        if fit is None:
+            coef, fit = fit_coefficients(self.basis, w, target, node_index=node_index)
+        else:
+            coef = fit.solve(target)
+        coef = coef[:, 0]
+        design = fit.design
+        resid = self.tail - design @ coef
+        sigma2 = float(resid @ resid) / max(len(w) - design.shape[1], 1)
+        lo, hi = np.quantile(w, [self.quantile, 1.0 - self.quantile])
+        x_eval = self.basis.design(np.linspace(lo, hi, self.n_eval))
+        est = x_eval @ coef
+        j = int(np.argmax(est))
+        # ties go to the earliest node, as in a forward scan
+        if est[j] > self.value or est[j] == self.value > 0.0:
+            gram_inv = np.linalg.pinv(design.T @ design)
+            self.value = float(est[j])
+            self.stderr = float(math.sqrt(max(sigma2 * x_eval[j] @ gram_inv @ x_eval[j],
+                                              0.0)))
 
 
 def estimate_bmo(sol: SolutionEstimate, bundle: Optional[PathBundle],
@@ -234,41 +313,37 @@ def estimate_bmo(sol: SolutionEstimate, bundle: Optional[PathBundle],
         return BmoEstimate(0.0, 0.0)
     if bundle is None:
         raise ValueError("the Monte Carlo estimate needs the path bundle")
-    if basis is None:
-        basis = RegressionBasis.polynomial(3)
+    fold = _BmoFold(basis or RegressionBasis.polynomial(3), quantile, n_eval)
     gaps = sol.grid.gaps
-    z2 = sol.z ** 2 * gaps[None, :]
-    tail = np.cumsum(z2[:, ::-1], axis=1)[:, ::-1]
-    levels = bundle.levels[:, :, 0]
-    best, best_se = 0.0, 0.0
-    for i in range(sol.z.shape[1]):
-        w = levels[:, i]
-        coef, design = fit_coefficients(basis, w, tail[:, i:i + 1], node_index=i)
-        coef = coef[:, 0]
-        fitted = design @ coef
-        resid = tail[:, i] - fitted
-        sigma2 = float(resid @ resid) / max(len(w) - design.shape[1], 1)
-        lo, hi = np.quantile(w, [quantile, 1.0 - quantile])
-        w_eval = np.linspace(lo, hi, n_eval)
-        x_eval = basis.design(w_eval)
-        est = x_eval @ coef
-        j = int(np.argmax(est))
-        if est[j] > best:
-            gram_inv = np.linalg.pinv(design.T @ design)
-            best = float(est[j])
-            best_se = float(math.sqrt(max(sigma2 * x_eval[j] @ gram_inv @ x_eval[j], 0.0)))
-    return BmoEstimate(best, best_se)
+    for i in range(sol.z.shape[1] - 1, -1, -1):
+        fold.add(bundle.levels[:, i, 0], sol.z[:, i], gaps[i], node_index=i)
+    return BmoEstimate(fold.value, fold.stderr)
+
+
+def _mean_abs(f: np.ndarray) -> np.ndarray:
+    """Mean over the paths of |f| at one node, per level: (L, M) -> (L,)."""
+    return np.abs(f).mean(axis=1)
+
+
+def _lambda_f_integrals(problem: BsdeProblem, grid: TimeGrid, caps: Sequence,
+                        mean_abs_f: np.ndarray) -> tuple:
+    """Trapezoid of lam^n E|f(Y^n)| over the grid for each level n in ``caps``,
+    from the node means ``mean_abs_f`` (one column per level)."""
+    out = []
+    for k, cap in enumerate(caps):
+        intensity = problem.intensity
+        if cap is not None:
+            intensity = intensity.truncated(float(cap))
+        lam_vals = np.asarray(intensity.value(grid.points), dtype=float)
+        out.append(float(np.trapezoid(lam_vals * mean_abs_f[:, k], grid.points)))
+    return tuple(out)
 
 
 def estimate_lambda_f_integral(sol: SolutionEstimate,
                                level: Optional[float] = None) -> float:
     """Trapezoidal estimate of E int lam^n |f(Y^n)| dt along the solution."""
-    cap = level if level is not None else sol.lambda_cap
-    intensity = sol.problem.intensity
-    if cap is not None:
-        intensity = intensity.truncated(float(cap))
-    lam_vals = np.asarray(intensity.value(sol.grid.points), dtype=float)
     driver = sol.driver_used or sol.problem.effective_driver()
-    fy = np.abs(np.asarray(driver.f(sol.y), dtype=float))
-    mean_fy = fy.mean(axis=0) if sol.pathwise else fy
-    return float(np.trapezoid(lam_vals * mean_fy, sol.grid.points))
+    y = np.atleast_2d(sol.y)
+    mean_abs_f = np.array([_mean_abs(driver.f(y[None, :, i])) for i in range(y.shape[1])])
+    cap = level if level is not None else sol.lambda_cap
+    return _lambda_f_integrals(sol.problem, sol.grid, [cap], mean_abs_f)[0]

@@ -1,0 +1,110 @@
+"""The stored-array truncation scheme kept as the reference for the streaming one.
+
+This is ``run_scheme`` as it was before the certificates were folded into the
+backward sweep: ``backward_sweep`` keeps every level's full ``y``/``z``, and
+the sup gaps, the ordering check, the driver-mass integrals and the BMO
+functional are then computed by reading those arrays back.  One change from
+that body: the BMO regression uses the configured basis (it was always
+cubic), so that the reference also holds for other basis degrees.  The
+differential tests compare every ``SchemeReport`` field against it.
+"""
+
+import math
+
+import numpy as np
+
+from bsdelab.lipschitz_solver import RegressionBasis, backward_sweep, fit_coefficients
+from bsdelab.singular_scheme import BOX_SLACK_ODE, SchemeConfig, _extrapolated_final, truncate
+
+
+def sup_gap(a, b, upto):
+    if a.pathwise:
+        d = np.abs(a.y[:, :upto + 1] - b.y[:, :upto + 1])
+        return float(math.sqrt(np.mean(np.max(d, axis=1) ** 2)))
+    return float(np.max(np.abs(a.y[:upto + 1] - b.y[:upto + 1])))
+
+
+def monotone_violation(lower, higher):
+    """Exact ordering violation in ODE mode; in Monte Carlo mode the mean of the
+    paired difference in excess of three standard errors."""
+    if lower.pathwise:
+        diff = lower.y - higher.y
+        mean = diff.mean(axis=0)
+        stderr = diff.std(axis=0) / math.sqrt(diff.shape[0])
+        return float(np.max(mean - 3.0 * stderr))
+    return float(np.max(lower.y - higher.y - 0.0))
+
+
+def estimate_bmo(sol, bundle, basis, quantile=0.005, n_eval=41):
+    gaps = sol.grid.gaps
+    z2 = sol.z ** 2 * gaps[None, :]
+    tail = np.cumsum(z2[:, ::-1], axis=1)[:, ::-1]
+    levels = bundle.levels[:, :, 0]
+    best, best_se = 0.0, 0.0
+    for i in range(sol.z.shape[1]):
+        w = levels[:, i]
+        coef, fit = fit_coefficients(basis, w, tail[:, i:i + 1], node_index=i)
+        design = fit.design
+        coef = coef[:, 0]
+        fitted = design @ coef
+        resid = tail[:, i] - fitted
+        sigma2 = float(resid @ resid) / max(len(w) - design.shape[1], 1)
+        lo, hi = np.quantile(w, [quantile, 1.0 - quantile])
+        w_eval = np.linspace(lo, hi, n_eval)
+        x_eval = basis.design(w_eval)
+        est = x_eval @ coef
+        j = int(np.argmax(est))
+        if est[j] > best:
+            gram_inv = np.linalg.pinv(design.T @ design)
+            best = float(est[j])
+            best_se = float(math.sqrt(max(sigma2 * x_eval[j] @ gram_inv @ x_eval[j], 0.0)))
+    return best, best_se
+
+
+def estimate_lambda_f_integral(sol):
+    intensity = sol.problem.intensity.truncated(float(sol.lambda_cap))
+    lam_vals = np.asarray(intensity.value(sol.grid.points), dtype=float)
+    fy = np.abs(np.asarray(sol.driver_used.f(sol.y), dtype=float))
+    mean_fy = fy.mean(axis=0) if sol.pathwise else fy
+    return float(np.trapezoid(lam_vals * mean_fy, sol.grid.points))
+
+
+def run_scheme(problem, grid, schedule, t0=None, config=None):
+    """Every level stored, then read back.  Returns a dict with the fields of
+    ``SchemeReport`` (``solutions`` holds every level)."""
+    config = config or SchemeConfig()
+    schedule = [float(n) for n in schedule]
+    t0 = grid.t_cap if t0 is None else t0
+    upto = max(int(np.searchsorted(grid.points, t0 + 1e-15) - 1), 0)
+    sup = problem.coefficient.sup_norm
+    clipped = truncate(problem.driver, sup, problem.horizon).to_driver_spec()
+    bundle = config.bundle if config.mode == "mc" else None
+    solutions = backward_sweep(problem, grid, schedule, bundle=bundle, basis=config.basis,
+                               driver_override=clipped, clamp_margin=config.clamp_margin)
+
+    gaps = tuple(sup_gap(a, b, upto) for a, b in zip(solutions, solutions[1:]))
+    mono = max(max(monotone_violation(a, b) for a, b in zip(solutions, solutions[1:])), 0.0)
+    box_slack = BOX_SLACK_ODE if config.mode == "ode" else config.clamp_margin + 1e-12
+    box_viol = max(s.diagnostics["box_excursion_raw"] for s in solutions)
+    final = _extrapolated_final(solutions, schedule, sup) \
+        if config.extrapolate_final else solutions[-1]
+    if config.mode == "mc":
+        bmo_value, bmo_stderr = estimate_bmo(
+            solutions[-1], bundle, config.basis or RegressionBasis.polynomial(3))
+    else:
+        bmo_value, bmo_stderr = 0.0, 0.0
+    return dict(
+        schedule=tuple(schedule), solutions=tuple(solutions), t0=float(t0),
+        cauchy_gaps=gaps, monotone_violation=mono, bounds_ok=box_viol <= box_slack,
+        box_violation=box_viol, final=final, converged=gaps[-1] < config.tol,
+        tolerance=config.tol, bmo_estimate=bmo_value, bmo_stderr=bmo_stderr,
+        lambda_f_integrals=tuple(estimate_lambda_f_integral(s) for s in solutions),
+        envelope_bound=sup, t_cap=grid.t_cap,
+        y0=tuple(float(np.mean(np.atleast_2d(s.y)[:, 0])) for s in solutions),
+        residual_max=tuple(s.diagnostics["residual_max"] for s in solutions),
+        box_excursion_raw=tuple(s.diagnostics["box_excursion_raw"] for s in solutions),
+        y_min=tuple(float(s.y.min()) for s in solutions),
+        y_max=tuple(float(s.y.max()) for s in solutions),
+        notes={"mode": config.mode,
+               "envelope": "on (t_cap, T] the solution lies between "
+                           "-(T-t)*envelope_bound and 0"})

@@ -9,6 +9,7 @@ from bsdelab import lipschitz_solver
 from bsdelab.errors import NumericsError
 
 import per_level_reference as ref
+import stored_scheme_reference
 
 
 @pytest.fixture(scope="module")
@@ -83,14 +84,19 @@ def test_mc_levels_match_reference(markovian_case):
 
 
 def test_scheme_level_equals_lone_solve(markovian_case):
+    # run_scheme keeps the paths of its top level only; the first level's are
+    # read from the stored-array reference, which runs the same sweep
     prob, grid, bundle, clipped, schedule = markovian_case
-    report = bl.run_scheme(prob, grid, schedule,
-                           config=bl.SchemeConfig(mode="mc", tol=1.0, bundle=bundle))
-    for k in (0, len(schedule) - 1):
+    config = bl.SchemeConfig(mode="mc", tol=1.0, bundle=bundle)
+    report = bl.run_scheme(prob, grid, schedule, config=config)
+    stored = stored_scheme_reference.run_scheme(prob, grid, schedule, config=config)
+    for k, level in ((0, stored["solutions"][0]), (len(schedule) - 1, report.solutions[-1])):
         lone = bl.solve_regression_mc(prob, grid, bundle, lambda_cap=schedule[k],
                                       driver_override=clipped)
-        assert np.max(np.abs(report.solutions[k].y - lone.y)) <= 1e-12
-        assert np.max(np.abs(report.solutions[k].z - lone.z)) <= 1e-12
+        assert level.lambda_cap == schedule[k]
+        assert np.max(np.abs(level.y - lone.y)) <= 1e-12
+        assert np.max(np.abs(level.z - lone.z)) <= 1e-12
+        assert abs(report.y0[k] - lone.diagnostics["y0_mean"]) <= 1e-12
 
 
 def test_levels_are_views_of_one_buffer(markovian_case):
@@ -147,7 +153,7 @@ def test_raw_box_excursion_is_the_ode_box_violation(power1):
                           coefficient=bl.CoefficientProcess.constant(1.0, 1.0),
                           sign=bl.NONLINEAR_PLUS, driver=bl.DriverSpec.exp_utility(1.0))
     report = bl.run_scheme(prob, grid, [2, 4, 8], config=bl.SchemeConfig(tol=1.0))
-    raw = max(s.diagnostics["box_excursion_raw"] for s in report.solutions)
+    raw = max(report.box_excursion_raw)
     assert raw == report.box_violation
 
 
@@ -172,7 +178,7 @@ def test_mc_box_certificate_reads_the_raw_excursion(markovian_case):
     prob, grid, bundle, _, schedule = markovian_case
     config = bl.SchemeConfig(mode="mc", tol=1.0, bundle=bundle)
     report = bl.run_scheme(prob, grid, schedule, config=config)
-    raw = max(s.diagnostics["box_excursion_raw"] for s in report.solutions)
+    raw = max(report.box_excursion_raw)
     assert report.box_violation == raw
     assert raw > config.clamp_margin
     assert not report.bounds_ok

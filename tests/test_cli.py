@@ -1,5 +1,7 @@
 import csv
 import io
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -31,6 +33,22 @@ class TestList:
 
     def test_unknown_format(self):
         assert run(["list", "--format", "xml"]) == 1
+
+    def test_closed_pipe_exits_quietly(self):
+        # the reader is gone before the first write, as with `bsdelab list | head -1`
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen([sys.executable, "-m", "bsdelab.cli", "list"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        try:
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.stderr.close()
+            proc.kill()
+        assert err == b""
+        assert code == cli.EXIT_OK
 
 
 class TestRunScenarios:
@@ -249,6 +267,32 @@ class TestBoxExcursion:
                       for line in (out / "report.txt").read_text().splitlines()
                       if " = " in line)
         assert float(fields["box_excursion_raw"]) >= float(fields["box_violation"])
+
+
+class TestBmoBasis:
+    def test_mc_bmo_uses_the_basis_degree(self, tmp_path):
+        import bsdelab as bl
+
+        out = tmp_path / "deg5"
+        assert run(["run", "nonlinear_exp", "--mode", "mc", "--basis-degree", "5",
+                    "--m-paths", "4000", "--n-grid", "41", "--schedule", "4,16,64",
+                    "--tol", "0.5", "--seed", "11", "--out", str(out)]) == 0
+        fields = dict(line.strip().split(" = ", 1)
+                      for line in (out / "report.txt").read_text().splitlines()
+                      if " = " in line)
+        reported = float(fields["bmo_estimate"].split()[0])
+        model = bl.IntensityModel.power_gap(1.0, 1.0)
+        grid = bl.make_grid(model, 41, mass_cap=12.0)
+        bundle = bl.simulate_paths(grid, 1, 4000, 11)
+        prob = bl.BsdeProblem(intensity=model,
+                              coefficient=bl.CoefficientProcess.constant(1.0, 1.0),
+                              sign=bl.NONLINEAR_PLUS, driver=bl.DriverSpec.exp_utility(1.0))
+        clipped = bl.truncate(prob.driver, 1.0, 1.0).to_driver_spec()
+        quintic = bl.RegressionBasis.polynomial(5)
+        top = bl.backward_sweep(prob, grid, [4.0, 16.0, 64.0], bundle=bundle, basis=quintic,
+                                driver_override=clipped)[-1]
+        assert reported == bl.estimate_bmo(top, bundle, basis=quintic).value
+        assert reported != bl.estimate_bmo(top, bundle).value     # the cubic's
 
 
 class TestSeedDomain:

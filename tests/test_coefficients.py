@@ -137,6 +137,25 @@ class TestDriverSpec:
         xs = np.linspace(-10, 0, 101)
         assert np.all(np.asarray(d.fprime(xs)) >= 1.0)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_exp_utility_joint_form(self, alpha):
+        # one expm1 for both: f bit for bit, f' = 1 + expm1 within an ulp of exp
+        d = bl.DriverSpec.exp_utility(alpha)
+        clipped = bl.truncate(d, 4.0, 1.0).to_driver_spec()     # clip at -4
+        xs = np.linspace(-10.0, 0.0, 100_001)
+        for driver in (d, clipped):
+            f, fprime = driver.f_fprime(xs)
+            separate = np.asarray(driver.fprime(xs))
+            assert np.array_equal(f, driver.f(xs))
+            assert np.all(np.abs(fprime - separate) <= np.spacing(separate))
+        assert np.all(clipped.f_fprime(xs)[1][xs < -4.0] == 0.0)
+
+    def test_f_fprime_without_joint_calls_both(self):
+        d = bl.DriverSpec.identity()
+        assert d.joint is None
+        f, fprime = d.f_fprime(np.array([-2.0, 0.5]))
+        assert f.tolist() == [-2.0, 0.5] and fprime.tolist() == [1.0, 1.0]
+
     def test_neg_identity_is_nonincreasing(self):
         d = bl.DriverSpec.neg_identity()
         assert d.nonincreasing and not d.nondecreasing

@@ -74,3 +74,34 @@ def test_mass_inverse_is_the_only_public_inverse():
 def test_bounded_mass_shortfall_tops_out():
     with pytest.raises(InfeasibleGrid, match="cumulative mass tops out at 1 < 2"):
         bl.make_grid(bl.IntensityModel.bounded(1.0, 1.0), 5, mass_cap=2.0)
+
+
+def test_custom_twin_grid_integrates_only_the_bracket(monkeypatch):
+    # a custom singular 1/(1-t) is power_gap p = 1 without the closed form: the
+    # bisection carries Lam at the bracket's lower end, so each quad covers
+    # [lo, mid] only and stops at its first 21-point pass
+    from bsdelab import coefficients
+
+    quad_calls, evaluations = [0], [0]
+    real_quad = coefficients.quad
+
+    def counted_quad(*args, **kwargs):
+        quad_calls[0] += 1
+        return real_quad(*args, **kwargs)
+
+    def lam(t):
+        evaluations[0] += 1
+        return 1.0 / (1.0 - t)
+
+    monkeypatch.setattr(coefficients, "quad", counted_quad)
+    custom = bl.IntensityModel.custom(lam, 1.0, singular=True)
+    n, cap = 41, 10.0
+    grid = bl.make_grid(custom, n, mass_cap=cap)
+    closed = _model("power_gap", 1.0)
+    targets = np.linspace(0.0, cap, n)
+    assert np.max(np.abs(grid.points - bl.make_grid(closed, n, mass_cap=cap).points)) <= 1e-12
+    assert _equal_mass_error(closed, grid.points, targets) <= 1e-9
+    # counts per grid target (the whole-prefix quadrature took 50 calls and
+    # ~12,700 evaluations per target)
+    assert quad_calls[0] <= 48 * (n - 1)
+    assert evaluations[0] <= 21 * quad_calls[0]

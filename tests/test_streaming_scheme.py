@@ -1,0 +1,102 @@
+"""The streaming truncation scheme against the stored-array one in
+``stored_scheme_reference``: every ``SchemeReport`` field, the kept levels and
+the final estimate, plus the memory the fold saves."""
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import bsdelab as bl
+
+import stored_scheme_reference as stored_ref
+
+
+@pytest.fixture(scope="module")
+def power1():
+    return bl.IntensityModel.power_gap(1.0, 1.0)
+
+
+def _problem(model, coefficient):
+    return bl.BsdeProblem(intensity=model, coefficient=coefficient,
+                          sign=bl.NONLINEAR_PLUS, driver=bl.DriverSpec.exp_utility(1.0))
+
+
+def _markovian(model):
+    return _problem(model, bl.CoefficientProcess.markovian(
+        lambda t, w: 0.5 * (1.0 + np.sin(w)), 1.0, sup_norm=1.0, nonnegative=True))
+
+
+def assert_matches_stored(report, stored):
+    for f in dataclasses.fields(bl.SchemeReport):
+        got, want = getattr(report, f.name), stored[f.name]
+        if f.name == "solutions":
+            assert len(got) == 2
+            for kept, full in zip(got, want[-2:]):
+                assert kept.lambda_cap == full.lambda_cap
+                assert np.array_equal(kept.y, full.y)
+                assert kept.diagnostics == full.diagnostics
+            assert got[0].z is None
+            assert np.array_equal(got[1].z, want[-1].z)
+        elif f.name == "final":
+            assert np.array_equal(got.y, want.y)
+            assert np.array_equal(got.z, want.z)
+            assert got.diagnostics == want.diagnostics
+        else:
+            assert got == want, f.name
+
+
+def test_ode_mode_equals_stored(power1):
+    grid = bl.make_grid(power1, 241, mass_cap=12.0)
+    prob = _problem(power1, bl.CoefficientProcess.constant(1.0, 1.0))
+    schedule = [2.0 ** k for k in range(1, 9)]
+    config = bl.SchemeConfig(tol=1e-3)
+    assert_matches_stored(bl.run_scheme(prob, grid, schedule, config=config),
+                          stored_ref.run_scheme(prob, grid, schedule, config=config))
+
+
+def test_constant_coefficient_mc_equals_stored(power1):
+    grid = bl.make_grid(power1, 61, mass_cap=10.0)
+    prob = _problem(power1, bl.CoefficientProcess.constant(1.0, 1.0))
+    bundle = bl.simulate_paths(grid, 1, 4000, seed=17)
+    schedule = [2.0, 4.0, 8.0, 16.0]
+    config = bl.SchemeConfig(mode="mc", tol=5e-2, bundle=bundle)
+    assert_matches_stored(bl.run_scheme(prob, grid, schedule, config=config),
+                          stored_ref.run_scheme(prob, grid, schedule, config=config))
+
+
+@pytest.mark.parametrize("degree", [3, 5])
+@pytest.mark.parametrize("seed", [1, 3, 5])
+def test_markovian_mc_equals_stored(power1, seed, degree):
+    # the fixture of test_backward_sweep: every regression carries real error
+    grid = bl.make_grid(power1, 61, mass_cap=10.0)
+    prob = _markovian(power1)
+    bundle = bl.simulate_paths(grid, 1, 20_000, seed=seed)
+    schedule = [2.0 ** k for k in range(1, 7)]
+    config = bl.SchemeConfig(mode="mc", tol=1.0, bundle=bundle,
+                             basis=bl.RegressionBasis.polynomial(degree))
+    assert_matches_stored(bl.run_scheme(prob, grid, schedule, config=config),
+                          stored_ref.run_scheme(prob, grid, schedule, config=config))
+
+
+def test_peak_memory_does_not_grow_with_levels(power1):
+    # the stored sweep holds (N, L, M) y and z: 2 x 6 more (M, N) arrays at
+    # L = 8 than at L = 2; the fold holds the last two levels at any L
+    grid = bl.make_grid(power1, 61, mass_cap=10.0)
+    prob = _problem(power1, bl.CoefficientProcess.constant(1.0, 1.0))
+    bundle = bl.simulate_paths(grid, 1, 20_000, seed=7)
+    config = bl.SchemeConfig(mode="mc", tol=1.0, bundle=bundle)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for schedule in ([2.0, 4.0], [2.0 ** k for k in range(1, 9)]):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            bl.run_scheme(prob, grid, schedule, config=config)
+            peaks[len(schedule)] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    one_array = bundle.n_paths * grid.n_points * 8
+    assert peaks[2] > one_array
+    assert peaks[8] - peaks[2] <= one_array
