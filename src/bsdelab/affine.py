@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .coefficients import (
     PLUS_LAMBDA_Y,
@@ -23,6 +22,7 @@ from .coefficients import (
     CoefficientProcess,
     IntensityModel,
     TimeGrid,
+    quad,
 )
 from .errors import LabError, NoParticularSolution, NoSolution, NumericsError
 from .paths import PathBundle
@@ -34,6 +34,8 @@ _QUAD_ERR_CAP = 1e-9          # backstop: anything above this is a real breakdow
 
 def _gated_quad(fn, lo, hi, err_cap=None, **opts) -> float:
     """quad with quadpack's roundoff chatter silenced but its error estimate enforced."""
+    from scipy.integrate import IntegrationWarning
+
     options = dict(_QUAD_OPTS)
     options.update(opts)
     with warnings.catch_warnings():

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InfeasibleGrid, SingularEvaluation
 
@@ -21,6 +20,13 @@ QUAD_ABS_TOL = 1e-10          # adaptive quadrature target for custom intensitie
 BISECTION_TOL = 1e-12         # bracket width for inverting the cumulative mass
 MASS_TOL = 1e-10              # mass residual for inverting the cumulative mass
 _EPS_GAP = 1e-14              # never evaluate a singular intensity closer to T than this
+
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported at its first call: the import takes
+    most of a second, and runs that integrate nothing never pay it."""
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -234,20 +240,29 @@ class IntensityModel:
         Closed form for power_gap, exp_gap and bounded intensities (clamped to
         [0, T]), bisection for custom and truncated ones.
         """
+        if not self._closed_inverse:
+            return self._bisect_inverse(target)
         T = self.horizon
         if self.kind == POWER_GAP:
             t = T * (1.0 - math.exp(-target / self.p))
         elif self.kind == EXP_GAP:
             g = self.gamma
             t = T + math.log1p(math.expm1(-g * T) * math.exp(-target)) / g
-        elif self.kind == BOUNDED and self.level > 0:
-            t = target / self.level
         else:
-            return self._bisect_inverse(target)
+            t = target / self.level
         return min(max(t, 0.0), T)
 
+    @property
+    def _closed_inverse(self) -> bool:
+        return self.kind in (POWER_GAP, EXP_GAP) or (self.kind == BOUNDED and self.level > 0)
+
     def _bisect_inverse(self, target: float) -> float:
-        """Solve Lam(t) = target by bisection (the kinds without a closed form).
+        """Solve Lam(t) = target by bisection from t = 0 (the kinds without a closed form)."""
+        return self._bisect_from(target, 0.0, 0.0)[0]
+
+    def _bisect_from(self, target: float, lo: float, mass_lo: float) -> tuple:
+        """Solve Lam(t) = target by bisection on a bracket starting at ``lo``,
+        where Lam is ``mass_lo`` <= target; returns t and the mass found at t.
 
         Stops once the bracket is below ``BISECTION_TOL`` in time AND the mass
         residual below ``MASS_TOL`` (where the intensity is steep, time alone
@@ -258,7 +273,7 @@ class IntensityModel:
         if target < 0:
             raise ValueError("target mass must be nonnegative")
         if target == 0.0:
-            return 0.0
+            return 0.0, 0.0
         quadrature = self.kind == CUSTOM or (self.kind == TRUNCATED
                                              and self.base.kind == CUSTOM)
 
@@ -266,11 +281,10 @@ class IntensityModel:
             return mass_lo + self._quad_mass(lo, t) if quadrature else self.cumulative(t)
 
         T = self.horizon
-        lo, mass_lo = 0.0, 0.0
         hi = T * (1.0 - _EPS_GAP)
         if self.is_singular:
             # walk the bracket toward T until the mass exceeds the target
-            hi = T * 0.5
+            hi = T - 0.5 * (T - lo)
             while (mass_hi := mass_from(lo, mass_lo, hi)) < target:
                 lo, mass_lo = hi, mass_hi
                 hi = T - 0.5 * (T - hi)
@@ -281,14 +295,14 @@ class IntensityModel:
             mid = 0.5 * (lo + hi)
             mass = mass_from(lo, mass_lo, mid)
             if hi - lo <= BISECTION_TOL and abs(mass - target) <= MASS_TOL:
-                return mid
+                break
             if mid <= lo or mid >= hi:      # bracket exhausted in floating point
-                return mid
+                break
             if mass < target:
                 lo, mass_lo = mid, mass
             else:
                 hi = mid
-        return mid
+        return mid, mass
 
     def inverse_rate_at_mass(self, u: float) -> float:
         """1 / lam(t) evaluated at the time where Lam(t) = u.
@@ -478,7 +492,7 @@ class DriverSpec:
     nonincreasing: bool = False
     below_identity: bool = False
     derivative_floor: float = 0.0      # lower bound of f' on the negative axis
-    joint: Optional[Callable] = None   # x -> (f(x), f'(x)) from one evaluation
+    joint: Optional[Callable] = None   # (x, out=None) -> (f(x), f'(x)) from one evaluation
 
     @classmethod
     def identity(cls) -> "DriverSpec":
@@ -506,9 +520,16 @@ class DriverSpec:
         if alpha <= 0:
             raise ValueError("alpha must be positive")
 
-        def joint(x):
-            e = np.expm1(-alpha * np.asarray(x, dtype=float))
-            return -e / alpha, 1.0 + e
+        def joint(x, out=None):
+            if out is None:
+                e = np.expm1(-alpha * np.asarray(x, dtype=float))
+                return -e / alpha, 1.0 + e
+            f, fprime = out
+            e = np.multiply(x, -alpha, out=fprime)      # x is read here only
+            np.expm1(e, out=e)
+            np.divide(e, -alpha, out=f)                 # e / -alpha == -e / alpha
+            np.add(e, 1.0, out=fprime)
+            return out
 
         return cls(name=f"exp_utility({alpha:g})",
                    f=lambda x: -np.expm1(-alpha * np.asarray(x, dtype=float)) / alpha,
@@ -516,11 +537,21 @@ class DriverSpec:
                    zero_at_zero=True, nondecreasing=True, below_identity=True,
                    derivative_floor=1.0, joint=joint)
 
-    def f_fprime(self, x) -> tuple:
-        """(f(x), f'(x)): one call of ``joint`` where the driver declares it."""
+    def f_fprime(self, x, out=None) -> tuple:
+        """(f(x), f'(x)): one call of ``joint`` where the driver declares it.
+
+        With ``out=(f, fprime)`` the values are written into those arrays and
+        ``out`` is returned; ``x`` may be ``out[0]``.  A driver without a joint
+        form evaluates ``f`` and ``fprime`` into new arrays and copies them.
+        """
         if self.joint is not None:
-            return self.joint(x)
-        return self.f(x), self.fprime(x)
+            return self.joint(x, out=out)
+        f, fprime = self.f(x), self.fprime(x)
+        if out is None:
+            return f, fprime
+        np.copyto(out[0], f)
+        np.copyto(out[1], fprime)
+        return out
 
     @property
     def monotone(self) -> bool:
@@ -607,9 +638,10 @@ def make_grid(model: IntensityModel, n: int, scheme: str = INTENSITY_MASS, *,
 
     ``uniform``: n equally spaced points.
     ``intensity_mass``: n nodes with equal increments of Lam up to ``mass_cap``
-    (placed by ``mass_inverse``), then the terminal node appended.  The equal-mass
-    property holds to 1e-9 while lam at the cap stays below ~1e6/T; beyond
-    that the time coordinate can no longer resolve the mass increments.
+    (placed by ``mass_inverse``; a bisection starts at the previous node), then
+    the terminal node appended.  The equal-mass property holds to 1e-9 while
+    lam at the cap stays below ~1e6/T; beyond that the time coordinate can no
+    longer resolve the mass increments.
     ``geometric_tail``: distances to T shrink geometrically down to ``eps_min``.
     """
     if n < 2:
@@ -625,7 +657,15 @@ def make_grid(model: IntensityModel, n: int, scheme: str = INTENSITY_MASS, *,
             raise InfeasibleGrid(
                 f"cumulative mass tops out at {model.total_mass():.6g} < {mass_cap:.6g}")
         targets = np.linspace(0.0, mass_cap, n)
-        pts = np.array([0.0] + [model.mass_inverse(float(u)) for u in targets[1:]] + [T])
+        if model._closed_inverse:
+            inner = [model.mass_inverse(float(u)) for u in targets[1:]]
+        else:
+            # each bisection starts at the previous node, with the mass found there
+            inner, t, mass = [], 0.0, 0.0
+            for u in targets[1:]:
+                t, mass = model._bisect_from(float(u), t, mass)
+                inner.append(t)
+        pts = np.array([0.0] + inner + [T])
         if np.any(np.diff(pts) <= 0):
             raise InfeasibleGrid("mass-equidistributed nodes collide near the horizon")
         return TimeGrid(points=pts, cap_index=n - 1)

@@ -196,7 +196,22 @@ def _bracket_and_bisect(residual, start):
     raise NumericsError("implicit step failed to converge")
 
 
-def _implicit_step(y_next, forcing, dt, lam, driver, b):
+class _NewtonWorkspace:
+    """The (L, M) buffers one sweep's implicit steps work in, allocated once.
+
+    ``f`` holds the driver at the latest Newton iterate; the step returns it
+    as the driver's values at the solution, valid until the next step."""
+
+    def __init__(self, shape):
+        self.residual = np.empty(shape)
+        self.deriv = np.empty(shape)
+        self.scratch = np.empty(shape)
+        self.f = np.empty(shape)
+        self.fprime = np.empty(shape)
+        self.active = np.empty(shape, dtype=bool)
+
+
+def _implicit_step(y_next, forcing, dt, lam, driver, b, work):
     """Solve y = y_next - dt (forcing + lam f(y) + b y) entrywise for a (L, M) state.
 
     Newton from ``y_next``, with f and f' from one joint evaluation per
@@ -204,36 +219,65 @@ def _implicit_step(y_next, forcing, dt, lam, driver, b):
     Entries that leave the finite range or do not converge fall back to a
     bracket and bisection; where 1 + dt (lam f'(y) + b) <= 0 at a Newton
     iterate the step is not monotone in ``y_next``: ``NumericsError``.
-    Returns the values, f at the values, and the worst residual of each level (row).
+    Every Newton operation writes into ``work``, a ``_NewtonWorkspace`` of the
+    state's shape; only the returned values are new.
+    Returns the values, f at the values, and per level (row) the worst
+    residual, the Newton iterates and the entries that fell back to bisection.
     """
-    def residual(y, fy, y_next=y_next, forcing=forcing, lam=lam):
-        return y - y_next + dt * (forcing + lam * fy + b * y)
-
     y = np.array(y_next, dtype=float)
-    fy, dfy = driver.f_fprime(y)
-    F = residual(y, fy)
+    F, deriv, tmp, fy, dfy, active = (work.residual, work.deriv, work.scratch,
+                                      work.f, work.fprime, work.active)
+
+    def residual():
+        # F = y - y_next + dt (forcing + lam fy + b y), in that order
+        np.multiply(lam, fy, out=tmp)
+        np.add(forcing, tmp, out=tmp)
+        if b != 0.0:
+            np.multiply(b, y, out=F)
+            np.add(tmp, F, out=tmp)
+        np.multiply(dt, tmp, out=tmp)
+        np.subtract(y, y_next, out=F)
+        np.add(F, tmp, out=F)
+
+    iterations = np.zeros(y.shape[0], dtype=int)
+    driver.f_fprime(y, out=(fy, dfy))
+    residual()
     for _ in range(100):
-        active = np.abs(F) >= NEWTON_TOL
-        if not active.any():
+        np.greater_equal(np.abs(F, out=tmp), NEWTON_TOL, out=active)
+        rows = active.any(axis=1)
+        if not rows.any():
             break
-        deriv = 1.0 + dt * (lam * dfy + b)
-        if not np.all(deriv > 0):
+        iterations += rows
+        # deriv = 1 + dt (lam f' + b)
+        np.multiply(lam, dfy, out=deriv)
+        if b != 0.0:
+            np.add(deriv, b, out=deriv)
+        np.multiply(dt, deriv, out=deriv)
+        np.add(1.0, deriv, out=deriv)
+        smallest = np.min(deriv)            # NaN when any entry is: not > 0
+        if not smallest > 0:
             raise NumericsError(f"implicit step not monotone: 1 + dt (lam f' + b) = "
-                                f"{float(np.min(deriv)):.3g} <= 0 at dt = {dt:.3g}")
-        np.subtract(y, F / deriv, out=y, where=active)
-        del deriv, fy, dfy      # freed before the next evaluation allocates its own
-        fy, dfy = driver.f_fprime(y)
-        F = residual(y, fy)
-    bad = ~(np.abs(F) < NEWTON_TOL)
-    if bad.any():
+                                f"{float(smallest):.3g} <= 0 at dt = {dt:.3g}")
+        np.subtract(y, np.divide(F, deriv, out=tmp), out=y, where=active)
+        driver.f_fprime(y, out=(fy, dfy))
+        residual()
+    resid = np.abs(F, out=tmp).max(axis=1)      # NaN in a row with a NaN entry
+    fallbacks = np.zeros(y.shape[0], dtype=int)
+    if not np.all(resid < NEWTON_TOL):
+        bad = np.logical_not(np.less(tmp, NEWTON_TOL, out=active), out=active)
+        fallbacks = bad.sum(axis=1)
+
+        def full_residual(v, fv, y_next, forcing, lam):
+            return v - y_next + dt * (forcing + lam * fv + b * v)
+
         y_next_bad, forcing_bad, lam_bad = (np.broadcast_to(a, y.shape)[bad]
                                             for a in (y_next, forcing, lam))
         y[bad] = _bracket_and_bisect(
-            lambda v: residual(v, driver.f(v), y_next_bad, forcing_bad, lam_bad),
+            lambda v: full_residual(v, driver.f(v), y_next_bad, forcing_bad, lam_bad),
             y_next_bad)
         fy = driver.f(y)
-        F = residual(y, fy)
-    return y, fy, np.max(np.abs(F), axis=1)
+        resid = np.max(np.abs(full_residual(y, fy, y_next, forcing, lam)), axis=1)
+    return y, fy, resid, iterations, fallbacks
 
 
 def _box_clamp_applies(problem: BsdeProblem) -> bool:
@@ -251,7 +295,7 @@ class SweepNode(NamedTuple):
 
     index: int
     y: np.ndarray                     # (L, M) values, after the Monte Carlo clamp
-    f: np.ndarray                     # (L, M) driver f at y
+    f: np.ndarray                     # (L, M) driver f at y, until the next node
     z: Optional[np.ndarray] = None    # (L, M) Z on the left node; None at T
     fit: Optional[NodeFit] = None     # the node's regression (Monte Carlo mode)
 
@@ -271,9 +315,12 @@ class NodeSweep:
     slack.
 
     ``nodes()`` yields one ``SweepNode`` per grid index, from T backward; only
-    the current node is held.  Once it is exhausted, ``residual_max``,
-    ``box_excursion_raw``, ``y_min``, ``y_max`` and ``y0_mean`` hold one value
-    per level.
+    the current node is held, and its ``f`` lives in the sweep's Newton
+    workspace until the next node is computed.  Once it is exhausted,
+    ``residual_max``, ``box_excursion_raw``, ``y_min``, ``y_max``,
+    ``y0_mean`` and the Newton counters hold one value per level:
+    ``newton_iterations`` (summed over nodes), ``newton_max_per_node`` and
+    ``bisection_entries`` (entries that fell back to the bracket, summed).
     """
 
     def __init__(self, problem: BsdeProblem, grid: TimeGrid, caps: Sequence,
@@ -308,6 +355,9 @@ class NodeSweep:
         self.y_min = np.full(n_levels, np.inf)
         self.y_max = np.full(n_levels, -np.inf)
         self.y0_mean = np.full(n_levels, np.nan)
+        self.newton_iterations = np.zeros(n_levels, dtype=int)
+        self.newton_max_per_node = np.zeros(n_levels, dtype=int)
+        self.bisection_entries = np.zeros(n_levels, dtype=int)
 
     def nodes(self):
         """Yield a ``SweepNode`` per grid index, from the terminal node backward."""
@@ -317,6 +367,7 @@ class NodeSweep:
         sup = problem.coefficient.sup_norm
         b, sigma = problem.y_slope, problem.z_slope
         y_next = np.empty((n_levels, self.m_paths))
+        work = _NewtonWorkspace(y_next.shape)
         if self.mc:
             levels = self.bundle.levels[:, :, 0]
             increments = self.bundle.increments[:, :, 0]
@@ -342,9 +393,12 @@ class NodeSweep:
                 y_fit = y_next
                 z_i = np.zeros((n_levels, 1))
                 phi = np.asarray(problem.coefficient.value(t_i), dtype=float)
-            y_i, f_i, resid = _implicit_step(y_fit, phi + sigma * z_i, dt,
-                                             self._lam_nodes[:, i, None], driver, b)
+            y_i, f_i, resid, iterations, fallbacks = _implicit_step(
+                y_fit, phi + sigma * z_i, dt, self._lam_nodes[:, i, None], driver, b, work)
             np.maximum(self.residual_max, resid, out=self.residual_max)
+            self.newton_iterations += iterations
+            np.maximum(self.newton_max_per_node, iterations, out=self.newton_max_per_node)
+            self.bisection_entries += fallbacks
             if self.box:
                 lower = -(grid.horizon - t_i) * sup
                 np.maximum(self.box_excursion_raw,
@@ -368,7 +422,10 @@ class NodeSweep:
     def solution(self, k: int, y: np.ndarray, z: Optional[np.ndarray]) -> SolutionEstimate:
         """Level ``k``'s ``SolutionEstimate`` around the given arrays, with its diagnostics."""
         diagnostics = {"residual_max": float(self.residual_max[k]),
-                       "y_min": float(self.y_min[k]), "y_max": float(self.y_max[k])}
+                       "y_min": float(self.y_min[k]), "y_max": float(self.y_max[k]),
+                       "newton_iterations": int(self.newton_iterations[k]),
+                       "newton_max_per_node": int(self.newton_max_per_node[k]),
+                       "bisection_entries": int(self.bisection_entries[k])}
         if self.box:
             diagnostics["box_excursion_raw"] = float(self.box_excursion_raw[k])
         if self.mc:

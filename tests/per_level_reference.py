@@ -6,6 +6,11 @@ Newton step with a bisection fallback in ODE mode, and in regression mode two
 separate ``lstsq`` fits per node and a per-path bisection for Newton
 stragglers.  The differential tests compare the library's stacked kernel
 against them level by level.
+
+``implicit_step`` is the stacked kernel's implicit step as it was before it
+worked in a reused workspace: every Newton iterate allocates its residual,
+derivative and driver values afresh.  It counts its Newton iterates and
+bisection-fallback entries per level the way the sweep's counters define them.
 """
 
 import math
@@ -18,6 +23,7 @@ from bsdelab.lipschitz_solver import (
     NEWTON_TOL,
     RegressionBasis,
     _box_clamp_applies,
+    _bracket_and_bisect,
     _degenerate_level,
     _effective_parts,
 )
@@ -180,3 +186,40 @@ def solve_regression_mc(problem, grid, bundle, basis=None, lambda_cap=None,
             y_i = np.clip(y_i, lo, clamp_margin)
         y[:, i] = y_i
     return y, z, worst_resid
+
+
+def implicit_step(y_next, forcing, dt, lam, driver, b):
+    """Solve y = y_next - dt (forcing + lam f(y) + b y) entrywise for a (L, M) state.
+
+    Returns the values, f at the values, and per level (row) the worst
+    residual, the Newton iterates and the entries that fell back to bisection.
+    """
+    def residual(y, fy, y_next=y_next, forcing=forcing, lam=lam):
+        return y - y_next + dt * (forcing + lam * fy + b * y)
+
+    y = np.array(y_next, dtype=float)
+    iterations = np.zeros(y.shape[0], dtype=int)
+    fy, dfy = driver.f_fprime(y)
+    F = residual(y, fy)
+    for _ in range(100):
+        active = np.abs(F) >= NEWTON_TOL
+        if not active.any():
+            break
+        iterations += active.any(axis=1)
+        deriv = 1.0 + dt * (lam * dfy + b)
+        if not np.all(deriv > 0):
+            raise NumericsError(f"implicit step not monotone: 1 + dt (lam f' + b) = "
+                                f"{float(np.min(deriv)):.3g} <= 0 at dt = {dt:.3g}")
+        np.subtract(y, F / deriv, out=y, where=active)
+        fy, dfy = driver.f_fprime(y)
+        F = residual(y, fy)
+    bad = ~(np.abs(F) < NEWTON_TOL)
+    if bad.any():
+        y_next_bad, forcing_bad, lam_bad = (np.broadcast_to(a, y.shape)[bad]
+                                            for a in (y_next, forcing, lam))
+        y[bad] = _bracket_and_bisect(
+            lambda v: residual(v, driver.f(v), y_next_bad, forcing_bad, lam_bad),
+            y_next_bad)
+        fy = driver.f(y)
+        F = residual(y, fy)
+    return y, fy, np.max(np.abs(F), axis=1), iterations, bad.sum(axis=1)

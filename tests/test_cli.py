@@ -51,6 +51,16 @@ class TestList:
         assert code == cli.EXIT_OK
 
 
+def test_import_leaves_quadrature_unloaded():
+    # scipy.integrate takes most of the import time; only quadrature loads it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, bsdelab.cli; "
+            "sys.exit('scipy.integrate' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=120).returncode == 0
+
+
 class TestRunScenarios:
     def test_unknown_scenario(self, tmp_path):
         assert run(["run", "bogus", "--out", str(tmp_path)]) == 1

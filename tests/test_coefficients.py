@@ -150,6 +150,28 @@ class TestDriverSpec:
             assert np.all(np.abs(fprime - separate) <= np.spacing(separate))
         assert np.all(clipped.f_fprime(xs)[1][xs < -4.0] == 0.0)
 
+    @pytest.mark.parametrize("name", ["exp_utility", "clipped", "identity"])
+    @pytest.mark.parametrize("xs", [
+        np.append(np.linspace(-10.0, 2.0, 1200), [np.nan, -4.0, 0.0, -0.0]),
+        np.linspace(-3.9, 2.0, 1204)])          # nothing below the clip at -4
+    def test_f_fprime_into_out_matches_the_allocating_form(self, name, xs):
+        # bit for bit (NaN where NaN: its sign bit may differ), also when x
+        # is the f buffer itself
+        d = bl.DriverSpec.exp_utility(1.5)
+        driver = {"exp_utility": d, "identity": bl.DriverSpec.identity(),
+                  "clipped": bl.truncate(d, 4.0, 1.0).to_driver_spec()}[name]
+        xs = xs.reshape(4, -1)
+        want = driver.f_fprime(xs)
+        out = (np.empty_like(xs), np.empty_like(xs))
+        assert driver.f_fprime(xs, out=out) is out
+        aliased = (xs.copy(), np.empty_like(xs))
+        driver.f_fprime(aliased[0], out=aliased)
+        for got in (out, aliased):
+            for g, w in zip(got, want):
+                nan = np.isnan(w)
+                assert np.array_equal(np.isnan(g), nan)
+                assert g[~nan].tobytes() == np.asarray(w)[~nan].tobytes()
+
     def test_f_fprime_without_joint_calls_both(self):
         d = bl.DriverSpec.identity()
         assert d.joint is None
