@@ -260,6 +260,14 @@ class IntensityModel:
         """Solve Lam(t) = target by bisection from t = 0 (the kinds without a closed form)."""
         return self._bisect_from(target, 0.0, 0.0)[0]
 
+    def _inverse_from(self, target: float, lo: float, mass_lo: float) -> tuple:
+        """``mass_inverse`` given a start ``lo`` with Lam(lo) = ``mass_lo`` <= target;
+        returns t and the mass at t.  The closed forms ignore the start, the
+        other kinds bisect from it."""
+        if self._closed_inverse:
+            return self.mass_inverse(target), target
+        return self._bisect_from(target, lo, mass_lo)
+
     def _bisect_from(self, target: float, lo: float, mass_lo: float) -> tuple:
         """Solve Lam(t) = target by bisection on a bracket starting at ``lo``,
         where Lam is ``mass_lo`` <= target; returns t and the mass found at t.
@@ -541,11 +549,12 @@ class DriverSpec:
         """(f(x), f'(x)): one call of ``joint`` where the driver declares it.
 
         With ``out=(f, fprime)`` the values are written into those arrays and
-        ``out`` is returned; ``x`` may be ``out[0]``.  A driver without a joint
-        form evaluates ``f`` and ``fprime`` into new arrays and copies them.
+        ``out`` is returned; ``x`` may be ``out[0]``.  ``joint`` is called with
+        ``out`` only when it is given.  A driver without a joint form evaluates
+        ``f`` and ``fprime`` into new arrays and copies them.
         """
         if self.joint is not None:
-            return self.joint(x, out=out)
+            return self.joint(x) if out is None else self.joint(x, out=out)
         f, fprime = self.f(x), self.fprime(x)
         if out is None:
             return f, fprime
@@ -656,15 +665,11 @@ def make_grid(model: IntensityModel, n: int, scheme: str = INTENSITY_MASS, *,
         if not model.is_singular and model.total_mass() < mass_cap:
             raise InfeasibleGrid(
                 f"cumulative mass tops out at {model.total_mass():.6g} < {mass_cap:.6g}")
-        targets = np.linspace(0.0, mass_cap, n)
-        if model._closed_inverse:
-            inner = [model.mass_inverse(float(u)) for u in targets[1:]]
-        else:
-            # each bisection starts at the previous node, with the mass found there
-            inner, t, mass = [], 0.0, 0.0
-            for u in targets[1:]:
-                t, mass = model._bisect_from(float(u), t, mass)
-                inner.append(t)
+        # each target starts at the previous node, with the mass found there
+        inner, t, mass = [], 0.0, 0.0
+        for u in np.linspace(0.0, mass_cap, n)[1:]:
+            t, mass = model._inverse_from(float(u), t, mass)
+            inner.append(t)
         pts = np.array([0.0] + inner + [T])
         if np.any(np.diff(pts) <= 0):
             raise InfeasibleGrid("mass-equidistributed nodes collide near the horizon")

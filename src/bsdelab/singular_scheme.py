@@ -57,14 +57,11 @@ class TruncatedDriver:
 
     def f_fprime_tilde(self, x, out=None):
         """(f_tilde(x), fprime_tilde(x)), clipping once for both; with
-        ``out=(f, fprime)`` the clipped argument goes into ``f`` first, unless
-        every entry lies above the clip."""
+        ``out=(f, fprime)`` the clipped argument goes into ``f`` first."""
         x = np.asarray(x, dtype=float)
         if out is None:
             f, fprime = self.base.f_fprime(np.maximum(x, self.lower_clip))
             return f, np.where(x >= self.lower_clip, fprime, 0.0)
-        if np.min(x) > self.lower_clip:        # nothing to clip (False with a NaN)
-            return self.base.f_fprime(x, out=out)
         outside = np.logical_not(x >= self.lower_clip)
         self.base.f_fprime(np.maximum(x, self.lower_clip, out=out[0]), out=out)
         np.copyto(out[1], 0.0, where=outside)

@@ -178,6 +178,14 @@ class TestDriverSpec:
         f, fprime = d.f_fprime(np.array([-2.0, 0.5]))
         assert f.tolist() == [-2.0, 0.5] and fprime.tolist() == [1.0, 1.0]
 
+    def test_f_fprime_passes_out_to_joint_only_when_given(self):
+        # a joint written as x -> (f, f') still serves the allocating form
+        d = bl.DriverSpec(name="doubling", f=lambda x: 2.0 * x,
+                          fprime=lambda x: np.full_like(x, 2.0),
+                          joint=lambda x: (2.0 * x, np.full_like(x, 2.0)))
+        f, fprime = d.f_fprime(np.array([-2.0, 0.5]))
+        assert f.tolist() == [-4.0, 1.0] and fprime.tolist() == [2.0, 2.0]
+
     def test_neg_identity_is_nonincreasing(self):
         d = bl.DriverSpec.neg_identity()
         assert d.nonincreasing and not d.nondecreasing
