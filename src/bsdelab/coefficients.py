@@ -238,7 +238,7 @@ class IntensityModel:
         """The inverse of Lam: the time where the cumulative mass reaches ``target``.
 
         Closed form for power_gap, exp_gap and bounded intensities (clamped to
-        [0, T]), bisection for custom and truncated ones.
+        [0, T]), a bracketed secant search for custom and truncated ones.
         """
         if not self._closed_inverse:
             return self._bisect_inverse(target)
@@ -269,14 +269,18 @@ class IntensityModel:
         return self._bisect_from(target, lo, mass_lo)
 
     def _bisect_from(self, target: float, lo: float, mass_lo: float) -> tuple:
-        """Solve Lam(t) = target by bisection on a bracket starting at ``lo``,
-        where Lam is ``mass_lo`` <= target; returns t and the mass found at t.
+        """Solve Lam(t) = target on a bracket starting at ``lo``, where Lam is
+        ``mass_lo`` <= target; returns t and the mass found at t.
 
-        Stops once the bracket is below ``BISECTION_TOL`` in time AND the mass
-        residual below ``MASS_TOL`` (where the intensity is steep, time alone
-        cannot control the mass error).  A target beyond the total mass gives ~T.
-        Where Lam is a quadrature, the mass at the bracket's lower end is carried
-        and only [lo, mid] is integrated at each step.
+        Each step is the secant of Lam through the latest two iterates, or the
+        bracket's midpoint where the secant leaves the bracket or only one
+        mass is known.  Stops once the mass residual is below ``MASS_TOL``
+        (where the intensity is steep, time alone cannot control the mass
+        error) AND the bracket, or the secant's next correction, is below
+        ``BISECTION_TOL`` in time; that correction is applied inside the
+        bracket, with the target as its mass.  A target beyond the total mass
+        gives ~T.  Where Lam is a quadrature, the mass at the bracket's lower
+        end is carried and only [lo, t] is integrated at each step.
         """
         if target < 0:
             raise ValueError("target mass must be nonnegative")
@@ -289,7 +293,7 @@ class IntensityModel:
             return mass_lo + self._quad_mass(lo, t) if quadrature else self.cumulative(t)
 
         T = self.horizon
-        hi = T * (1.0 - _EPS_GAP)
+        hi, prev = T * (1.0 - _EPS_GAP), None
         if self.is_singular:
             # walk the bracket toward T until the mass exceeds the target
             hi = T - 0.5 * (T - lo)
@@ -298,19 +302,30 @@ class IntensityModel:
                 hi = T - 0.5 * (T - hi)
                 if T - hi < _EPS_GAP * T:
                     raise InfeasibleGrid("target mass unreachable in floating point")
+            prev = (hi, mass_hi)
+        t, mass = lo, mass_lo               # the latest iterate; prev the one before
         # ~170 halvings exhaust double precision on any bracket
         for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            mass = mass_from(lo, mass_lo, mid)
+            step = None
+            if prev is not None and mass != prev[1]:
+                step = (target - mass) * (t - prev[0]) / (mass - prev[1])
+                if abs(step) <= BISECTION_TOL and abs(mass - target) <= MASS_TOL:
+                    if lo <= t + step <= hi:
+                        # the last correction, whose error is second order in it
+                        t, mass = t + step, target
+                    break
+            prev = (t, mass)
+            t = t + step if step is not None and lo < t + step < hi else 0.5 * (lo + hi)
+            mass = mass_from(lo, mass_lo, t)
             if hi - lo <= BISECTION_TOL and abs(mass - target) <= MASS_TOL:
                 break
-            if mid <= lo or mid >= hi:      # bracket exhausted in floating point
+            if t <= lo or t >= hi:          # bracket exhausted in floating point
                 break
             if mass < target:
-                lo, mass_lo = mid, mass
+                lo, mass_lo = t, mass
             else:
-                hi = mid
-        return mid, mass
+                hi = t
+        return t, mass
 
     def inverse_rate_at_mass(self, u: float) -> float:
         """1 / lam(t) evaluated at the time where Lam(t) = u.

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import qr, solve_triangular
 
 from .coefficients import BsdeProblem, DriverSpec, TimeGrid
 from .errors import BasisDegenerate, NumericsError
@@ -58,7 +58,12 @@ class RegressionBasis:
         w = np.asarray(w, dtype=float)
         if self.kind == "polynomial":
             if w.ndim == 1:
-                return np.vander(w, self.degree + 1, increasing=True)
+                # column by column in Fortran order, the products np.vander forms
+                x = np.empty((len(w), self.degree + 1), order="F")
+                x[:, 0] = 1.0
+                for k in range(1, self.degree + 1):
+                    np.multiply(x[:, k - 1], w, out=x[:, k])
+                return x
             # total-degree monomials over coordinates
             m, d = w.shape
             cols = [np.ones(m)]
@@ -85,12 +90,14 @@ def _degenerate_level(w: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class NodeFit:
-    """A node's design and its QR factors; ``q`` is None on a level that carries
-    no information, where every fit is the plain mean."""
+    """A node's design, its QR factors and the condition number of R; ``q`` and
+    ``cond`` are None on a level that carries no information, where every fit
+    is the plain mean."""
 
     design: np.ndarray
     q: Optional[np.ndarray] = None
     r: Optional[np.ndarray] = None
+    cond: Optional[float] = None
 
     def solve(self, target: np.ndarray) -> np.ndarray:
         """Least-squares coefficients of every column of ``target`` (M, T)."""
@@ -105,12 +112,12 @@ def fit_coefficients(basis: RegressionBasis, w: np.ndarray, target: np.ndarray,
                      node_index: int = -1) -> tuple:
     """Least-squares fit of every column of ``target`` (M, T) on ``basis.design(w)``.
 
-    One QR factorisation serves all columns; the condition-number guard reads
-    the singular values of R.  On a level that carries no information the
-    sigma-algebra is trivial and the fit is the plain mean, held by the
-    intercept.  Returns ``(coef, fit)``: the fitted values are
-    ``fit.design @ coef``, and ``fit.solve`` fits further targets on the same
-    factorisation.
+    One economic QR factorisation serves all columns; the condition-number
+    guard reads the singular values of R, and the fit carries their ratio.  On
+    a level that carries no information the sigma-algebra is trivial and the
+    fit is the plain mean, held by the intercept.  Returns ``(coef, fit)``:
+    the fitted values are ``fit.design @ coef``, and ``fit.solve`` fits
+    further targets on the same factorisation.
     """
     design = basis.design(w)
     if _degenerate_level(w):
@@ -118,12 +125,16 @@ def fit_coefficients(basis: RegressionBasis, w: np.ndarray, target: np.ndarray,
         return fit.solve(target), fit
     if design.shape[0] < design.shape[1]:
         raise BasisDegenerate(node_index, math.inf)
-    q, r = np.linalg.qr(design)
+    # the Fortran-ordered design reaches LAPACK without a transposing copy; no
+    # finiteness scan: a NaN in the design propagates into R and its SVD
+    q, r = qr(design, mode="economic", check_finite=False)
     svals = np.linalg.svd(r, compute_uv=False)
     if svals[-1] <= 0 or svals[0] / svals[-1] > _COND_LIMIT:
         cond = math.inf if svals[-1] <= 0 else svals[0] / svals[-1]
         raise BasisDegenerate(node_index, cond)
-    fit = NodeFit(design, q, r)
+    # Q in C order: BLAS sums ``q.T @ target`` in an order set by the layout,
+    # and this one matches the C-ordered factor of np.linalg.qr bit for bit
+    fit = NodeFit(design, np.ascontiguousarray(q), r, float(svals[0] / svals[-1]))
     return fit.solve(target), fit
 
 
@@ -200,7 +211,9 @@ class _NewtonWorkspace:
     """The (L, M) buffers one sweep's implicit steps work in, allocated once.
 
     ``f`` holds the driver at the latest Newton iterate; the step returns it
-    as the driver's values at the solution, valid until the next step."""
+    as the driver's values at the solution, valid until the next step.  The
+    values go into one of two buffers that alternate, so a step's values can
+    be the next step's ``y_next``; they are valid until the step after next."""
 
     def __init__(self, shape):
         self.residual = np.empty(shape)
@@ -209,6 +222,12 @@ class _NewtonWorkspace:
         self.f = np.empty(shape)
         self.fprime = np.empty(shape)
         self.active = np.empty(shape, dtype=bool)
+        self._values = [np.empty(shape), np.empty(shape)]
+
+    def values(self) -> np.ndarray:
+        """The values buffer for the next step: the one the last step did not use."""
+        self._values.reverse()
+        return self._values[0]
 
 
 def _implicit_step(y_next, forcing, dt, lam, driver, b, work):
@@ -220,11 +239,12 @@ def _implicit_step(y_next, forcing, dt, lam, driver, b, work):
     bracket and bisection; where 1 + dt (lam f'(y) + b) <= 0 at a Newton
     iterate the step is not monotone in ``y_next``: ``NumericsError``.
     Every Newton operation writes into ``work``, a ``_NewtonWorkspace`` of the
-    state's shape; only the returned values are new.
+    state's shape, and so do the values it returns.
     Returns the values, f at the values, and per level (row) the worst
     residual, the Newton iterates and the entries that fell back to bisection.
     """
-    y = np.array(y_next, dtype=float)
+    y = work.values()
+    np.copyto(y, y_next)
     F, deriv, tmp, fy, dfy, active = (work.residual, work.deriv, work.scratch,
                                       work.f, work.fprime, work.active)
 
@@ -294,9 +314,11 @@ class SweepNode(NamedTuple):
     """Every level's values at one grid node of a backward sweep."""
 
     index: int
-    y: np.ndarray                     # (L, M) values, after the Monte Carlo clamp
+    y: np.ndarray                     # (L, M) values, after the Monte Carlo clamp,
+                                      # until the next node
     f: np.ndarray                     # (L, M) driver f at y, until the next node
-    z: Optional[np.ndarray] = None    # (L, M) Z on the left node; None at T
+    z: Optional[np.ndarray] = None    # (L, M) Z on the left node, until the next
+                                      # node; None at T
     fit: Optional[NodeFit] = None     # the node's regression (Monte Carlo mode)
 
 
@@ -315,12 +337,14 @@ class NodeSweep:
     slack.
 
     ``nodes()`` yields one ``SweepNode`` per grid index, from T backward; only
-    the current node is held, and its ``f`` lives in the sweep's Newton
-    workspace until the next node is computed.  Once it is exhausted,
+    the current node is held, and its ``y``, ``f`` and ``z`` live in per-sweep
+    buffers until the next node is computed.  Once it is exhausted,
     ``residual_max``, ``box_excursion_raw``, ``y_min``, ``y_max``,
     ``y0_mean`` and the Newton counters hold one value per level:
     ``newton_iterations`` (summed over nodes), ``newton_max_per_node`` and
     ``bisection_entries`` (entries that fell back to the bracket, summed).
+    ``regression_cond_min`` and ``regression_cond_max`` bound the condition
+    numbers of the nodes' regressions (NaN where no node regressed).
     """
 
     def __init__(self, problem: BsdeProblem, grid: TimeGrid, caps: Sequence,
@@ -358,6 +382,7 @@ class NodeSweep:
         self.newton_iterations = np.zeros(n_levels, dtype=int)
         self.newton_max_per_node = np.zeros(n_levels, dtype=int)
         self.bisection_entries = np.zeros(n_levels, dtype=int)
+        self.regression_cond_min = self.regression_cond_max = math.nan
 
     def nodes(self):
         """Yield a ``SweepNode`` per grid index, from the terminal node backward."""
@@ -368,11 +393,19 @@ class NodeSweep:
         b, sigma = problem.y_slope, problem.z_slope
         y_next = np.empty((n_levels, self.m_paths))
         work = _NewtonWorkspace(y_next.shape)
+        sigma_z = np.empty_like(y_next)             # per-sweep buffer for phi + sigma Z
         if self.mc:
             levels = self.bundle.levels[:, :, 0]
             increments = self.bundle.increments[:, :, 0]
+            # the targets Y and Y dW / dt; each node's fit overwrites them with
+            # the fitted Y and Z
+            targets = np.empty((2 * n_levels, self.m_paths))
+            y_fit, z_i = targets[:n_levels], targets[n_levels:]
+            # the Monte Carlo clamp's masks
+            moved, above = np.empty(y_next.shape, bool), np.empty(y_next.shape, bool)
             y_next[:] = problem.terminal.values(levels[:, -1])
         else:
+            z_i = np.zeros_like(y_next)                 # Z vanishes on deterministic data
             y_next[:] = float(problem.terminal.values())
         self._extremes(y_next)
         yield SweepNode(len(pts) - 1, y_next, driver.f(y_next))
@@ -382,19 +415,27 @@ class NodeSweep:
             fit = None
             if self.mc:
                 w_i = levels[:, i]
-                targets = np.concatenate([y_next, y_next * increments[:, i] / dt])
+                np.copyto(y_fit, y_next)
+                np.multiply(y_next, increments[:, i], out=z_i)
+                np.divide(z_i, dt, out=z_i)
                 coef, fit = fit_coefficients(self.basis, w_i, targets.T, node_index=i)
-                del targets
                 # fitted values (design @ coef).T, laid out level-major
-                y_fit = coef[:, :n_levels].T @ fit.design.T
-                z_i = coef[:, n_levels:].T @ fit.design.T
+                np.matmul(coef[:, :n_levels].T, fit.design.T, out=y_fit)
+                np.matmul(coef[:, n_levels:].T, fit.design.T, out=z_i)
+                if fit.cond is not None:
+                    self.regression_cond_min = float(np.fmin(self.regression_cond_min,
+                                                             fit.cond))
+                    self.regression_cond_max = float(np.fmax(self.regression_cond_max,
+                                                             fit.cond))
                 phi = np.asarray(problem.coefficient.value(t_i, w_i), dtype=float)
             else:
                 y_fit = y_next
-                z_i = np.zeros((n_levels, 1))
                 phi = np.asarray(problem.coefficient.value(t_i), dtype=float)
+            forcing = phi
+            if sigma != 0.0:        # skipped at 0, as the step skips b
+                forcing = np.add(phi, np.multiply(sigma, z_i, out=sigma_z), out=sigma_z)
             y_i, f_i, resid, iterations, fallbacks = _implicit_step(
-                y_fit, phi + sigma * z_i, dt, self._lam_nodes[:, i, None], driver, b, work)
+                y_fit, forcing, dt, self._lam_nodes[:, i, None], driver, b, work)
             np.maximum(self.residual_max, resid, out=self.residual_max)
             self.newton_iterations += iterations
             np.maximum(self.newton_max_per_node, iterations, out=self.newton_max_per_node)
@@ -406,7 +447,8 @@ class NodeSweep:
                            out=self.box_excursion_raw)
                 if self.mc:
                     lo, hi = lower - self.clamp_margin, self.clamp_margin
-                    moved = (y_i < lo) | (y_i > hi)
+                    np.logical_or(np.less(y_i, lo, out=moved),
+                                  np.greater(y_i, hi, out=above), out=moved)
                     np.clip(y_i, lo, hi, out=y_i)
                     if moved.any():
                         f_i[moved] = driver.f(y_i[moved])
@@ -431,7 +473,9 @@ class NodeSweep:
         if self.mc:
             diagnostics.update(paths=self.m_paths, basis=self.basis.kind,
                                basis_degree=self.basis.degree, seed=self.bundle.seed,
-                               y0_mean=float(self.y0_mean[k]))
+                               y0_mean=float(self.y0_mean[k]),
+                               regression_cond_min=self.regression_cond_min,
+                               regression_cond_max=self.regression_cond_max)
         return SolutionEstimate(
             grid=self.grid, y=y, z=z, mode="regression_mc" if self.mc else "ode_exact",
             problem=self.problem, lambda_cap=self.caps[k], driver_used=self.driver,

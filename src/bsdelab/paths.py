@@ -35,7 +35,12 @@ _SHIFT32 = np.uint64(32)
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Brownian increments and levels for M paths on a grid."""
+    """Brownian increments and levels for M paths on a grid.
+
+    The library's bundles keep both arrays node-major in memory, (N, d, M),
+    and expose them as (M, N, d) views: ``levels[:, i, j]``, what a backward
+    sweep reads at node i, is contiguous.  Any (M, N, d) arrays serve.
+    """
 
     grid: TimeGrid
     dim: int
@@ -112,11 +117,10 @@ def simulate_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int,
         raise ResourceLimit(
             f"bundle of {n_paths}x{grid.n_points}x{dim} exceeds the memory cap"
         )
-    gaps = grid.gaps
-    scale = np.sqrt(gaps)[None, :, None]
-    increments = np.empty((n_paths, n_steps, dim), dtype=np.float64)
+    # node-major memory; ``rows`` is its per-path (M, (N-1) d) view
+    node_major = np.empty((n_steps, dim, n_paths), dtype=np.float64)
     count = n_steps * dim
-    rows = increments.reshape(n_paths, count)
+    rows = node_major.reshape(count, n_paths).T
 
     def fill(block):
         lo, hi = block
@@ -135,11 +139,26 @@ def simulate_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int,
         with ThreadPoolExecutor(max_workers=pool_size) as pool:
             list(pool.map(fill, blocks))
 
-    increments *= scale
-    levels = np.zeros((n_paths, grid.n_points, dim), dtype=np.float64)
-    np.cumsum(increments, axis=1, out=levels[:, 1:, :])
+    node_major *= np.sqrt(grid.gaps)[:, None, None]
+    return _node_major_bundle(grid, node_major, int(seed))
+
+
+def _node_major_bundle(grid: TimeGrid, increments: np.ndarray, seed: int) -> PathBundle:
+    """The bundle around node-major (N-1, d, M) ``increments``: the levels are
+    their prefix sums along the nodes, in the same memory order.
+
+    The sums run one contiguous node row at a time; they are the additions of
+    ``np.cumsum`` along the nodes, in its order.
+    """
+    n_steps, dim, n_paths = increments.shape
+    levels = np.empty((n_steps + 1, dim, n_paths), dtype=np.float64)
+    levels[0] = 0.0
+    levels[1:2] = increments[:1]
+    for i in range(1, n_steps):
+        np.add(levels[i], increments[i], out=levels[i + 1])
     return PathBundle(grid=grid, dim=dim, n_paths=n_paths,
-                      increments=increments, levels=levels, seed=int(seed))
+                      increments=increments.transpose(2, 0, 1),
+                      levels=levels.transpose(2, 0, 1), seed=seed)
 
 
 def stochastic_integral(bundle: PathBundle, integrand) -> np.ndarray:
@@ -175,8 +194,6 @@ def load_bundle(path, grid: TimeGrid) -> PathBundle:
         inc = np.frombuffer(fh.read(8 * m * (n - 1) * d), dtype="<f8")
     if grid.n_points != n:
         raise ValueError(f"dump was written on a {n}-point grid, got {grid.n_points}")
-    increments = inc.reshape(m, n - 1, d).copy()
-    levels = np.zeros((m, n, d), dtype=np.float64)
-    np.cumsum(increments, axis=1, out=levels[:, 1:, :])
-    return PathBundle(grid=grid, dim=int(d), n_paths=int(m),
-                      increments=increments, levels=levels, seed=int(seed))
+    increments = np.empty((n - 1, d, m), dtype=np.float64)
+    increments.transpose(2, 0, 1)[...] = inc.reshape(m, n - 1, d)
+    return _node_major_bundle(grid, increments, int(seed))

@@ -189,17 +189,20 @@ def run_scheme(problem: BsdeProblem, grid: TimeGrid, schedule: Sequence[float],
     y_top = np.empty((n_pts, 2, m_paths))      # the last two levels
     z_top = np.zeros((n_pts - 1, m_paths))     # the last level
     bmo = _BmoFold(sweep.basis) if mc else None
+    # per-sweep scratch: the paired level differences, then |f|
+    scratch = np.empty((n_levels, m_paths))
+    diff = scratch[:-1]
     for node in sweep.nodes():
         i = node.index
-        diff = node.y[:-1] - node.y[1:]
+        np.subtract(node.y[:-1], node.y[1:], out=diff)
         if mc:
             mean, stderr = paired_moments(diff, axis=1)
             np.maximum(excess, mean - 3.0 * stderr, out=excess)
         else:
             np.maximum(excess, diff[:, 0], out=excess)
         if i <= upto:
-            np.maximum(gap, np.abs(diff), out=gap)
-        mean_abs_f[i] = _mean_abs(node.f)
+            np.maximum(gap, np.abs(diff, out=diff), out=gap)
+        mean_abs_f[i] = _mean_abs(node.f, out=scratch)
         y_top[i] = node.y[-2:]
         if node.z is not None:
             z_top[i] = node.z[-1]
@@ -290,15 +293,17 @@ class _BmoFold:
         else:
             coef = fit.solve(target)
         coef = coef[:, 0]
-        design = fit.design
-        resid = self.tail - design @ coef
-        sigma2 = float(resid @ resid) / max(len(w) - design.shape[1], 1)
         lo, hi = np.quantile(w, [self.quantile, 1.0 - self.quantile])
-        x_eval = self.basis.design(np.linspace(lo, hi, self.n_eval))
+        # C order: BLAS sums a matrix-vector product in an order set by the
+        # layout, and the estimates are pinned to the row-major one
+        x_eval = np.ascontiguousarray(self.basis.design(np.linspace(lo, hi, self.n_eval)))
         est = x_eval @ coef
         j = int(np.argmax(est))
         # ties go to the earliest node, as in a forward scan
         if est[j] > self.value or est[j] == self.value > 0.0:
+            design = np.ascontiguousarray(fit.design)
+            resid = self.tail - design @ coef
+            sigma2 = float(resid @ resid) / max(len(w) - design.shape[1], 1)
             gram_inv = np.linalg.pinv(design.T @ design)
             self.value = float(est[j])
             self.stderr = float(math.sqrt(max(sigma2 * x_eval[j] @ gram_inv @ x_eval[j],
@@ -326,9 +331,10 @@ def estimate_bmo(sol: SolutionEstimate, bundle: Optional[PathBundle],
     return BmoEstimate(fold.value, fold.stderr)
 
 
-def _mean_abs(f: np.ndarray) -> np.ndarray:
-    """Mean over the paths of |f| at one node, per level: (L, M) -> (L,)."""
-    return np.abs(f).mean(axis=1)
+def _mean_abs(f: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Mean over the paths of |f| at one node, per level: (L, M) -> (L,);
+    |f| goes into ``out`` when it is given."""
+    return np.abs(f, out=out).mean(axis=1)
 
 
 def _lambda_f_integrals(problem: BsdeProblem, grid: TimeGrid, caps: Sequence,

@@ -182,3 +182,27 @@ def test_mc_box_certificate_reads_the_raw_excursion(markovian_case):
     assert report.box_violation == raw
     assert raw > config.clamp_margin
     assert not report.bounds_ok
+
+
+def test_mc_diagnostics_carry_the_regression_condition_range(markovian_case):
+    prob, grid, _, clipped, _ = markovian_case
+    schedule = [2.0, 4.0]
+    diagnostics = []
+    for workers in (1, 2):
+        bundle = bl.simulate_paths(grid, 1, 20_000, seed=3, workers=workers)
+        report = bl.run_scheme(prob, grid, schedule,
+                               config=bl.SchemeConfig(mode="mc", bundle=bundle, tol=1.0))
+        for sol in (*report.solutions, report.final):
+            cond_min = sol.diagnostics["regression_cond_min"]
+            cond_max = sol.diagnostics["regression_cond_max"]
+            assert 1.0 <= cond_min <= cond_max < lipschitz_solver._COND_LIMIT
+        diagnostics.append(report.final.diagnostics)
+    assert diagnostics[0] == diagnostics[1]
+    # the range bounds every node's fit, whose condition the fit carries
+    sweep = lipschitz_solver.NodeSweep(prob, grid, schedule, bundle=bundle,
+                                       driver_override=clipped)
+    conds = [node.fit.cond for node in sweep.nodes()
+             if node.fit is not None and node.fit.cond is not None]
+    assert len(conds) == len(grid.points) - 2       # node 0 is W_0 = 0: no regression
+    assert (min(conds), max(conds)) == (diagnostics[0]["regression_cond_min"],
+                                        diagnostics[0]["regression_cond_max"])

@@ -162,3 +162,25 @@ def test_warm_step_allocates_at_most_three_states():
     assert _traced_peak(lipschitz_solver._implicit_step, *args, work) <= 3 * state
     # the allocating step peaks at about nine states on the same input
     assert _traced_peak(ref.implicit_step, *args) > 3 * state
+
+
+def test_warm_mc_node_allocates_at_most_two_states():
+    # one node of the MC defaults' shape, eight levels of 20000 paths, once the
+    # sweep's buffers exist: the targets, fitted values, step values and clamp
+    # masks go into them, and the node allocates its design and its QR factors
+    # (1.5 states; the sweep body that allocated them per node peaked at 5.4)
+    power1 = bl.IntensityModel.power_gap(1.0, 1.0)
+    grid = bl.make_grid(power1, 41, mass_cap=10.0)
+    prob = bl.BsdeProblem(intensity=power1,
+                          coefficient=bl.CoefficientProcess.constant(1.0, 1.0),
+                          sign=bl.NONLINEAR_PLUS, driver=bl.DriverSpec.exp_utility(1.0))
+    clipped = bl.truncate(prob.driver, 1.0, 1.0).to_driver_spec()
+    bundle = bl.simulate_paths(grid, 1, 20_000, seed=3)
+    caps = [2.0 ** k for k in range(1, 9)]
+    sweep = lipschitz_solver.NodeSweep(prob, grid, caps, bundle=bundle,
+                                       driver_override=clipped)
+    nodes = sweep.nodes()
+    for _ in range(4):
+        next(nodes)
+    state = len(caps) * 20_000 * 8
+    assert _traced_peak(next, nodes) <= 2 * state

@@ -242,6 +242,63 @@ class TestRegressionBasis:
         design = basis.design(w)
         assert design.shape == (50, 6)      # 1, w1, w2, w1^2, w1 w2, w2^2
 
+    @pytest.mark.parametrize("degree", range(8))
+    def test_polynomial_design_is_vander_in_fortran_order(self, degree):
+        w = np.random.default_rng(degree).standard_normal(1001) * 1.7
+        design = bl.RegressionBasis.polynomial(degree).design(w)
+        want = np.vander(w, degree + 1, increasing=True)
+        assert design.flags.f_contiguous
+        assert design.shape == want.shape
+        assert np.array_equal(design, want)
+        assert np.ascontiguousarray(design).tobytes() == want.tobytes()
+
+
+def _numpy_qr_fit(design, target):
+    """The factorisation ``fit_coefficients`` used before the economic QR:
+    ``np.linalg.qr`` on the C-ordered design."""
+    q, r = np.linalg.qr(np.ascontiguousarray(design))
+    coef = np.linalg.solve(r, q.T @ target)
+    svals = np.linalg.svd(r, compute_uv=False)
+    return coef, svals[0] / svals[-1]
+
+
+class TestEconomicQr:
+    """``fit_coefficients`` against an ``np.linalg.qr`` oracle.  Bitwise equality
+    is not asserted: another BLAS build may sum in another order."""
+
+    @pytest.mark.parametrize("degree", [1, 3, 5])
+    @pytest.mark.parametrize("scale", [0.05, 1.0])
+    def test_agrees_with_numpy_qr(self, degree, scale):
+        from bsdelab.lipschitz_solver import fit_coefficients
+
+        rng = np.random.default_rng(10 * degree + int(scale * 10))
+        w = rng.standard_normal(5000) * scale
+        target = np.column_stack([np.sin(w / scale), np.exp(-w), rng.standard_normal(5000)])
+        basis = bl.RegressionBasis.polynomial(degree)
+        coef, fit = fit_coefficients(basis, w, target)
+        want_coef, want_cond = _numpy_qr_fit(basis.design(w), target)
+        assert np.allclose(coef, want_coef, rtol=1e-12,
+                           atol=1e-12 * np.max(np.abs(want_coef)))
+        fitted, want_fitted = fit.design @ coef, basis.design(w) @ want_coef
+        assert np.allclose(fitted, want_fitted, rtol=1e-12,
+                           atol=1e-12 * np.max(np.abs(want_fitted)))
+        assert fit.cond == pytest.approx(want_cond, rel=1e-9)
+        assert fit.q.flags.c_contiguous
+
+    def test_degenerate_design_reports_the_numpy_condition(self):
+        from bsdelab.lipschitz_solver import _COND_LIMIT, fit_coefficients
+
+        # powers of a narrow level are near collinear: condition ~3e10, where
+        # sigma_min still carries about five digits
+        w = np.random.default_rng(4).uniform(2.0, 2.05, 2000)
+        basis = bl.RegressionBasis.polynomial(4)
+        with pytest.raises(BasisDegenerate) as err:
+            fit_coefficients(basis, w, np.ones((2000, 1)), node_index=7)
+        _, want_cond = _numpy_qr_fit(basis.design(w), np.ones((2000, 1)))
+        assert want_cond > _COND_LIMIT
+        assert err.value.node_index == 7
+        assert err.value.condition == pytest.approx(want_cond, rel=1e-4)
+
 
 class TestRandomTerminalAndSlopes:
     """Zero-intensity problems with a random terminal value have closed-form

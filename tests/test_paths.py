@@ -147,3 +147,42 @@ class TestSeedDomain:
         loaded = bl.load_bundle(path, grid)
         assert loaded.seed == 2**64 - 1
         assert np.array_equal(loaded.increments, bundle.increments)
+
+
+class TestNodeMajorLayout:
+    """Bundles keep node-major memory behind the (M, N, d) arrays: one node's
+    column is contiguous, and the values and the dump format are unchanged."""
+
+    @staticmethod
+    def _bundles(tmp_path, dim):
+        grid = uniform_grid(7)
+        simulated = bl.simulate_paths(grid, dim, 33, seed=77)
+        path = tmp_path / f"bundle{dim}.bin"
+        bl.dump_bundle(simulated, path)
+        return grid, simulated, bl.load_bundle(path, grid), path
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_node_columns_are_contiguous(self, tmp_path, dim):
+        _, simulated, loaded, _ = self._bundles(tmp_path, dim)
+        for bundle in (simulated, loaded):
+            assert bundle.levels.shape == (33, 7, dim)
+            assert bundle.increments.shape == (33, 6, dim)
+            for j in range(dim):
+                assert all(bundle.levels[:, i, j].flags.c_contiguous for i in range(7))
+                assert all(bundle.increments[:, i, j].flags.c_contiguous for i in range(6))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_levels_are_the_oracle_cumsum_and_the_dump_is_path_major(self, tmp_path, dim):
+        import struct
+
+        from test_philox import reference_increments
+
+        grid, simulated, loaded, path = self._bundles(tmp_path, dim)
+        want_inc = reference_increments(grid, dim, 33, 77)
+        want_levels = np.zeros((33, 7, dim))
+        np.cumsum(want_inc, axis=1, out=want_levels[:, 1:, :])
+        for bundle in (simulated, loaded):
+            assert np.ascontiguousarray(bundle.increments).tobytes() == want_inc.tobytes()
+            assert np.ascontiguousarray(bundle.levels).tobytes() == want_levels.tobytes()
+        header = struct.pack("<Qqqq", 77, 33, 7, dim)
+        assert path.read_bytes() == header + want_inc.astype("<f8").tobytes()
