@@ -12,11 +12,9 @@ from .coefficients import (
     IntensityModel,
     TerminalSpec,
     TimeGrid,
-    cumulative_intensity,
     make_grid,
-    validate_standing_assumption,
 )
-from .paths import PathBundle, dump_bundle, load_bundle, simulate_paths, stochastic_integral
+from .paths import PathBundle, simulate_paths
 from .affine import (
     AffineSolution,
     OdeClassification,
@@ -37,7 +35,6 @@ from .lipschitz_solver import (
 from .singular_scheme import (
     SchemeConfig,
     SchemeReport,
-    TruncatedDriver,
     estimate_bmo,
     estimate_lambda_f_integral,
     run_scheme,
@@ -50,7 +47,6 @@ from .diagnostics import (
     PathologyCertificate,
     certify_nonexistence,
     certify_nonuniqueness,
-    class_d_norm,
     residual_check,
 )
 from . import errors
@@ -61,12 +57,10 @@ __all__ = [
     "NONLINEAR_PLUS", "OdeClassification", "OdeFamilyScenario", "PathBundle",
     "PathologyCertificate", "PLUS_LAMBDA_Y", "RegressionBasis", "SchemeConfig",
     "SchemeReport", "SolutionEstimate", "TerminalSpec", "TimeGrid",
-    "TruncatedDriver", "backward_sweep", "certify_nonexistence", "certify_nonuniqueness",
-    "class_d_norm", "classify_ode", "comparison_check", "cumulative_intensity",
-    "dump_bundle", "errors", "estimate_bmo", "estimate_lambda_f_integral",
-    "fundamental_family", "load_bundle", "make_grid", "ode_family_member",
-    "residual_check", "run_scheme", "simulate_paths",
+    "backward_sweep", "certify_nonexistence", "certify_nonuniqueness",
+    "classify_ode", "comparison_check", "errors", "estimate_bmo",
+    "estimate_lambda_f_integral", "fundamental_family", "make_grid",
+    "ode_family_member", "residual_check", "run_scheme", "simulate_paths",
     "solve_affine_minus_particular", "solve_affine_plus", "solve_ode_mode",
-    "solve_regression_mc", "stochastic_integral", "truncate",
-    "validate_standing_assumption",
+    "solve_regression_mc", "truncate",
 ]

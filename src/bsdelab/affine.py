@@ -203,7 +203,7 @@ def _solve_affine_plus_markovian(problem, grid, bundle, basis):
 
         weights[j] = _gated_quad(integrand, lo, min(hi, lo + U_SPAN))
 
-    levels = bundle.levels[:, :, 0] if bundle.dim == 1 else bundle.levels
+    levels = bundle.levels[:, :, 0]
     m_paths = bundle.n_paths
     phi_nodes = np.empty((m_paths, cap + 1))
     for j in range(cap + 1):

@@ -9,8 +9,8 @@ schemes, certificates) is driven by ``Lam`` and its inverse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -37,7 +37,6 @@ POWER_GAP = "power_gap"
 EXP_GAP = "exp_gap"
 BOUNDED = "bounded"
 CUSTOM = "custom"
-TRUNCATED = "truncated"
 
 
 @dataclass(frozen=True)
@@ -45,8 +44,8 @@ class IntensityModel:
     """Deterministic intensity on ``[0, T)`` with known cumulative mass.
 
     Built via the classmethods; ``power_gap`` and ``exp_gap`` blow up at the
-    horizon, ``bounded`` does not, ``custom`` wraps a user function (integrated
-    by adaptive quadrature) and ``truncated`` caps another model at a level.
+    horizon, ``bounded`` does not, and ``custom`` wraps a user function
+    (integrated by adaptive quadrature).
     """
 
     kind: str
@@ -56,7 +55,6 @@ class IntensityModel:
     level: float = 0.0
     fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     singular: bool = False
-    base: Optional["IntensityModel"] = None
 
     # -- constructors -------------------------------------------------------
 
@@ -88,28 +86,19 @@ class IntensityModel:
             raise ValueError("horizon must be positive")
         return cls(kind=CUSTOM, horizon=horizon, fn=fn, singular=singular)
 
-    def truncated(self, level: float) -> "IntensityModel":
-        """min(lam, level): the bounded model used by the classical solvers."""
-        if level <= 0:
-            raise ValueError("truncation level must be positive")
-        if self.kind == TRUNCATED:
-            return replace(self, level=min(self.level, level))
-        return IntensityModel(
-            kind=TRUNCATED, horizon=self.horizon, level=level, base=self,
-        )
-
     # -- evaluation ---------------------------------------------------------
 
     @property
     def is_singular(self) -> bool:
         return self.singular
 
-    @property
-    def is_bounded(self) -> bool:
-        return self.kind in (BOUNDED, TRUNCATED) or (self.kind == CUSTOM and not self.singular)
+    def value(self, t, cap=None):
+        """lam(t), vectorised; returns +inf at the horizon for singular kinds.
 
-    def value(self, t):
-        """lam(t), vectorised; returns +inf at the horizon for singular kinds."""
+        With a ``cap`` it is the truncated intensity min(lam(t), cap) that the
+        classical solvers run on."""
+        if cap is not None and cap <= 0:
+            raise ValueError("truncation level must be positive")
         t = np.asarray(t, dtype=float)
         gap = self.horizon - t
         if np.any(t < 0) or np.any(gap < -1e-12 * max(1.0, self.horizon)):
@@ -123,14 +112,14 @@ class IntensityModel:
                 out = np.where(gap > 0, self.gamma / np.where(denom > 0, denom, 1.0), np.inf)
         elif self.kind == BOUNDED:
             out = np.full_like(t, self.level, dtype=float)
-        elif self.kind == TRUNCATED:
-            out = np.minimum(self.base.value(t), self.level)
         elif self.singular:
             # never hand the user function the horizon itself
             t_safe = np.minimum(t, self.horizon * (1.0 - _EPS_GAP))
             out = np.where(gap > 0, np.asarray(self.fn(t_safe), dtype=float), np.inf)
         else:
             out = np.asarray(self.fn(t), dtype=float)
+        if cap is not None:
+            out = np.minimum(out, cap)
         return out if out.ndim else float(out)
 
     def cumulative(self, t):
@@ -157,8 +146,6 @@ class IntensityModel:
             out = np.log(-np.expm1(-g * T)) - np.log(-np.expm1(-g * gap))
         elif self.kind == BOUNDED:
             out = self.level * t
-        elif self.kind == TRUNCATED:
-            out = self._truncated_cumulative(t)
         else:
             out = np.array([self._quad_mass(0.0, float(ti)) for ti in t])
         return float(out[0]) if scalar else out
@@ -171,49 +158,12 @@ class IntensityModel:
                       epsabs=QUAD_ABS_TOL, epsrel=1e-12, limit=400)
         return val
 
-    def _crossing_time(self) -> Optional[float]:
-        """First time the base intensity reaches the truncation level (closed kinds)."""
-        base, n, T = self.base, self.level, self.horizon
-        if base.kind == POWER_GAP:
-            t_star = T - base.p / n
-            return t_star if t_star > 0 else 0.0
-        if base.kind == EXP_GAP:
-            t_star = T - math.log1p(base.gamma / n) / base.gamma
-            return t_star if t_star > 0 else 0.0
-        if base.kind == BOUNDED:
-            return None if base.level <= n else 0.0
-        return None  # custom: no closed crossing, fall back to quadrature
-
-    def _truncated_cumulative(self, t: np.ndarray) -> np.ndarray:
-        base, n = self.base, self.level
-        if base.kind == CUSTOM:
-            return np.array([
-                quad(lambda s: min(float(base.value(s)), n), 0.0, float(ti),
-                     epsabs=QUAD_ABS_TOL, epsrel=1e-12, limit=400)[0]
-                for ti in t
-            ])
-        t_star = self._crossing_time()
-        if t_star is None:       # truncation never binds
-            return np.atleast_1d(base.cumulative(t))
-        out = np.empty_like(t)
-        below = t <= t_star
-        if t_star > 0:
-            out[below] = np.atleast_1d(base.cumulative(t[below]))
-            mass_at_star = float(base.cumulative(t_star))
-        else:
-            out[below] = n * t[below]
-            mass_at_star = 0.0
-        out[~below] = mass_at_star + n * (t[~below] - t_star)
-        return out
-
     def total_mass(self) -> float:
         """Lam(T-): +inf for singular kinds, the closed/quadrature value otherwise."""
         if self.is_singular:
             return math.inf
         if self.kind == BOUNDED:
             return self.level * self.horizon
-        if self.kind == TRUNCATED:
-            return float(self._truncated_cumulative(np.array([self.horizon]))[0])
         return self._quad_mass(0.0, self.horizon)
 
     def exp_minus_cumulative(self, t):
@@ -238,7 +188,7 @@ class IntensityModel:
         """The inverse of Lam: the time where the cumulative mass reaches ``target``.
 
         Closed form for power_gap, exp_gap and bounded intensities (clamped to
-        [0, T]), a bracketed secant search for custom and truncated ones.
+        [0, T]), a bracketed secant search for custom ones.
         """
         if not self._closed_inverse:
             return self._bisect_inverse(target)
@@ -286,8 +236,7 @@ class IntensityModel:
             raise ValueError("target mass must be nonnegative")
         if target == 0.0:
             return 0.0, 0.0
-        quadrature = self.kind == CUSTOM or (self.kind == TRUNCATED
-                                             and self.base.kind == CUSTOM)
+        quadrature = self.kind == CUSTOM
 
         def mass_from(lo: float, mass_lo: float, t: float) -> float:
             return mass_lo + self._quad_mass(lo, t) if quadrature else self.cumulative(t)
@@ -342,72 +291,9 @@ class IntensityModel:
             return w / (g * (1.0 - w))
         if self.kind == BOUNDED:
             return 1.0 / self.level if self.level > 0 else math.inf
-        if self.kind == TRUNCATED:
-            base_rate = self.base.inverse_rate_at_mass(self._base_mass_at(u)) \
-                if self.base.kind != CUSTOM else None
-            if base_rate is not None:
-                return max(base_rate, 1.0 / self.level)
         s = self.mass_inverse(u)
         lam = float(self.value(s))
         return 1.0 / lam if math.isfinite(lam) and lam > 0 else 0.0
-
-    def _base_mass_at(self, u: float) -> float:
-        """Translate a truncated-mass coordinate into the base model's one."""
-        t_star = self._crossing_time()
-        if t_star is None:
-            return u
-        mass_star = float(self.base.cumulative(t_star)) if t_star > 0 else 0.0
-        if u <= mass_star:
-            return u
-        t = t_star + (u - mass_star) / self.level
-        t = min(t, self.horizon * (1 - _EPS_GAP))
-        return float(self.base.cumulative(t))
-
-
-def cumulative_intensity(model: IntensityModel, t: float) -> float:
-    """Lam(t) under the strict contract 0 <= t < T."""
-    if t < 0:
-        raise ValueError(f"time {t} is negative")
-    if t >= model.horizon:
-        raise SingularEvaluation(
-            f"time {t} is at or beyond the horizon {model.horizon}"
-        )
-    return float(model.cumulative(t))
-
-
-# ---------------------------------------------------------------------------
-# Standing-assumption probe
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StandingAssumptionReport:
-    epsilons: tuple
-    mass_values: tuple        # Lam(T - eps) for each eps
-    all_finite: bool
-    increasing: bool
-    exceeds_threshold: bool
-    diverges: bool
-
-
-def validate_standing_assumption(model: IntensityModel,
-                                 epsilons: Sequence[float],
-                                 threshold: float) -> StandingAssumptionReport:
-    """Probe Lam(T - eps) along shrinking eps and flag blow-up at the horizon."""
-    eps = [float(e) for e in epsilons]
-    if any(e <= 0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValueError("epsilons must be positive and strictly decreasing")
-    vals = [float(model.cumulative(model.horizon - e)) for e in eps]
-    all_finite = all(math.isfinite(v) for v in vals)
-    increasing = all(b > a for a, b in zip(vals, vals[1:])) if len(vals) > 1 else True
-    exceeds = vals[-1] > threshold
-    return StandingAssumptionReport(
-        epsilons=tuple(eps),
-        mass_values=tuple(vals),
-        all_finite=all_finite,
-        increasing=increasing,
-        exceeds_threshold=exceeds,
-        diverges=all_finite and increasing and exceeds,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +498,6 @@ class DriverSpec:
 
 UNIFORM = "uniform"
 INTENSITY_MASS = "intensity_mass"
-GEOMETRIC_TAIL = "geometric_tail"
 
 
 @dataclass(frozen=True)
@@ -656,8 +541,7 @@ class TimeGrid:
 
 
 def make_grid(model: IntensityModel, n: int, scheme: str = INTENSITY_MASS, *,
-              mass_cap: float = 12.0, ratio: float = 0.5,
-              eps_min: float = 1e-6) -> TimeGrid:
+              mass_cap: float = 12.0) -> TimeGrid:
     """Build a partition of [0, T] adapted to the intensity.
 
     ``uniform``: n equally spaced points.
@@ -666,7 +550,6 @@ def make_grid(model: IntensityModel, n: int, scheme: str = INTENSITY_MASS, *,
     the terminal node appended.  The equal-mass property holds to 1e-9 while
     lam at the cap stays below ~1e6/T; beyond that the time coordinate can no
     longer resolve the mass increments.
-    ``geometric_tail``: distances to T shrink geometrically down to ``eps_min``.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -689,16 +572,6 @@ def make_grid(model: IntensityModel, n: int, scheme: str = INTENSITY_MASS, *,
         if np.any(np.diff(pts) <= 0):
             raise InfeasibleGrid("mass-equidistributed nodes collide near the horizon")
         return TimeGrid(points=pts, cap_index=n - 1)
-    if scheme == GEOMETRIC_TAIL:
-        if not (0 < ratio < 1):
-            raise ValueError("ratio must lie in (0, 1)")
-        if not (0 < eps_min < T):
-            raise ValueError("eps_min must lie in (0, T)")
-        dists = T * ratio ** np.arange(n - 1)
-        dists = np.maximum(dists, eps_min)
-        dists = np.unique(dists)[::-1]
-        pts = np.append(T - dists, T)
-        return TimeGrid(points=pts, cap_index=len(pts) - 2)
     raise ValueError(f"unknown grid scheme {scheme!r}")
 
 
@@ -800,12 +673,3 @@ class BsdeProblem:
         if self.sign == MINUS_LAMBDA_Y:
             return DriverSpec.neg_identity()
         return self.driver
-
-    def with_intensity(self, model: IntensityModel) -> "BsdeProblem":
-        return replace(self, intensity=model)
-
-    def with_driver(self, driver: DriverSpec) -> "BsdeProblem":
-        return replace(self, sign=NONLINEAR_PLUS, driver=driver)
-
-    def with_terminal(self, terminal: TerminalSpec) -> "BsdeProblem":
-        return replace(self, terminal=terminal)

@@ -1,5 +1,5 @@
-"""Numerical certificates for the pathologies: non-existence growth series,
-residual-verified non-uniqueness families, and the class-(D) norm.
+"""Numerical certificates for the pathologies: non-existence growth series and
+residual-verified non-uniqueness families.
 
 Non-existence is certified by divergence of the truncated-solution driver mass
 along the level schedule, the computable shadow of the contradiction argument.
@@ -59,25 +59,18 @@ def _left_z(candidate: Candidate, i: int):
 
 
 def residual_check(candidate: Candidate, problem: BsdeProblem,
-                   bundle: Optional[PathBundle] = None,
-                   rule: Optional[str] = None) -> ResidualReport:
+                   bundle: Optional[PathBundle] = None) -> ResidualReport:
     """Plug the candidate back into the discrete equation on [0, t_cap].
 
-    ``trapezoid`` (default for closed-form candidates) integrates the driver by
-    the trapezoidal rule over each step; ``implicit_left`` (default for solver
-    output) uses the solver's own left-point quadrature.  Pathwise candidates
-    subtract the Ito term Z dW and report the path-averaged absolute residual.
+    The driver is integrated by the trapezoidal rule over each step.  Pathwise
+    candidates subtract the Ito term Z dW and report the path-averaged
+    absolute residual.
     """
-    if rule is None:
-        rule = "implicit_left" if isinstance(candidate, SolutionEstimate) else "trapezoid"
     grid = candidate.grid
     pts, cap = grid.points, grid.cap_index
-    intensity = problem.intensity
     lam_cap = getattr(candidate, "lambda_cap", None)
-    if lam_cap is not None:
-        intensity = intensity.truncated(float(lam_cap))
     driver = getattr(candidate, "driver_used", None) or problem.effective_driver()
-    lam = np.asarray(intensity.value(pts[:cap + 1]), dtype=float)
+    lam = np.asarray(problem.intensity.value(pts[:cap + 1], lam_cap), dtype=float)
 
     y = candidate.y
     pathwise = y.ndim == 2
@@ -99,13 +92,7 @@ def residual_check(candidate: Candidate, problem: BsdeProblem,
     for i in range(cap):
         dt = float(pts[i + 1] - pts[i])
         dy = (y[:, i + 1] - y[:, i]) if pathwise else (y[i + 1] - y[i])
-        if rule == "trapezoid":
-            drift = 0.5 * (g_vals[i] + g_vals[i + 1]) * dt
-        elif rule == "implicit_left":
-            drift = g_vals[i] * dt      # the solver's own quadrature point
-        else:
-            raise ValueError(f"unknown residual rule {rule!r}")
-        resid = dy - drift
+        resid = dy - 0.5 * (g_vals[i] + g_vals[i + 1]) * dt
         if pathwise:
             resid = resid - _left_z(candidate, i) * bundle.increments[:, i, 0]
             max_resid = max(max_resid, float(np.mean(np.abs(resid))))
@@ -119,36 +106,6 @@ def residual_check(candidate: Candidate, problem: BsdeProblem,
     terminal_gap = float(np.max(np.abs(y_term - terminal)))
     return ResidualReport(max_residual=max_resid, terminal_gap=terminal_gap,
                           integrability_estimate=integr)
-
-
-# ---------------------------------------------------------------------------
-# Class (D) norm
-# ---------------------------------------------------------------------------
-
-def class_d_norm(sol: Candidate, sup_bound: Optional[float] = None) -> float:
-    """sup over a stopping-time family of E|Y_tau|.
-
-    Deterministic solutions: maximum nodal |Y|.  Pathwise solutions add
-    first-hitting times of eight evenly spaced |Y| levels to the deterministic
-    nodes; the result is a lower bound of the true supremum.
-    """
-    y = sol.y
-    if y.ndim == 1:
-        return float(np.max(np.abs(y)))
-    node_best = float(np.max(np.mean(np.abs(y), axis=0)))
-    if sup_bound is None and isinstance(sol, SolutionEstimate):
-        sup_bound = sol.problem.coefficient.sup_norm * sol.grid.horizon
-    if not sup_bound:
-        return node_best
-    best = node_best
-    m, n = y.shape
-    rows = np.arange(m)
-    for k in range(1, 9):
-        level = k * sup_bound / 8.0
-        hit = np.abs(y) >= level
-        first = np.where(hit.any(axis=1), hit.argmax(axis=1), n - 1)
-        best = max(best, float(np.mean(np.abs(y[rows, first]))))
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +156,20 @@ def certify_nonexistence(problem: BsdeProblem, schedule: Sequence[float],
         raise ValueError("the schedule needs at least two levels to witness growth")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be increasing")
+    # split [t_cap, T) so that dt min(n, lam) <= 1/2 there at the top level: the
+    # implicit step stays monotone however far lam(t_cap) exceeds 1 / dt.  Only
+    # where the regular nodes reach past lam = n for the lowest level; on a
+    # coarser grid every level truncates inside the one tail step, and a
+    # non-monotone step there is reported as it is
+    t_cap, horizon = grid.t_cap, grid.horizon
+    pieces = math.ceil(2.0 * schedule[-1] * (horizon - t_cap))
+    if pieces > 1 and problem.intensity.value(t_cap) > schedule[0]:
+        grid = TimeGrid(points=np.concatenate([grid.points[:grid.cap_index],
+                                               np.linspace(t_cap, horizon, pieces + 1)]),
+                        cap_index=grid.cap_index)
     series = []
     for n, sol in zip(schedule, backward_sweep(problem, grid, schedule)):
-        lam_vals = np.asarray(problem.intensity.truncated(n).value(grid.points))
+        lam_vals = np.asarray(problem.intensity.value(grid.points, n))
         mass = float(np.trapezoid(lam_vals * np.abs(sol.y), grid.points))
         series.append((n, mass))
     values = [m for _, m in series]
@@ -301,7 +269,7 @@ def certify_nonuniqueness(scenario, grid: TimeGrid,
         raise ValueError("a non-uniqueness certificate needs at least two members")
     residuals = []
     for member in members:
-        rep = residual_check(member, problem, bundle=bundle, rule="trapezoid")
+        rep = residual_check(member, problem, bundle=bundle)
         if rep.max_residual > tol:
             raise CertificateFailed(
                 f"member y0={member.y0} fails verification: residual "

@@ -13,7 +13,6 @@ as the truncation level grows; an explicit step would need dt ~ 1/n.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
@@ -37,9 +36,8 @@ _COND_LIMIT = 1e10
 class RegressionBasis:
     """Feature map applied to the Brownian level at each node."""
 
-    kind: str                     # polynomial | piecewise_linear
+    kind: str                     # polynomial
     degree: int = 3
-    knots: tuple = ()
 
     @classmethod
     def polynomial(cls, degree: int) -> "RegressionBasis":
@@ -47,39 +45,15 @@ class RegressionBasis:
             raise ValueError("degree must be nonnegative")
         return cls(kind="polynomial", degree=degree)
 
-    @classmethod
-    def piecewise_linear(cls, knots) -> "RegressionBasis":
-        ks = tuple(sorted(float(k) for k in knots))
-        if len(ks) < 2:
-            raise ValueError("piecewise basis needs at least two knots")
-        return cls(kind="piecewise_linear", knots=ks)
-
     def design(self, w: np.ndarray) -> np.ndarray:
+        """Monomials 1, w, ..., w^degree of a one-dimensional level, built column
+        by column in Fortran order: the products np.vander forms."""
         w = np.asarray(w, dtype=float)
-        if self.kind == "polynomial":
-            if w.ndim == 1:
-                # column by column in Fortran order, the products np.vander forms
-                x = np.empty((len(w), self.degree + 1), order="F")
-                x[:, 0] = 1.0
-                for k in range(1, self.degree + 1):
-                    np.multiply(x[:, k - 1], w, out=x[:, k])
-                return x
-            # total-degree monomials over coordinates
-            m, d = w.shape
-            cols = [np.ones(m)]
-            for deg in range(1, self.degree + 1):
-                for combo in itertools.combinations_with_replacement(range(d), deg):
-                    col = np.ones(m)
-                    for j in combo:
-                        col = col * w[:, j]
-                    cols.append(col)
-            return np.column_stack(cols)
-        if w.ndim != 1:
-            raise ValueError("piecewise basis is one dimensional")
-        ks = np.asarray(self.knots)
-        cols = [np.ones_like(w), w]
-        cols += [np.maximum(w - k, 0.0) for k in ks[1:-1]]
-        return np.column_stack(cols)
+        x = np.empty((len(w), self.degree + 1), order="F")
+        x[:, 0] = 1.0
+        for k in range(1, self.degree + 1):
+            np.multiply(x[:, k - 1], w, out=x[:, k])
+        return x
 
 
 def _degenerate_level(w: np.ndarray) -> bool:
@@ -163,19 +137,6 @@ class SolutionEstimate:
 
     def nodal_mean(self) -> np.ndarray:
         return self.y.mean(axis=0) if self.pathwise else self.y
-
-    def nodal_sd(self) -> np.ndarray:
-        return self.y.std(axis=0) if self.pathwise else np.zeros_like(self.y)
-
-
-def _effective_parts(problem: BsdeProblem, lambda_cap, driver_override):
-    intensity = problem.intensity
-    if lambda_cap is not None:
-        intensity = intensity.truncated(float(lambda_cap))
-    if not intensity.is_bounded:
-        raise ValueError("the classical solver needs a bounded (truncated) intensity")
-    driver = driver_override if driver_override is not None else problem.effective_driver()
-    return intensity, driver
 
 
 # ---------------------------------------------------------------------------
@@ -363,17 +324,22 @@ class NodeSweep:
             raise ValueError("ODE mode needs deterministic coefficients")
         elif problem.terminal.kind == "random":
             raise ValueError("ODE mode needs a deterministic terminal value")
-        parts = [_effective_parts(problem, cap, driver_override) for cap in caps]
+        lam_nodes = []
+        for cap in caps:
+            if cap is None and problem.intensity.is_singular:
+                raise ValueError("the classical solver needs a bounded (truncated) intensity")
+            lam_nodes.append(np.asarray(problem.intensity.value(grid.points[:-1], cap),
+                                        dtype=float))
         if self.mc and bundle.dim != 1:
             raise ValueError("regression mode currently supports one Brownian dimension")
         self.problem, self.grid, self.caps = problem, grid, list(caps)
         self.bundle, self.basis, self.clamp_margin = bundle, basis, clamp_margin
-        self.driver = parts[0][1]
+        self.driver = driver_override if driver_override is not None \
+            else problem.effective_driver()
         self.m_paths = bundle.n_paths if self.mc else 1
         self.box = _box_clamp_applies(problem)
-        self._lam_nodes = np.array([np.asarray(intensity.value(grid.points[:-1]),
-                                               dtype=float) for intensity, _ in parts])
-        n_levels = len(parts)
+        self._lam_nodes = np.array(lam_nodes)
+        n_levels = len(lam_nodes)
         self.residual_max = np.zeros(n_levels)
         self.box_excursion_raw = np.zeros(n_levels)
         self.y_min = np.full(n_levels, np.inf)

@@ -11,7 +11,6 @@ no rejection sampling, so the draw count per path is fixed.
 from __future__ import annotations
 
 import operator
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -22,7 +21,6 @@ from .coefficients import TimeGrid
 from .errors import ResourceLimit
 
 MEMORY_CAP_ELEMENTS = 200_000_000      # ~1.6 GB of float64 per bundle
-_STREAM_SCHEME = "philox4x64:key=(seed,path)"
 DRAW_BLOCK = 1 << 16      # raw draws per block of paths: cache-sized temporaries
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -48,15 +46,10 @@ class PathBundle:
     increments: np.ndarray      # (M, N-1, d), Gaussian with variance = grid gap
     levels: np.ndarray          # (M, N, d), prefix sums with W_0 = 0
     seed: int
-    stream_scheme: str = _STREAM_SCHEME
 
     @property
     def n_steps(self) -> int:
         return self.grid.n_points - 1
-
-    def terminal_levels(self):
-        w = self.levels[:, -1, :]
-        return w[:, 0] if self.dim == 1 else w
 
 
 def _mulhilo(a: np.ndarray, mul: int) -> tuple:
@@ -140,60 +133,14 @@ def simulate_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int,
             list(pool.map(fill, blocks))
 
     node_major *= np.sqrt(grid.gaps)[:, None, None]
-    return _node_major_bundle(grid, node_major, int(seed))
-
-
-def _node_major_bundle(grid: TimeGrid, increments: np.ndarray, seed: int) -> PathBundle:
-    """The bundle around node-major (N-1, d, M) ``increments``: the levels are
-    their prefix sums along the nodes, in the same memory order.
-
-    The sums run one contiguous node row at a time; they are the additions of
-    ``np.cumsum`` along the nodes, in its order.
-    """
-    n_steps, dim, n_paths = increments.shape
+    # the levels are the prefix sums along the nodes, in the same memory order,
+    # formed one contiguous node row at a time: the additions of ``np.cumsum``
+    # along the nodes, in its order
     levels = np.empty((n_steps + 1, dim, n_paths), dtype=np.float64)
     levels[0] = 0.0
-    levels[1:2] = increments[:1]
+    levels[1:2] = node_major[:1]
     for i in range(1, n_steps):
-        np.add(levels[i], increments[i], out=levels[i + 1])
+        np.add(levels[i], node_major[i], out=levels[i + 1])
     return PathBundle(grid=grid, dim=dim, n_paths=n_paths,
-                      increments=increments.transpose(2, 0, 1),
+                      increments=node_major.transpose(2, 0, 1),
                       levels=levels.transpose(2, 0, 1), seed=seed)
-
-
-def stochastic_integral(bundle: PathBundle, integrand) -> np.ndarray:
-    """Left-point Ito sum: per path, sum_i beta(t_i) . dW_i over all coordinates.
-
-    ``integrand`` holds the values at the left nodes: shape (N-1,) for a scalar
-    integrand broadcast over coordinates, or (N-1, d) per coordinate.
-    """
-    beta = np.asarray(integrand, dtype=float)
-    n_steps, d = bundle.n_steps, bundle.dim
-    if beta.shape == (n_steps,):
-        beta = beta[:, None]
-    if beta.shape != (n_steps, d):
-        raise ValueError(
-            f"integrand shape {beta.shape} does not match ({n_steps},) or ({n_steps}, {d})"
-        )
-    return np.einsum("mid,id->m", bundle.increments, beta)
-
-
-def dump_bundle(bundle: PathBundle, path) -> None:
-    """Cross-implementation dump: little-endian header of the seed as uint64
-    and (M, N, d) as int64, then the increments row major as little-endian float64."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Qqqq", bundle.seed, bundle.n_paths,
-                             bundle.grid.n_points, bundle.dim))
-        fh.write(np.ascontiguousarray(bundle.increments, dtype="<f8").tobytes())
-
-
-def load_bundle(path, grid: TimeGrid) -> PathBundle:
-    """Rebuild a bundle from a dump; the grid is not part of the wire format."""
-    with open(path, "rb") as fh:
-        seed, m, n, d = struct.unpack("<Qqqq", fh.read(32))
-        inc = np.frombuffer(fh.read(8 * m * (n - 1) * d), dtype="<f8")
-    if grid.n_points != n:
-        raise ValueError(f"dump was written on a {n}-point grid, got {grid.n_points}")
-    increments = np.empty((n - 1, d, m), dtype=np.float64)
-    increments.transpose(2, 0, 1)[...] = inc.reshape(m, n - 1, d)
-    return _node_major_bundle(grid, increments, int(seed))

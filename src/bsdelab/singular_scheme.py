@@ -35,63 +35,42 @@ BOX_SLACK_ODE = 1e-10
 # Driver truncation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TruncatedDriver:
+def truncate(driver: DriverSpec, coefficient_bound: float, horizon: float) -> DriverSpec:
     """Lipschitz surrogate: f clipped below the a-priori lower bound of Y.
 
-    f_tilde(x) = f(max(x, L)) with L = -T * sup|phi|; identical to f on [L, 0],
-    where the solutions provably live, and constant below L.
+    f_tilde(x) = f(max(x, L)) with L = -horizon * coefficient_bound, and f' zeroed
+    below L; identical to f on [L, 0], where the solutions provably live, and
+    constant below L.  The joint form clips once for f and f'; with
+    ``out=(f, fprime)`` the clipped argument goes into ``f`` first.
     """
-
-    base: DriverSpec
-    lower_clip: float
-    lipschitz_constant: float
-
-    def f_tilde(self, x):
-        return self.base.f(np.maximum(np.asarray(x, dtype=float), self.lower_clip))
-
-    def fprime_tilde(self, x):
-        x = np.asarray(x, dtype=float)
-        inside = x >= self.lower_clip
-        return np.where(inside, self.base.fprime(np.maximum(x, self.lower_clip)), 0.0)
-
-    def f_fprime_tilde(self, x, out=None):
-        """(f_tilde(x), fprime_tilde(x)), clipping once for both; with
-        ``out=(f, fprime)`` the clipped argument goes into ``f`` first."""
-        x = np.asarray(x, dtype=float)
-        if out is None:
-            f, fprime = self.base.f_fprime(np.maximum(x, self.lower_clip))
-            return f, np.where(x >= self.lower_clip, fprime, 0.0)
-        outside = np.logical_not(x >= self.lower_clip)
-        self.base.f_fprime(np.maximum(x, self.lower_clip, out=out[0]), out=out)
-        np.copyto(out[1], 0.0, where=outside)
-        return out
-
-    def to_driver_spec(self) -> DriverSpec:
-        return DriverSpec(
-            name=f"clipped[{self.base.name}]",
-            f=self.f_tilde,
-            fprime=self.fprime_tilde,
-            zero_at_zero=self.base.zero_at_zero,
-            nondecreasing=self.base.nondecreasing,
-            below_identity=False,   # the clip breaks f <= x below L; irrelevant on [L, 0]
-            derivative_floor=0.0,
-            joint=self.f_fprime_tilde,
-        )
-
-
-def truncate(driver: DriverSpec, coefficient_bound: float, horizon: float) -> TruncatedDriver:
-    """Clip the driver at L = -horizon * coefficient_bound and record its Lipschitz constant."""
     if not (driver.zero_at_zero and driver.nondecreasing and driver.below_identity):
         raise ValueError("driver truncation needs the monotone-driver flags")
     if coefficient_bound < 0 or horizon <= 0:
         raise ValueError("coefficient bound must be nonnegative, horizon positive")
     clip = -horizon * coefficient_bound
-    xs = np.linspace(clip, 0.0, 2001)
-    slopes = np.abs(np.asarray(driver.fprime(xs), dtype=float))
-    lipschitz = float(max(slopes.max(), abs(float(driver.fprime(clip))),
-                          abs(float(driver.fprime(0.0)))))
-    return TruncatedDriver(base=driver, lower_clip=clip, lipschitz_constant=lipschitz)
+
+    def f(x):
+        return driver.f(np.maximum(np.asarray(x, dtype=float), clip))
+
+    def fprime(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x >= clip, driver.fprime(np.maximum(x, clip)), 0.0)
+
+    def joint(x, out=None):
+        x = np.asarray(x, dtype=float)
+        if out is None:
+            fx, dfx = driver.f_fprime(np.maximum(x, clip))
+            return fx, np.where(x >= clip, dfx, 0.0)
+        outside = np.logical_not(x >= clip)
+        driver.f_fprime(np.maximum(x, clip, out=out[0]), out=out)
+        np.copyto(out[1], 0.0, where=outside)
+        return out
+
+    return DriverSpec(
+        name=f"clipped[{driver.name}]", f=f, fprime=fprime, joint=joint,
+        zero_at_zero=driver.zero_at_zero, nondecreasing=driver.nondecreasing,
+        below_identity=False,   # the clip breaks f <= x below L; irrelevant on [L, 0]
+        derivative_floor=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +114,6 @@ class SchemeConfig:
     bundle: Optional[PathBundle] = None
     basis: Optional[RegressionBasis] = None
     clamp_margin: float = 1e-3
-    extrapolate_final: bool = True
 
 
 def run_scheme(problem: BsdeProblem, grid: TimeGrid, schedule: Sequence[float],
@@ -171,7 +149,7 @@ def run_scheme(problem: BsdeProblem, grid: TimeGrid, schedule: Sequence[float],
     upto = max(upto, 0)
 
     sup = problem.coefficient.sup_norm
-    clipped = truncate(problem.driver, sup, problem.horizon).to_driver_spec()
+    clipped = truncate(problem.driver, sup, problem.horizon)
 
     if config.mode not in ("ode", "mc"):
         raise ValueError(f"unknown scheme mode {config.mode!r}")
@@ -224,8 +202,7 @@ def run_scheme(problem: BsdeProblem, grid: TimeGrid, schedule: Sequence[float],
     box_viol = float(np.max(sweep.box_excursion_raw))
     bounds_ok = box_viol <= box_slack
 
-    final = _extrapolated_final(solutions, schedule, sup) \
-        if config.extrapolate_final else solutions[-1]
+    final = _extrapolated_final(solutions, schedule, sup)
     masses = _lambda_f_integrals(problem, grid, schedule, mean_abs_f)
     converged = gaps[-1] < config.tol
 
@@ -281,7 +258,8 @@ class _BmoFold:
     def __init__(self, basis: RegressionBasis, quantile: float = 0.005, n_eval: int = 41):
         self.basis, self.quantile, self.n_eval = basis, quantile, n_eval
         self.tail = 0.0
-        self.value, self.stderr = 0.0, 0.0
+        self.value = 0.0
+        self._argmax = None     # (level, tail, coef, evaluation row) at the maximum
 
     def add(self, w, z, dt, fit=None, node_index: int = -1) -> None:
         """Fold in the node with Brownian level ``w`` and Z values ``z`` over a step
@@ -301,13 +279,24 @@ class _BmoFold:
         j = int(np.argmax(est))
         # ties go to the earliest node, as in a forward scan
         if est[j] > self.value or est[j] == self.value > 0.0:
-            design = np.ascontiguousarray(fit.design)
-            resid = self.tail - design @ coef
-            sigma2 = float(resid @ resid) / max(len(w) - design.shape[1], 1)
-            gram_inv = np.linalg.pinv(design.T @ design)
+            # ``tail`` is a new array at every node, so the reference stays valid.
+            # The design is rebuilt from the level at the end: holding the node's
+            # own design through the sweep raised the peak resident memory of a
+            # 200k-path, 21-node run by about 7%
             self.value = float(est[j])
-            self.stderr = float(math.sqrt(max(sigma2 * x_eval[j] @ gram_inv @ x_eval[j],
-                                              0.0)))
+            self._argmax = (w, self.tail, coef, x_eval[j])
+
+    @property
+    def stderr(self) -> float:
+        """Standard error of the fitted surface at the maximum, from that node's regression."""
+        if self._argmax is None:
+            return 0.0
+        w, tail, coef, x_max = self._argmax
+        design = np.ascontiguousarray(self.basis.design(w))
+        resid = tail - design @ coef
+        sigma2 = float(resid @ resid) / max(len(tail) - design.shape[1], 1)
+        gram_inv = np.linalg.pinv(design.T @ design)
+        return float(math.sqrt(max(sigma2 * x_max @ gram_inv @ x_max, 0.0)))
 
 
 def estimate_bmo(sol: SolutionEstimate, bundle: Optional[PathBundle],
@@ -343,10 +332,7 @@ def _lambda_f_integrals(problem: BsdeProblem, grid: TimeGrid, caps: Sequence,
     from the node means ``mean_abs_f`` (one column per level)."""
     out = []
     for k, cap in enumerate(caps):
-        intensity = problem.intensity
-        if cap is not None:
-            intensity = intensity.truncated(float(cap))
-        lam_vals = np.asarray(intensity.value(grid.points), dtype=float)
+        lam_vals = np.asarray(problem.intensity.value(grid.points, cap), dtype=float)
         out.append(float(np.trapezoid(lam_vals * mean_abs_f[:, k], grid.points)))
     return tuple(out)
 

@@ -25,7 +25,6 @@ from bsdelab.lipschitz_solver import (
     _box_clamp_applies,
     _bracket_and_bisect,
     _degenerate_level,
-    _effective_parts,
 )
 
 
@@ -97,9 +96,9 @@ def implicit_scalar_step(y_next, dt, phi_i, lam_i, driver, b):
 
 def solve_ode_mode(problem, grid, lambda_cap=None, driver_override=None):
     """Nodal values (N,) and the worst Newton residual of one level."""
-    intensity, driver = _effective_parts(problem, lambda_cap, driver_override)
+    driver = driver_override if driver_override is not None else problem.effective_driver()
     pts = grid.points
-    lam_nodes = np.asarray(intensity.value(pts[:-1]), dtype=float)
+    lam_nodes = np.asarray(problem.intensity.value(pts[:-1], lambda_cap), dtype=float)
     phi_nodes = np.asarray([problem.coefficient.value(float(t)) for t in pts[:-1]])
     y = np.empty(len(pts))
     y[-1] = float(problem.terminal.values())
@@ -155,7 +154,7 @@ def solve_regression_mc(problem, grid, bundle, basis=None, lambda_cap=None,
     """Path-nodal values (M, N), Z (M, N - 1) and the worst Newton residual of one level."""
     if basis is None:
         basis = RegressionBasis.polynomial(3)
-    intensity, driver = _effective_parts(problem, lambda_cap, driver_override)
+    driver = driver_override if driver_override is not None else problem.effective_driver()
     pts = grid.points
     n_pts, m_paths = len(pts), bundle.n_paths
     levels = bundle.levels[:, :, 0]
@@ -169,7 +168,7 @@ def solve_regression_mc(problem, grid, bundle, basis=None, lambda_cap=None,
     worst_resid = 0.0
     for i in range(n_pts - 2, -1, -1):
         dt = float(pts[i + 1] - pts[i])
-        lam_i = float(intensity.value(float(pts[i])))
+        lam_i = float(problem.intensity.value(float(pts[i]), lambda_cap))
         w_i = levels[:, i]
         y_fit = fit_conditional(basis, w_i, y[:, i + 1], node_index=i)
         z_fit = fit_conditional(basis, w_i, y[:, i + 1] * increments[:, i] / dt,

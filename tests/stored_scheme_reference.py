@@ -62,8 +62,8 @@ def estimate_bmo(sol, bundle, basis, quantile=0.005, n_eval=41):
 
 
 def estimate_lambda_f_integral(sol):
-    intensity = sol.problem.intensity.truncated(float(sol.lambda_cap))
-    lam_vals = np.asarray(intensity.value(sol.grid.points), dtype=float)
+    lam_vals = np.asarray(sol.problem.intensity.value(sol.grid.points, float(sol.lambda_cap)),
+                          dtype=float)
     fy = np.abs(np.asarray(sol.driver_used.f(sol.y), dtype=float))
     mean_fy = fy.mean(axis=0) if sol.pathwise else fy
     return float(np.trapezoid(lam_vals * mean_fy, sol.grid.points))
@@ -77,7 +77,7 @@ def run_scheme(problem, grid, schedule, t0=None, config=None):
     t0 = grid.t_cap if t0 is None else t0
     upto = max(int(np.searchsorted(grid.points, t0 + 1e-15) - 1), 0)
     sup = problem.coefficient.sup_norm
-    clipped = truncate(problem.driver, sup, problem.horizon).to_driver_spec()
+    clipped = truncate(problem.driver, sup, problem.horizon)
     bundle = config.bundle if config.mode == "mc" else None
     solutions = backward_sweep(problem, grid, schedule, bundle=bundle, basis=config.basis,
                                driver_override=clipped, clamp_margin=config.clamp_margin)
@@ -86,8 +86,7 @@ def run_scheme(problem, grid, schedule, t0=None, config=None):
     mono = max(max(monotone_violation(a, b) for a, b in zip(solutions, solutions[1:])), 0.0)
     box_slack = BOX_SLACK_ODE if config.mode == "ode" else config.clamp_margin + 1e-12
     box_viol = max(s.diagnostics["box_excursion_raw"] for s in solutions)
-    final = _extrapolated_final(solutions, schedule, sup) \
-        if config.extrapolate_final else solutions[-1]
+    final = _extrapolated_final(solutions, schedule, sup)
     if config.mode == "mc":
         bmo_value, bmo_stderr = estimate_bmo(
             solutions[-1], bundle, config.basis or RegressionBasis.polynomial(3))

@@ -186,7 +186,7 @@ def test_criterion_08_bmo_bound(power1):
     prob = bl.BsdeProblem(intensity=power1, coefficient=coeff,
                           sign=bl.NONLINEAR_PLUS,
                           driver=bl.DriverSpec.exp_utility(1.0))
-    clipped = bl.truncate(prob.driver, 1.0, 1.0).to_driver_spec()
+    clipped = bl.truncate(prob.driver, 1.0, 1.0)
     sol = bl.solve_regression_mc(prob, grid, bundle, lambda_cap=64.0,
                                  driver_override=clipped)
     est = bl.estimate_bmo(sol, bundle)

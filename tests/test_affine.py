@@ -56,7 +56,7 @@ class TestSolveAffinePlus:
         sol = bl.solve_affine_plus(
             plus_problem(power1, bl.CoefficientProcess.constant(1.0, 1.0)), grid)
         prob = plus_problem(power1, bl.CoefficientProcess.constant(1.0, 1.0))
-        rep = bl.residual_check(sol, prob, rule="trapezoid")
+        rep = bl.residual_check(sol, prob)
         assert rep.max_residual < 1e-6
 
     def test_markovian_matches_conditional_expectation_oracle(self, power1):
@@ -244,5 +244,5 @@ class TestAffinePlusWithSlope:
                               coefficient=bl.CoefficientProcess.constant(1.0, 1.0),
                               sign=bl.PLUS_LAMBDA_Y, y_slope=b)
         sol = bl.solve_affine_plus(prob, grid)
-        rep = bl.residual_check(sol, prob, rule="trapezoid")
+        rep = bl.residual_check(sol, prob)
         assert rep.max_residual < 1e-5

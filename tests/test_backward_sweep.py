@@ -25,7 +25,7 @@ def markovian_case(power1):
     prob = bl.BsdeProblem(intensity=power1, coefficient=coeff,
                           sign=bl.NONLINEAR_PLUS,
                           driver=bl.DriverSpec.exp_utility(1.0))
-    clipped = bl.truncate(prob.driver, 1.0, 1.0).to_driver_spec()
+    clipped = bl.truncate(prob.driver, 1.0, 1.0)
     bundle = bl.simulate_paths(grid, 1, 20_000, seed=3)
     schedule = [2.0 ** k for k in range(1, 7)]
     return prob, grid, bundle, clipped, schedule
@@ -56,7 +56,7 @@ def test_ode_levels_match_reference(power1):
     prob = bl.BsdeProblem(intensity=power1,
                           coefficient=bl.CoefficientProcess.constant(1.0, 1.0),
                           sign=bl.NONLINEAR_PLUS, driver=bl.DriverSpec.exp_utility(1.0))
-    clipped = bl.truncate(prob.driver, 1.0, 1.0).to_driver_spec()
+    clipped = bl.truncate(prob.driver, 1.0, 1.0)
     schedule = [2.0 ** k for k in range(1, 16)]
     stacked = bl.backward_sweep(prob, grid, schedule, driver_override=clipped)
     assert [s.lambda_cap for s in stacked] == schedule

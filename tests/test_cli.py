@@ -94,6 +94,16 @@ class TestRunScenarios:
         assert len(series) == 4
         assert series[-1] / series[0] >= 10.0
 
+    @pytest.mark.parametrize("p", ["0.5", "1", "2", "3", "4"])
+    def test_affine_plus_witness_certified_across_p(self, tmp_path, p):
+        # for p > 1 the last segment has dt lam(t_cap) = p; the witness splits it
+        out = tmp_path / "ap1"
+        assert run(["run", "affine_plus", "--terminal", "1", "--p", p,
+                    "--out", str(out)]) == 0
+        report = (out / "report.txt").read_text()
+        assert "witness_monotone_divergent = True" in report
+        assert "status: no_solution_certified_expected" in report
+
     def test_affine_plus_one_level_witness_exits_1(self, tmp_path):
         out = tmp_path / "ap1"
         assert run(["run", "affine_plus", "--terminal", "1", "--schedule", "4",
@@ -297,7 +307,7 @@ class TestBmoBasis:
         prob = bl.BsdeProblem(intensity=model,
                               coefficient=bl.CoefficientProcess.constant(1.0, 1.0),
                               sign=bl.NONLINEAR_PLUS, driver=bl.DriverSpec.exp_utility(1.0))
-        clipped = bl.truncate(prob.driver, 1.0, 1.0).to_driver_spec()
+        clipped = bl.truncate(prob.driver, 1.0, 1.0)
         quintic = bl.RegressionBasis.polynomial(5)
         top = bl.backward_sweep(prob, grid, [4.0, 16.0, 64.0], bundle=bundle, basis=quintic,
                                 driver_override=clipped)[-1]

@@ -32,6 +32,20 @@ class TestCertifyNonexistence:
         assert values[-1] / values[0] > 10.0
         assert values[-1] == pytest.approx(math.e * 256 - 1, rel=0.05)
 
+    @pytest.mark.parametrize("gamma, ratio", [(0.5, 85.11646136982353),
+                                              (1.0, 81.59904866684481),
+                                              (2.0, 76.03300235814885)])
+    def test_exp_gap_witness_certified(self, gamma, ratio):
+        # the CLI's witness data on exp_gap; its last segment needs no split
+        model = bl.IntensityModel.exp_gap(gamma, 1.0)
+        prob = bl.BsdeProblem(
+            intensity=model, coefficient=bl.CoefficientProcess.constant(1.0, 1.0),
+            sign=bl.MINUS_LAMBDA_Y, terminal=bl.TerminalSpec.constant(1.0))
+        cert = bl.certify_nonexistence(prob, [4, 16, 64, 256],
+                                       bl.make_grid(model, 129, mass_cap=12.0))
+        assert cert.monotone_divergent
+        assert cert.metadata["ratio"] == pytest.approx(ratio, rel=1e-9)
+
     def test_nonlinear_decreasing_driver_diverges(self, power1, grid241):
         prob = bl.BsdeProblem(
             intensity=power1, coefficient=bl.CoefficientProcess.constant(1.0, 1.0),
@@ -183,32 +197,3 @@ class TestResidualCheck:
             residuals.append(rep.max_residual)
         assert residuals[0] < 0.05
         assert residuals[1] < residuals[0] / 4.0
-
-
-class TestClassDNorm:
-    def test_zero_solution(self, power1, grid241):
-        fam = bl.fundamental_family(power1, 0.0, grid241)
-        assert bl.class_d_norm(fam) == 0.0
-
-    def test_fundamental_member_attains_at_zero(self, power1, grid241):
-        fam = bl.fundamental_family(power1, 3.0, grid241)
-        assert bl.class_d_norm(fam) == pytest.approx(3.0, abs=1e-12)
-
-    def test_identity_scenario_value(self, power1):
-        grid = bl.make_grid(power1, 241, mass_cap=5.0)
-        prob = bl.BsdeProblem(
-            intensity=power1, coefficient=bl.CoefficientProcess.constant(1.0, 1.0),
-            sign=bl.NONLINEAR_PLUS, driver=bl.DriverSpec.identity())
-        report = bl.run_scheme(prob, grid, [2 ** k for k in range(1, 9)],
-                               config=bl.SchemeConfig(tol=1e-3))
-        # closed form -(1-t)/2: the norm is attained at 0 with value 1/2
-        assert bl.class_d_norm(report.final) == pytest.approx(0.5, abs=1e-4)
-
-    def test_pathwise_hitting_times(self, power1):
-        grid = bl.make_grid(power1, 61, mass_cap=10.0)
-        bundle = bl.simulate_paths(grid, 1, 20_000, seed=8)
-        fam = bl.fundamental_family(power1, 1.0, grid,
-                                    beta=np.ones(grid.n_points - 1), bundle=bundle)
-        norm = bl.class_d_norm(fam, sup_bound=1.0)
-        nodes_only = float(np.max(np.mean(np.abs(fam.y), axis=0)))
-        assert norm >= nodes_only

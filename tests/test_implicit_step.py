@@ -78,7 +78,7 @@ def power1():
 def _exp_problem(model, coefficient):
     prob = bl.BsdeProblem(intensity=model, coefficient=coefficient,
                           sign=bl.NONLINEAR_PLUS, driver=bl.DriverSpec.exp_utility(1.0))
-    return prob, bl.truncate(prob.driver, coefficient.sup_norm, 1.0).to_driver_spec()
+    return prob, bl.truncate(prob.driver, coefficient.sup_norm, 1.0)
 
 
 @pytest.mark.parametrize("b", [0.0, 0.5])
@@ -153,7 +153,7 @@ def test_warm_step_allocates_at_most_three_states():
     y_next = -rng.uniform(0.0, 0.5, shape)
     forcing = rng.uniform(0.0, 1.0, shape)
     lam = 2.0 ** np.arange(1, 9, dtype=float)[:, None]
-    driver = bl.truncate(bl.DriverSpec.exp_utility(1.0), 1.0, 1.0).to_driver_spec()
+    driver = bl.truncate(bl.DriverSpec.exp_utility(1.0), 1.0, 1.0)
     args = (y_next, forcing, 0.01, lam, driver, 0.0)
     work = lipschitz_solver._NewtonWorkspace(shape)
     warm = lipschitz_solver._implicit_step(*args, work)
@@ -174,7 +174,7 @@ def test_warm_mc_node_allocates_at_most_two_states():
     prob = bl.BsdeProblem(intensity=power1,
                           coefficient=bl.CoefficientProcess.constant(1.0, 1.0),
                           sign=bl.NONLINEAR_PLUS, driver=bl.DriverSpec.exp_utility(1.0))
-    clipped = bl.truncate(prob.driver, 1.0, 1.0).to_driver_spec()
+    clipped = bl.truncate(prob.driver, 1.0, 1.0)
     bundle = bl.simulate_paths(grid, 1, 20_000, seed=3)
     caps = [2.0 ** k for k in range(1, 9)]
     sweep = lipschitz_solver.NodeSweep(prob, grid, caps, bundle=bundle,

@@ -121,7 +121,7 @@ class TestRegressionMc:
         prob = bl.BsdeProblem(intensity=power1, coefficient=coeff,
                               sign=bl.NONLINEAR_PLUS,
                               driver=bl.DriverSpec.exp_utility(1.0))
-        clipped = bl.truncate(prob.driver, 1.0, 1.0).to_driver_spec()
+        clipped = bl.truncate(prob.driver, 1.0, 1.0)
         y0 = []
         for seed in (1, 2, 3):
             bundle = bl.simulate_paths(grid, 1, 100_000, seed=seed)
@@ -151,7 +151,7 @@ class TestRegressionMc:
                               driver=bl.DriverSpec.exp_utility(1.0))
         sol = bl.solve_regression_mc(prob, grid, bundle, lambda_cap=5.0,
                                      driver_override=bl.truncate(
-                                         prob.driver, 1.0, 1.0).to_driver_spec())
+                                         prob.driver, 1.0, 1.0))
         assert np.array_equal(sol.y[0, :split + 1], sol.y[1, :split + 1])
         assert not np.array_equal(sol.y[0, split + 1:], sol.y[1, split + 1:])
 
@@ -175,7 +175,7 @@ class TestComparisonCheck:
                               coefficient=bl.CoefficientProcess.constant(1.0, 1.0),
                               sign=bl.NONLINEAR_PLUS,
                               driver=bl.DriverSpec.exp_utility(1.0))
-        clipped = bl.truncate(prob.driver, 1.0, 1.0).to_driver_spec()
+        clipped = bl.truncate(prob.driver, 1.0, 1.0)
         out = []
         for n in (5.0, 10.0):
             if mode == "ode":
@@ -214,34 +214,6 @@ class TestComparisonCheck:
 
 
 class TestRegressionBasis:
-    def test_piecewise_linear_design(self):
-        basis = bl.RegressionBasis.piecewise_linear(np.linspace(-3, 3, 7))
-        w = np.array([-2.5, 0.0, 2.5])
-        design = basis.design(w)
-        assert design.shape == (3, 7)       # 1, w, and 5 interior hinges
-        assert np.allclose(design[:, 0], 1.0)
-        assert np.allclose(design[:, 1], w)
-
-    def test_piecewise_linear_through_solver(self):
-        power1 = bl.IntensityModel.power_gap(1.0, 1.0)
-        grid = bl.make_grid(power1, 61, mass_cap=10.0)
-        bundle = bl.simulate_paths(grid, 1, 30_000, seed=14)
-        prob = bl.BsdeProblem(intensity=power1,
-                              coefficient=bl.CoefficientProcess.constant(1.0, 1.0),
-                              sign=bl.PLUS_LAMBDA_Y)
-        # knots must be supported by the level spread at every node; the first
-        # interior node has the narrowest distribution
-        basis = bl.RegressionBasis.piecewise_linear(np.linspace(-0.6, 0.6, 5))
-        mc = bl.solve_regression_mc(prob, grid, bundle, basis=basis, lambda_cap=10.0)
-        ode = bl.solve_ode_mode(prob, grid, lambda_cap=10.0)
-        assert np.max(np.abs(mc.nodal_mean() - ode.y)) <= 3e-2
-
-    def test_polynomial_multidim_design(self):
-        basis = bl.RegressionBasis.polynomial(2)
-        w = np.random.default_rng(0).standard_normal((50, 2))
-        design = basis.design(w)
-        assert design.shape == (50, 6)      # 1, w1, w2, w1^2, w1 w2, w2^2
-
     @pytest.mark.parametrize("degree", range(8))
     def test_polynomial_design_is_vander_in_fortran_order(self, degree):
         w = np.random.default_rng(degree).standard_normal(1001) * 1.7

@@ -60,13 +60,6 @@ def test_grid_calls_the_closed_form_once_per_target(monkeypatch):
     assert calls == {"mass_inverse": 240, "bisect": 0}
 
 
-def test_truncated_grid_keeps_equal_mass():
-    model = _model("power_gap", 1.0).truncated(50.0)
-    grid = bl.make_grid(model, 33, mass_cap=4.0)
-    targets = np.linspace(0.0, 4.0, 33)
-    assert _equal_mass_error(model, grid.points, targets) <= 1e-9
-
-
 def test_mass_inverse_is_the_only_public_inverse():
     assert not hasattr(bl.IntensityModel, "inverse_cumulative")
 

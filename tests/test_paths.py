@@ -31,7 +31,7 @@ class TestSimulatePaths:
         grid = uniform_grid(2)
         m = 100_000
         bundle = bl.simulate_paths(grid, 1, m, seed=5)
-        w_t = bundle.terminal_levels()
+        w_t = bundle.levels[:, -1, :]
         assert abs(w_t.mean()) < 4.0 / math.sqrt(m)
         assert abs(w_t.var() - 1.0) < 0.05
 
@@ -60,73 +60,11 @@ class TestSimulatePaths:
             bl.simulate_paths(grid, 1, 10_000, seed=1, memory_cap=1000)
 
 
-class TestStochasticIntegral:
-    def test_zero_integrand(self):
-        bundle = bl.simulate_paths(uniform_grid(6), 1, 40, seed=2)
-        out = bl.stochastic_integral(bundle, np.zeros(5))
-        assert np.all(out == 0.0)
-
-    def test_unit_integrand_telescopes(self):
-        bundle = bl.simulate_paths(uniform_grid(8), 1, 40, seed=2)
-        out = bl.stochastic_integral(bundle, np.ones(7))
-        assert np.allclose(out, bundle.levels[:, -1, 0], rtol=0, atol=1e-15)
-
-    def test_ito_isometry_with_damped_integrand(self):
-        model = bl.IntensityModel.power_gap(1.0, 1.0)
-        grid = bl.make_grid(model, 21, mass_cap=8.0)
-        m = 100_000
-        bundle = bl.simulate_paths(grid, 1, m, seed=13)
-        beta = np.asarray(model.exp_minus_cumulative(grid.points[:-1]))
-        out = bl.stochastic_integral(bundle, beta)
-        predicted = float(np.sum(beta ** 2 * grid.gaps))
-        sample_var = float(out.var())
-        assert abs(sample_var - predicted) < 0.05 * predicted
-
-    def test_shape_mismatch(self):
-        bundle = bl.simulate_paths(uniform_grid(6), 1, 10, seed=2)
-        with pytest.raises(ValueError):
-            bl.stochastic_integral(bundle, np.ones(9))
-
-
-class TestBinaryDump:
-    def test_roundtrip(self, tmp_path):
-        grid = uniform_grid(9)
-        bundle = bl.simulate_paths(grid, 2, 17, seed=1234)
-        path = tmp_path / "bundle.bin"
-        bl.dump_bundle(bundle, path)
-        loaded = bl.load_bundle(path, grid)
-        assert loaded.seed == bundle.seed
-        assert loaded.n_paths == bundle.n_paths
-        assert loaded.dim == bundle.dim
-        assert np.array_equal(loaded.increments, bundle.increments)
-        assert np.array_equal(loaded.levels, bundle.levels)
-
-    def test_wire_layout_is_header_then_increments(self, tmp_path):
-        import struct
-        grid = uniform_grid(4)
-        bundle = bl.simulate_paths(grid, 1, 2, seed=9)
-        path = tmp_path / "bundle.bin"
-        bl.dump_bundle(bundle, path)
-        raw = path.read_bytes()
-        seed, m, n, d = struct.unpack("<qqqq", raw[:32])
-        assert (seed, m, n, d) == (9, 2, 4, 1)
-        body = np.frombuffer(raw[32:], dtype="<f8").reshape(2, 3, 1)
-        assert np.array_equal(body, bundle.increments)
-
-
 class TestMultidimensional:
-    def test_per_coordinate_integrand(self):
-        grid = uniform_grid(6)
-        bundle = bl.simulate_paths(grid, 2, 100, seed=19)
-        beta = np.zeros((5, 2))
-        beta[:, 0] = 1.0       # integrate only the first coordinate
-        out = bl.stochastic_integral(bundle, beta)
-        assert np.allclose(out, bundle.levels[:, -1, 0], atol=1e-15)
-
     def test_coordinates_are_independent(self):
         grid = uniform_grid(2)
         bundle = bl.simulate_paths(grid, 2, 100_000, seed=29)
-        w = bundle.terminal_levels()
+        w = bundle.levels[:, -1, :]
         corr = float(np.corrcoef(w[:, 0], w[:, 1])[0, 1])
         assert abs(corr) < 4.0 / np.sqrt(100_000)
 
@@ -137,52 +75,28 @@ class TestSeedDomain:
         with pytest.raises(ValueError, match="seed"):
             bl.simulate_paths(uniform_grid(3), 1, 4, seed=seed)
 
-    def test_largest_seed_roundtrips_through_dump(self, tmp_path):
-        import struct
-        grid = uniform_grid(4)
-        bundle = bl.simulate_paths(grid, 1, 3, seed=2**64 - 1)
-        path = tmp_path / "bundle.bin"
-        bl.dump_bundle(bundle, path)
-        assert struct.unpack("<Q", path.read_bytes()[:8]) == (2**64 - 1,)
-        loaded = bl.load_bundle(path, grid)
-        assert loaded.seed == 2**64 - 1
-        assert np.array_equal(loaded.increments, bundle.increments)
-
 
 class TestNodeMajorLayout:
     """Bundles keep node-major memory behind the (M, N, d) arrays: one node's
-    column is contiguous, and the values and the dump format are unchanged."""
-
-    @staticmethod
-    def _bundles(tmp_path, dim):
-        grid = uniform_grid(7)
-        simulated = bl.simulate_paths(grid, dim, 33, seed=77)
-        path = tmp_path / f"bundle{dim}.bin"
-        bl.dump_bundle(simulated, path)
-        return grid, simulated, bl.load_bundle(path, grid), path
+    column is contiguous, and the values are unchanged."""
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_node_columns_are_contiguous(self, tmp_path, dim):
-        _, simulated, loaded, _ = self._bundles(tmp_path, dim)
-        for bundle in (simulated, loaded):
-            assert bundle.levels.shape == (33, 7, dim)
-            assert bundle.increments.shape == (33, 6, dim)
-            for j in range(dim):
-                assert all(bundle.levels[:, i, j].flags.c_contiguous for i in range(7))
-                assert all(bundle.increments[:, i, j].flags.c_contiguous for i in range(6))
+    def test_simulated_node_columns_are_contiguous(self, dim):
+        bundle = bl.simulate_paths(uniform_grid(7), dim, 33, seed=77)
+        assert bundle.levels.shape == (33, 7, dim)
+        assert bundle.increments.shape == (33, 6, dim)
+        for j in range(dim):
+            assert all(bundle.levels[:, i, j].flags.c_contiguous for i in range(7))
+            assert all(bundle.increments[:, i, j].flags.c_contiguous for i in range(6))
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_levels_are_the_oracle_cumsum_and_the_dump_is_path_major(self, tmp_path, dim):
-        import struct
-
+    def test_levels_are_the_oracle_cumsum(self, dim):
         from test_philox import reference_increments
 
-        grid, simulated, loaded, path = self._bundles(tmp_path, dim)
+        grid = uniform_grid(7)
+        bundle = bl.simulate_paths(grid, dim, 33, seed=77)
         want_inc = reference_increments(grid, dim, 33, 77)
         want_levels = np.zeros((33, 7, dim))
         np.cumsum(want_inc, axis=1, out=want_levels[:, 1:, :])
-        for bundle in (simulated, loaded):
-            assert np.ascontiguousarray(bundle.increments).tobytes() == want_inc.tobytes()
-            assert np.ascontiguousarray(bundle.levels).tobytes() == want_levels.tobytes()
-        header = struct.pack("<Qqqq", 77, 33, 7, dim)
-        assert path.read_bytes() == header + want_inc.astype("<f8").tobytes()
+        assert np.ascontiguousarray(bundle.increments).tobytes() == want_inc.tobytes()
+        assert np.ascontiguousarray(bundle.levels).tobytes() == want_levels.tobytes()

@@ -95,7 +95,7 @@ def test_implicit_step_newton_residual(level, phi, alpha):
     prob = bl.BsdeProblem(
         intensity=model, coefficient=bl.CoefficientProcess.constant(phi, 1.0),
         sign=bl.NONLINEAR_PLUS, driver=bl.DriverSpec.exp_utility(alpha))
-    clipped = bl.truncate(prob.driver, phi, 1.0).to_driver_spec()
+    clipped = bl.truncate(prob.driver, phi, 1.0)
     sol = bl.solve_ode_mode(prob, grid, lambda_cap=level, driver_override=clipped)
     assert sol.diagnostics["residual_max"] < 1e-12
 

@@ -23,27 +23,47 @@ def theorem_problem(model, driver, phi_value=1.0, terminal=0.0):
 class TestTruncate:
     def test_identity_clip(self):
         tr = bl.truncate(bl.DriverSpec.identity(), 1.0, 1.0)
-        assert tr.lower_clip == -1.0
-        assert tr.lipschitz_constant == pytest.approx(1.0)
         xs = np.array([-3.0, -1.0, -0.25, 0.0])
-        assert np.allclose(tr.f_tilde(xs), np.maximum(xs, -1.0))
+        assert np.allclose(tr.f(xs), np.maximum(xs, -1.0))
 
     def test_exp_utility_clip_values(self):
         tr = bl.truncate(bl.DriverSpec.exp_utility(1.0), 1.0, 1.0)
         # frozen: f(-1) = 1 - e, f'(-1) = e
-        assert float(tr.f_tilde(-2.0)) == pytest.approx(1.0 - math.e, abs=1e-12)
-        assert tr.lipschitz_constant == pytest.approx(math.e, abs=1e-12)
-        assert float(tr.f_tilde(0.0)) == 0.0
+        assert float(tr.f(-2.0)) == pytest.approx(1.0 - math.e, abs=1e-12)
+        assert float(tr.f(0.0)) == 0.0
 
     def test_degenerate_bound(self):
         tr = bl.truncate(bl.DriverSpec.exp_utility(2.0), 0.0, 1.0)
-        assert tr.lower_clip == 0.0
         xs = np.linspace(-5.0, 0.0, 11)
-        assert np.allclose(tr.f_tilde(xs), 0.0)
+        assert np.allclose(tr.f(xs), 0.0)
 
     def test_flags_required(self):
         with pytest.raises(ValueError):
             bl.truncate(bl.DriverSpec.neg_identity(), 1.0, 1.0)
+
+    @pytest.mark.parametrize("driver", [bl.DriverSpec.exp_utility(1.5),
+                                        bl.DriverSpec.identity()])
+    def test_clipped_spec_is_the_clip_expressions_bit_for_bit(self, driver):
+        # f(max(x, L)) and f' zeroed below L, at L = -2, on x below, at and above L
+        clip = -2.0
+        tr = bl.truncate(driver, 2.0, 1.0)
+        assert isinstance(tr, bl.DriverSpec)
+        xs = np.array([[-50.0, -3.0, -2.0 - 1e-12, -2.0],
+                       [-2.0 + 1e-12, -1.0, -0.0, 0.5]])
+        inside = xs >= clip
+        want_f = driver.f(np.maximum(xs, clip))
+        want_fprime = np.where(inside, driver.fprime(np.maximum(xs, clip)), 0.0)
+        joint_f, joint_fprime = driver.f_fprime(np.maximum(xs, clip))
+        want_joint = (joint_f, np.where(inside, joint_fprime, 0.0))
+        assert tr.f(xs).tobytes() == want_f.tobytes()
+        assert tr.fprime(xs).tobytes() == want_fprime.tobytes()
+        out = (np.empty_like(xs), np.empty_like(xs))
+        aliased = (xs.copy(), np.empty_like(xs))
+        for got in (tr.f_fprime(xs), tr.f_fprime(xs, out=out),
+                    tr.f_fprime(aliased[0], out=aliased)):
+            for g, w in zip(got, want_joint):
+                assert np.asarray(g).tobytes() == w.tobytes()
+        assert np.all(want_joint[1][~inside] == 0.0)
 
 
 class TestRunScheme:
@@ -125,7 +145,7 @@ class TestFunctionals:
         prob = theorem_problem(power1, bl.DriverSpec.exp_utility(1.0))
         sol = bl.solve_ode_mode(prob, grid, lambda_cap=8.0,
                                 driver_override=bl.truncate(
-                                    prob.driver, 1.0, 1.0).to_driver_spec())
+                                    prob.driver, 1.0, 1.0))
         est = bl.estimate_bmo(sol, None)
         assert est.value == 0.0
 
@@ -135,7 +155,7 @@ class TestFunctionals:
         prob = theorem_problem(power1, bl.DriverSpec.exp_utility(1.0), phi_value=0.0)
         sol = bl.solve_regression_mc(prob, grid, bundle, lambda_cap=8.0,
                                      driver_override=bl.truncate(
-                                         prob.driver, 0.0, 1.0).to_driver_spec())
+                                         prob.driver, 0.0, 1.0))
         est = bl.estimate_bmo(sol, bundle)
         assert est.value < 1e-6
 
@@ -144,14 +164,14 @@ class TestFunctionals:
         prob = theorem_problem(power1, bl.DriverSpec.exp_utility(1.0), phi_value=0.0)
         sol = bl.solve_ode_mode(prob, grid, lambda_cap=16.0,
                                 driver_override=bl.truncate(
-                                    prob.driver, 0.0, 1.0).to_driver_spec())
+                                    prob.driver, 0.0, 1.0))
         assert bl.estimate_lambda_f_integral(sol) == 0.0
 
     def test_lambda_f_mass_bounded_identity(self, power1):
         # rearrangement oracle: int lam^n |f| = |Y^n_0 + int phi| for these data
         grid = bl.make_grid(power1, 241, mass_cap=12.0)
         prob = theorem_problem(power1, bl.DriverSpec.identity())
-        clipped = bl.truncate(prob.driver, 1.0, 1.0).to_driver_spec()
+        clipped = bl.truncate(prob.driver, 1.0, 1.0)
         values = []
         for n in (16.0, 64.0, 256.0):
             sol = bl.solve_ode_mode(prob, grid, lambda_cap=n, driver_override=clipped)
@@ -165,7 +185,7 @@ class TestFunctionals:
     def test_lambda_f_mass_bounded_exp_utility(self, power1):
         grid = bl.make_grid(power1, 241, mass_cap=12.0)
         prob = theorem_problem(power1, bl.DriverSpec.exp_utility(1.0))
-        clipped = bl.truncate(prob.driver, 1.0, 1.0).to_driver_spec()
+        clipped = bl.truncate(prob.driver, 1.0, 1.0)
         sol = bl.solve_ode_mode(prob, grid, lambda_cap=256.0, driver_override=clipped)
         mass = bl.estimate_lambda_f_integral(sol)
         assert mass <= abs(sol.y[0]) + 1.0 + 0.05
@@ -177,7 +197,7 @@ class TestMonotoneViolation:
         grid = bl.make_grid(power1, 41, mass_cap=8.0)
         bundle = bl.simulate_paths(grid, 1, 4000, seed=31)
         prob = theorem_problem(power1, bl.DriverSpec.exp_utility(1.0))
-        clipped = bl.truncate(prob.driver, 1.0, 1.0).to_driver_spec()
+        clipped = bl.truncate(prob.driver, 1.0, 1.0)
         lo, hi = bl.backward_sweep(prob, grid, [4.0, 8.0], bundle=bundle,
                                    driver_override=clipped)
         for a, b in ((lo, hi), (hi, lo)):

@@ -80,6 +80,24 @@ def test_markovian_mc_equals_stored(power1, seed, degree):
                           stored_ref.run_scheme(prob, grid, schedule, config=config))
 
 
+def test_bmo_standard_error_is_formed_once(power1, monkeypatch):
+    # the fold keeps the maximising node's fit and forms its standard error at
+    # the end: one pseudo-inverse per run, however often the maximum moves
+    grid = bl.make_grid(power1, 61, mass_cap=10.0)
+    bundle = bl.simulate_paths(grid, 1, 4000, seed=17)
+    config = bl.SchemeConfig(mode="mc", tol=1.0, bundle=bundle)
+    pinv, calls = np.linalg.pinv, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return pinv(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", counted)
+    report = bl.run_scheme(_markovian(power1), grid, [2.0, 4.0, 8.0], config=config)
+    assert len(calls) == 1
+    assert report.bmo_stderr > 0.0
+
+
 def test_peak_memory_does_not_grow_with_levels(power1):
     # the stored sweep holds (N, L, M) y and z: 2 x 6 more (M, N) arrays at
     # L = 8 than at L = 2; the fold holds the last two levels at any L
