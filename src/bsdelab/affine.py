@@ -155,13 +155,10 @@ def solve_affine_plus(problem: BsdeProblem, grid: TimeGrid,
         for i in range(cap + 1):
             y[i] = -_decaying_tail_integral(model, float(pts[i]), coeff,
                                             y_slope=problem.y_slope)
-        sol = AffineSolution(grid=grid, y=y, z=np.zeros(len(pts)),
-                             provenance=REPRESENTATION)
-        margin = _bound_margin(sol, coeff.sup_norm) if problem.y_slope == 0 else None
+        margin = _bound_margin(grid, y, coeff.sup_norm) if problem.y_slope == 0 else None
         if margin is not None and margin > 1e-12:
             raise NumericsError(
-                f"representation values exceed the a-priori bound by {margin:.3e}"
-            )
+                f"representation values exceed the a-priori bound by {margin:.3e}")
         return AffineSolution(grid=grid, y=y, z=np.zeros(len(pts)),
                               provenance=REPRESENTATION, bound_margin=margin)
 
@@ -174,11 +171,9 @@ def solve_affine_plus(problem: BsdeProblem, grid: TimeGrid,
     return _solve_affine_plus_markovian(problem, grid, bundle, basis)
 
 
-def _bound_margin(sol: AffineSolution, sup_norm: float) -> float:
-    gaps_to_T = sol.grid.horizon - sol.grid.points
-    bound = sup_norm * gaps_to_T
-    y = np.atleast_2d(sol.y)
-    return float(np.max(np.abs(y) - bound[None, :]))
+def _bound_margin(grid: TimeGrid, y: np.ndarray, sup_norm: float) -> float:
+    """max(|Y| - sup_norm (T - t)) over the nodes."""
+    return float(np.max(np.abs(y) - sup_norm * (grid.horizon - grid.points)))
 
 
 def _solve_affine_plus_markovian(problem, grid, bundle, basis):
@@ -189,7 +184,7 @@ def _solve_affine_plus_markovian(problem, grid, bundle, basis):
     model, coeff = problem.intensity, problem.coefficient
     pts, cap = grid.points, grid.cap_index
     n_pts = len(pts)
-    mass = np.array([model.cumulative(float(t)) for t in pts[:cap + 1]])
+    mass = model.cumulative(pts[:cap + 1])
 
     # interval weights E_j = int_{t_j}^{t_{j+1}} exp(-Lam(s)) ds, last one up to T
     weights = np.empty(cap + 1)
@@ -205,9 +200,7 @@ def _solve_affine_plus_markovian(problem, grid, bundle, basis):
 
     levels = bundle.levels[:, :, 0]
     m_paths = bundle.n_paths
-    phi_nodes = np.empty((m_paths, cap + 1))
-    for j in range(cap + 1):
-        phi_nodes[:, j] = coeff.value(float(pts[j]), levels[:, j])
+    phi_nodes = coeff.value(pts[:cap + 1], levels[:, :cap + 1])
 
     # backward cumulative pathwise integral, then conditional expectation per node
     y = np.zeros((m_paths, n_pts))

@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .diagnostics import (
     EkRed,
     FundamentalMinus,
     OdeFamilyScenario,
+    by_node,
     certify_nonexistence,
     certify_nonuniqueness,
 )
@@ -64,55 +65,13 @@ def _fmt(x) -> str:
 
 @dataclass(frozen=True)
 class ScenarioInfo:
-    name: str
     claim: str
     defaults: dict
-
-
-SCENARIOS = {
-    "ek_red": ScenarioInfo(
-        name="ek_red",
-        claim="drifted equation on the exponential-gap intensity carries an "
-              "infinite family of vanishing-terminal solutions",
-        defaults={"r": 0.05, "sigma": 0.2, "gamma": 1.0, "y0_list": "0,1",
-                  "n_grid": 2001, "mass_cap": 12.0},
-    ),
-    "affine_plus": ScenarioInfo(
-        name="affine_plus",
-        claim="plus-sign affine equation: unique solution when the terminal "
-              "value vanishes, no solution otherwise",
-        defaults={"p": 1.0, "phi_value": 1.0, "terminal": 0.0,
-                  "n_grid": 129, "mass_cap": 12.0,
-                  "schedule": NONEXISTENCE_SCHEDULE},
-    ),
-    "affine_minus_family": ScenarioInfo(
-        name="affine_minus_family",
-        claim="minus-sign affine equation: infinitely many vanishing-terminal "
-              "solutions, three verified members as witnesses",
-        defaults={"p": 1.0, "y0_list": "0,1,3", "n_grid": 129, "mass_cap": 12.0},
-    ),
-    "ode_trichotomy": ScenarioInfo(
-        name="ode_trichotomy",
-        claim="deterministic equation: a terminal value matching the averaged "
-              "prefix limit admits a one-parameter family, all others none",
-        defaults={"c": 2.0, "p": 1.0, "n_grid": 129, "mass_cap": 12.0,
-                  "tol": 1e-6},
-    ),
-    "nonlinear_exp": ScenarioInfo(
-        name="nonlinear_exp",
-        claim="monotone exponential driver: truncation levels increase to the "
-              "unique bounded solution inside the analytic box",
-        defaults={"alpha": 1.0, "p": 1.0, "phi_value": 1.0, "terminal": 0.0,
-                  "n_grid": 241, "mass_cap": 12.0,
-                  "schedule": DEFAULT_SCHEDULE, "tol": 1e-3, "mode": "ode",
-                  "m_paths": 20000, "basis_degree": 3},
-    ),
-}
+    run: Callable       # the runner: ScenarioConfig -> exit code
 
 
 @dataclass
 class ScenarioConfig:
-    scenario: str
     params: dict
     out_dir: Path
     seed: int = 1
@@ -138,18 +97,13 @@ def _write_csv(path: Path, header, rows) -> None:
 def _solution_rows(grid, y, z, last_column=None):
     """One row per grid node: t, the mean and sd of Y, the mean of Z, and
     ``last_column[i]`` (blank when None)."""
-    y2 = np.atleast_2d(y)
-    z2 = None if z is None else np.atleast_2d(z)
-    rows = []
-    for i, t in enumerate(grid.points):
-        if z2 is None or not z2.size:
-            z_mean = 0.0
-        else:
-            z_mean = float(np.mean(z2[..., min(i, z2.shape[-1] - 1)]))
-        last = "" if last_column is None else last_column[i]
-        rows.append((t, float(np.mean(y2[:, i])), float(np.std(y2[:, i])),
-                     z_mean, last))
-    return rows
+    n = len(grid.points)
+    y_nodes = by_node(y)
+    z_mean = np.zeros(n)
+    if z is not None and np.size(z):     # nodes past the last Z column read that column
+        z_mean = by_node(z).mean(axis=1)[np.minimum(np.arange(n), np.shape(z)[-1] - 1)]
+    last = [""] * n if last_column is None else last_column
+    return list(zip(grid.points, y_nodes.mean(axis=1), y_nodes.std(axis=1), z_mean, last))
 
 
 def _write_family(cfg: ScenarioConfig, cert, count_label: str) -> None:
@@ -175,8 +129,8 @@ def _finish(cfg: ScenarioConfig, status: str, exit_code: int) -> int:
     return exit_code
 
 
-def _report_header(cfg: ScenarioConfig, info: ScenarioInfo) -> None:
-    cfg.say(f"scenario: {info.name}")
+def _report_header(cfg: ScenarioConfig, name: str, info: ScenarioInfo) -> None:
+    cfg.say(f"scenario: {name}")
     cfg.say(f"claim: {info.claim}")
     cfg.say("parameters:")
     for key in sorted(cfg.params):
@@ -199,7 +153,7 @@ def _parse_schedule(raw) -> tuple:
     return tuple(float(v) for v in str(raw).split(","))
 
 
-def _run_ek_red(cfg: ScenarioConfig, info: ScenarioInfo) -> int:
+def _run_ek_red(cfg: ScenarioConfig) -> int:
     p = cfg.params
     model = IntensityModel.exp_gap(p["gamma"], 1.0)
     grid = make_grid(model, int(p["n_grid"]), mass_cap=p["mass_cap"])
@@ -212,7 +166,7 @@ def _run_ek_red(cfg: ScenarioConfig, info: ScenarioInfo) -> int:
     return _finish(cfg, "non_uniqueness_certified", EXIT_OK)
 
 
-def _run_affine_plus(cfg: ScenarioConfig, info: ScenarioInfo) -> int:
+def _run_affine_plus(cfg: ScenarioConfig) -> int:
     p = cfg.params
     model = IntensityModel.power_gap(p["p"], 1.0)
     grid = make_grid(model, int(p["n_grid"]), mass_cap=p["mass_cap"])
@@ -250,7 +204,7 @@ def _run_affine_plus(cfg: ScenarioConfig, info: ScenarioInfo) -> int:
     return _finish(cfg, "no_solution_certified_expected", EXIT_OK)
 
 
-def _run_affine_minus_family(cfg: ScenarioConfig, info: ScenarioInfo) -> int:
+def _run_affine_minus_family(cfg: ScenarioConfig) -> int:
     p = cfg.params
     model = IntensityModel.power_gap(p["p"], 1.0)
     grid = make_grid(model, int(p["n_grid"]), mass_cap=p["mass_cap"])
@@ -262,7 +216,7 @@ def _run_affine_minus_family(cfg: ScenarioConfig, info: ScenarioInfo) -> int:
     return _finish(cfg, "non_uniqueness_certified", EXIT_OK)
 
 
-def _run_ode_trichotomy(cfg: ScenarioConfig, info: ScenarioInfo) -> int:
+def _run_ode_trichotomy(cfg: ScenarioConfig) -> int:
     from .affine import classify_ode
 
     p = cfg.params
@@ -284,7 +238,7 @@ def _run_ode_trichotomy(cfg: ScenarioConfig, info: ScenarioInfo) -> int:
     return _finish(cfg, "converges_with_family", EXIT_OK)
 
 
-def _run_nonlinear_exp(cfg: ScenarioConfig, info: ScenarioInfo) -> int:
+def _run_nonlinear_exp(cfg: ScenarioConfig) -> int:
     p = cfg.params
     model = IntensityModel.power_gap(p["p"], 1.0)
     grid = make_grid(model, int(p["n_grid"]), mass_cap=p["mass_cap"])
@@ -338,12 +292,44 @@ def _run_nonlinear_exp(cfg: ScenarioConfig, info: ScenarioInfo) -> int:
     return _finish(cfg, "converged", EXIT_OK)
 
 
-RUNNERS = {
-    "ek_red": _run_ek_red,
-    "affine_plus": _run_affine_plus,
-    "affine_minus_family": _run_affine_minus_family,
-    "ode_trichotomy": _run_ode_trichotomy,
-    "nonlinear_exp": _run_nonlinear_exp,
+SCENARIOS = {
+    "ek_red": ScenarioInfo(
+        claim="drifted equation on the exponential-gap intensity carries an "
+              "infinite family of vanishing-terminal solutions",
+        defaults={"r": 0.05, "sigma": 0.2, "gamma": 1.0, "y0_list": "0,1",
+                  "n_grid": 2001, "mass_cap": 12.0},
+        run=_run_ek_red,
+    ),
+    "affine_plus": ScenarioInfo(
+        claim="plus-sign affine equation: unique solution when the terminal "
+              "value vanishes, no solution otherwise",
+        defaults={"p": 1.0, "phi_value": 1.0, "terminal": 0.0,
+                  "n_grid": 129, "mass_cap": 12.0,
+                  "schedule": NONEXISTENCE_SCHEDULE},
+        run=_run_affine_plus,
+    ),
+    "affine_minus_family": ScenarioInfo(
+        claim="minus-sign affine equation: infinitely many vanishing-terminal "
+              "solutions, three verified members as witnesses",
+        defaults={"p": 1.0, "y0_list": "0,1,3", "n_grid": 129, "mass_cap": 12.0},
+        run=_run_affine_minus_family,
+    ),
+    "ode_trichotomy": ScenarioInfo(
+        claim="deterministic equation: a terminal value matching the averaged "
+              "prefix limit admits a one-parameter family, all others none",
+        defaults={"c": 2.0, "p": 1.0, "n_grid": 129, "mass_cap": 12.0,
+                  "tol": 1e-6},
+        run=_run_ode_trichotomy,
+    ),
+    "nonlinear_exp": ScenarioInfo(
+        claim="monotone exponential driver: truncation levels increase to the "
+              "unique bounded solution inside the analytic box",
+        defaults={"alpha": 1.0, "p": 1.0, "phi_value": 1.0, "terminal": 0.0,
+                  "n_grid": 241, "mass_cap": 12.0,
+                  "schedule": DEFAULT_SCHEDULE, "tol": 1e-3, "mode": "ode",
+                  "m_paths": 20000, "basis_degree": 3},
+        run=_run_nonlinear_exp,
+    ),
 }
 
 
@@ -417,16 +403,16 @@ def _load_config(path: str):
 def list_scenarios(fmt: str = "table", stream=None) -> int:
     stream = stream or sys.stdout
     if fmt == "table":
-        for info in SCENARIOS.values():
+        for name, info in SCENARIOS.items():
             defaults = ", ".join(f"{k}={_fmt(v)}" for k, v in sorted(info.defaults.items()))
-            stream.write(f"{info.name}\n  claim: {info.claim}\n  defaults: {defaults}\n")
+            stream.write(f"{name}\n  claim: {info.claim}\n  defaults: {defaults}\n")
         return EXIT_OK
     if fmt == "csv":
         writer = csv.writer(stream)
         writer.writerow(["name", "claim", "defaults"])
-        for info in SCENARIOS.values():
+        for name, info in SCENARIOS.items():
             defaults = ";".join(f"{k}={_fmt(v)}" for k, v in sorted(info.defaults.items()))
-            writer.writerow([info.name, info.claim, defaults])
+            writer.writerow([name, info.claim, defaults])
         return EXIT_OK
     sys.stderr.write(f"unknown list format {fmt!r} (choose table or csv)\n")
     return EXIT_USAGE
@@ -451,11 +437,10 @@ def run_scenario(name: str, overrides: dict, out_dir, seed: int = 1,
     threads = int(params.pop("threads", threads))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = ScenarioConfig(scenario=name, params=params, out_dir=out,
-                         seed=seed, threads=threads)
-    _report_header(cfg, info)
+    cfg = ScenarioConfig(params=params, out_dir=out, seed=seed, threads=threads)
+    _report_header(cfg, name, info)
     try:
-        return RUNNERS[name](cfg, info)
+        return info.run(cfg)
     except (LabError, ValueError) as exc:
         cfg.say(f"error: {exc}")
         return _finish(cfg, "failed", EXIT_USAGE)

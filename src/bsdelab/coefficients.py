@@ -337,10 +337,14 @@ class CoefficientProcess:
     @classmethod
     def markovian(cls, fn: Callable, horizon: float, sup_norm: float,
                   nonnegative: bool = False) -> "CoefficientProcess":
-        """fn(t, w) with a declared bound; the bound is spot checked on a sample."""
+        """fn(t, w) with a declared bound, spot checked in one call on a (41, 81)
+        sample: ``fn`` takes arrays of t and w that broadcast against each other."""
         ts = np.linspace(0.0, horizon * (1 - 1e-9), 41)
         ws = np.linspace(-8.0 * math.sqrt(horizon), 8.0 * math.sqrt(horizon), 81)
-        sample = np.asarray([[fn(t, w) for w in ws] for t in ts], dtype=float)
+        try:
+            sample = np.asarray(fn(ts[:, None], ws[None, :]), dtype=float)
+        except TypeError as exc:
+            raise ValueError("markovian coefficient must accept arrays of t and w") from exc
         if np.max(np.abs(sample)) > sup_norm * (1 + 1e-9):
             raise ValueError("markovian coefficient exceeds its declared sup norm")
         if nonnegative and np.min(sample) < 0:

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .coefficients import NONLINEAR_PLUS, BsdeProblem, DriverSpec, TimeGrid
+from .diagnostics import by_node
 from .errors import NoSolution
 from .lipschitz_solver import (
     NodeSweep,
@@ -229,7 +230,7 @@ def _extrapolated_final(solutions, schedule, sup) -> SolutionEstimate:
     r = schedule[-1] / schedule[-2]
     y = (r * last.y - prev.y) / (r - 1.0)
     lower = -(last.grid.horizon - last.grid.points) * sup
-    y = np.clip(y, lower if y.ndim == 1 else lower[None, :], 0.0)
+    y = np.clip(y, lower, 0.0)
     return SolutionEstimate(
         grid=last.grid, y=y, z=last.z, mode=last.mode, problem=last.problem,
         lambda_cap=last.lambda_cap, driver_used=last.driver_used,
@@ -341,7 +342,6 @@ def estimate_lambda_f_integral(sol: SolutionEstimate,
                                level: Optional[float] = None) -> float:
     """Trapezoidal estimate of E int lam^n |f(Y^n)| dt along the solution."""
     driver = sol.driver_used or sol.problem.effective_driver()
-    y = np.atleast_2d(sol.y)
-    mean_abs_f = np.array([_mean_abs(driver.f(y[None, :, i])) for i in range(y.shape[1])])
+    mean_abs_f = _mean_abs(driver.f(by_node(sol.y)))[:, None]
     cap = level if level is not None else sol.lambda_cap
     return _lambda_f_integrals(sol.problem, sol.grid, [cap], mean_abs_f)[0]

@@ -104,6 +104,18 @@ class TestRunScenarios:
         assert "witness_monotone_divergent = True" in report
         assert "status: no_solution_certified_expected" in report
 
+    @pytest.mark.parametrize("p", ["2", "3", "4"])
+    @pytest.mark.parametrize("n_grid", ["3", "9"])
+    def test_affine_plus_witness_certified_on_coarse_grids(self, tmp_path, p, n_grid):
+        # regular segments of these grids have dt lam(t_i+1) > 1 too; the
+        # witness splits every segment, not only the last one
+        out = tmp_path / "ap1"
+        assert run(["run", "affine_plus", "--terminal", "1", "--p", p,
+                    "--n-grid", n_grid, "--out", str(out)]) == 0
+        report = (out / "report.txt").read_text()
+        assert "witness_monotone_divergent = True" in report
+        assert "status: no_solution_certified_expected" in report
+
     def test_affine_plus_one_level_witness_exits_1(self, tmp_path):
         out = tmp_path / "ap1"
         assert run(["run", "affine_plus", "--terminal", "1", "--schedule", "4",
@@ -372,6 +384,11 @@ class TestParamTable:
     def test_table_matches_scenario_defaults(self):
         taken = set().union(*(info.defaults for info in cli.SCENARIOS.values()))
         assert set(cli.PARAMS) - {"seed", "threads"} == taken
+
+    def test_each_scenario_row_carries_its_runner(self):
+        assert not hasattr(cli, "RUNNERS")
+        for name, info in cli.SCENARIOS.items():
+            assert info.run is getattr(cli, f"_run_{name}")
 
     def test_one_ini_key_per_param(self):
         keys = [(spec.section, spec.key) for spec in cli.PARAMS.values()]

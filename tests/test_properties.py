@@ -110,3 +110,32 @@ def test_distinct_starts_never_collide_before_horizon(y0, shift):
     fb = bl.fundamental_family(model, y0 + shift, grid)
     cap = grid.cap_index
     assert np.all(np.abs(fa.y[:cap + 1] - fb.y[:cap + 1]) > 0)
+
+
+@given(kind=st.sampled_from(["power", "exp"]),
+       param=st.floats(min_value=0.5, max_value=4.0),
+       mass_cap=st.floats(min_value=0.25, max_value=16.0),
+       n_grid=st.one_of(st.integers(min_value=3, max_value=17),     # coarse grids
+                        st.integers(min_value=18, max_value=257)),
+       phi=st.sampled_from([0.0, 1.0]),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_nonexistence_witness_never_raises(kind, param, mass_cap, n_grid, phi, data):
+    # any increasing schedule up to 256 whose lowest level lam(t_cap) exceeds:
+    # the per-segment split keeps every implicit step monotone, so the witness
+    # reports a series; an inconclusive one is allowed
+    model = model_for(kind, param)
+    try:
+        grid = bl.make_grid(model, n_grid, mass_cap=mass_cap)
+    except bl.errors.InfeasibleGrid:
+        assume(False)
+    lowest_max = min(float(model.value(grid.t_cap)), 256.0)
+    low = data.draw(st.floats(min_value=0.0, max_value=lowest_max,
+                              exclude_min=True, exclude_max=True), label="lowest level")
+    rest = data.draw(st.lists(st.floats(min_value=low, max_value=256.0, exclude_min=True),
+                              min_size=1, max_size=4, unique=True), label="higher levels")
+    prob = bl.BsdeProblem(
+        intensity=model, coefficient=bl.CoefficientProcess.constant(phi, 1.0),
+        sign=bl.MINUS_LAMBDA_Y, terminal=bl.TerminalSpec.constant(1.0))
+    cert = bl.certify_nonexistence(prob, [low] + sorted(rest), grid)
+    assert len(cert.growth_series) == 1 + len(rest)
