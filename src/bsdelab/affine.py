@@ -22,7 +22,6 @@ from .coefficients import (
     CoefficientProcess,
     IntensityModel,
     TimeGrid,
-    quad,
 )
 from .errors import LabError, NoParticularSolution, NoSolution, NumericsError
 from .paths import PathBundle
@@ -30,6 +29,13 @@ from .paths import PathBundle
 U_SPAN = 45.0                 # exp(-45) ~ 2.9e-20: below every tolerance in use
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=400)
 _QUAD_ERR_CAP = 1e-9          # backstop: anything above this is a real breakdown
+
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported at its first call: the import takes
+    most of a second, and runs that integrate nothing never pay it."""
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(*args, **kwargs)
 
 
 def _gated_quad(fn, lo, hi, err_cap=None, **opts) -> float:
@@ -156,7 +162,7 @@ def solve_affine_plus(problem: BsdeProblem, grid: TimeGrid,
             y[i] = -_decaying_tail_integral(model, float(pts[i]), coeff,
                                             y_slope=problem.y_slope)
         margin = _bound_margin(grid, y, coeff.sup_norm) if problem.y_slope == 0 else None
-        if margin is not None and margin > 1e-12:
+        if margin is not None and not margin <= 1e-12:      # NaN fails too
             raise NumericsError(
                 f"representation values exceed the a-priori bound by {margin:.3e}")
         return AffineSolution(grid=grid, y=y, z=np.zeros(len(pts)),
@@ -379,20 +385,27 @@ def _averaged_prefix(model: IntensityModel, t: float, coefficient,
 
 def classify_ode(model: IntensityModel, coefficient, tolerance: float,
                  epsilons: Optional[Sequence[float]] = None) -> OdeClassification:
-    """Decide whether the averaged prefix integral settles to a limit at the horizon."""
+    """Decide whether the averaged prefix integral settles to a limit at the horizon.
+
+    A NaN or negative ``tolerance`` raises ``ValueError``; a prefix estimate
+    that is not finite raises ``NumericsError``."""
     if not model.is_singular:
         raise ValueError("the trichotomy concerns singular intensities")
+    if not tolerance >= 0:
+        raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
     if epsilons is None:
         epsilons = np.geomspace(1e-1, 1e-10, 10)
     eps = np.asarray(sorted(epsilons, reverse=True), dtype=float)
     estimates = []
     for e in eps:
-        t = model.horizon - e
+        t = float(model.horizon - e)
         try:
-            estimates.append((float(t), _averaged_prefix(
-                model, float(t), coefficient, err_cap=max(tolerance / 100, 1e-9))))
+            m = _averaged_prefix(model, t, coefficient, err_cap=max(tolerance / 100, 1e-9))
         except (LabError, ArithmeticError) as exc:      # quadrature breakdown
             raise NumericsError(f"prefix integral failed at eps={e:g}: {exc}") from exc
+        if not math.isfinite(m):
+            raise NumericsError(f"prefix integral is {m} at eps={e:g}")
+        estimates.append((t, m))
     tailvals = [v for _, v in estimates[-3:]]
     spread = max(tailvals) - min(tailvals)
     if spread <= tolerance:

@@ -16,18 +16,6 @@ import numpy as np
 
 from .errors import InfeasibleGrid, SingularEvaluation
 
-QUAD_ABS_TOL = 1e-10          # adaptive quadrature target for custom intensities
-BISECTION_TOL = 1e-12         # bracket width for inverting the cumulative mass
-MASS_TOL = 1e-10              # mass residual for inverting the cumulative mass
-_EPS_GAP = 1e-14              # never evaluate a singular intensity closer to T than this
-
-
-def quad(*args, **kwargs):
-    """``scipy.integrate.quad``, imported at its first call: the import takes
-    most of a second, and runs that integrate nothing never pay it."""
-    from scipy.integrate import quad as scipy_quad
-    return scipy_quad(*args, **kwargs)
-
 
 # ---------------------------------------------------------------------------
 # Intensity models
@@ -36,16 +24,14 @@ def quad(*args, **kwargs):
 POWER_GAP = "power_gap"
 EXP_GAP = "exp_gap"
 BOUNDED = "bounded"
-CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
 class IntensityModel:
-    """Deterministic intensity on ``[0, T)`` with known cumulative mass.
+    """Deterministic intensity on ``[0, T)`` with closed-form cumulative mass.
 
     Built via the classmethods; ``power_gap`` and ``exp_gap`` blow up at the
-    horizon, ``bounded`` does not, and ``custom`` wraps a user function
-    (integrated by adaptive quadrature).
+    horizon, ``bounded`` does not.
     """
 
     kind: str
@@ -53,8 +39,6 @@ class IntensityModel:
     p: float = 0.0
     gamma: float = 0.0
     level: float = 0.0
-    fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    singular: bool = False
 
     # -- constructors -------------------------------------------------------
 
@@ -63,14 +47,14 @@ class IntensityModel:
         """lam(t) = p / (T - t); cumulative mass p * ln(T / (T - t))."""
         if p <= 0 or horizon <= 0:
             raise ValueError("power_gap requires p > 0 and horizon > 0")
-        return cls(kind=POWER_GAP, horizon=horizon, p=p, singular=True)
+        return cls(kind=POWER_GAP, horizon=horizon, p=p)
 
     @classmethod
     def exp_gap(cls, gamma: float, horizon: float) -> "IntensityModel":
         """lam(t) = gamma / (exp(gamma (T - t)) - 1)."""
         if gamma <= 0 or horizon <= 0:
             raise ValueError("exp_gap requires gamma > 0 and horizon > 0")
-        return cls(kind=EXP_GAP, horizon=horizon, gamma=gamma, singular=True)
+        return cls(kind=EXP_GAP, horizon=horizon, gamma=gamma)
 
     @classmethod
     def bounded(cls, level: float, horizon: float) -> "IntensityModel":
@@ -79,18 +63,11 @@ class IntensityModel:
             raise ValueError("bounded requires level >= 0 and horizon > 0")
         return cls(kind=BOUNDED, horizon=horizon, level=level)
 
-    @classmethod
-    def custom(cls, fn: Callable, horizon: float, singular: bool) -> "IntensityModel":
-        """Wrap a user intensity; the caller declares whether it blows up at T."""
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
-        return cls(kind=CUSTOM, horizon=horizon, fn=fn, singular=singular)
-
     # -- evaluation ---------------------------------------------------------
 
     @property
     def is_singular(self) -> bool:
-        return self.singular
+        return self.kind != BOUNDED
 
     def value(self, t, cap=None):
         """lam(t), vectorised; returns +inf at the horizon for singular kinds.
@@ -110,24 +87,17 @@ class IntensityModel:
             with np.errstate(divide="ignore", over="ignore"):
                 denom = np.expm1(self.gamma * np.maximum(gap, 0.0))
                 out = np.where(gap > 0, self.gamma / np.where(denom > 0, denom, 1.0), np.inf)
-        elif self.kind == BOUNDED:
-            out = np.full_like(t, self.level, dtype=float)
-        elif self.singular:
-            # never hand the user function the horizon itself
-            t_safe = np.minimum(t, self.horizon * (1.0 - _EPS_GAP))
-            out = np.where(gap > 0, np.asarray(self.fn(t_safe), dtype=float), np.inf)
         else:
-            out = np.asarray(self.fn(t), dtype=float)
+            out = np.full_like(t, self.level, dtype=float)
         if cap is not None:
             out = np.minimum(out, cap)
         return out if out.ndim else float(out)
 
     def cumulative(self, t):
-        """Lam(t) = int_0^t lam(s) ds.
+        """Lam(t) = int_0^t lam(s) ds in closed form.
 
-        Closed form for the built-in kinds, adaptive quadrature (abs tol 1e-10)
-        for custom ones.  Raises ``SingularEvaluation`` at or past T for
-        singular kinds; bounded kinds evaluate up to and including T.
+        Raises ``SingularEvaluation`` at or past T for singular kinds; bounded
+        kinds evaluate up to and including T.
         """
         scalar = np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -144,27 +114,13 @@ class IntensityModel:
         elif self.kind == EXP_GAP:
             g = self.gamma
             out = np.log(-np.expm1(-g * T)) - np.log(-np.expm1(-g * gap))
-        elif self.kind == BOUNDED:
-            out = self.level * t
         else:
-            out = np.array([self._quad_mass(0.0, float(ti)) for ti in t])
+            out = self.level * t
         return float(out[0]) if scalar else out
 
-    def _quad_mass(self, lo: float, hi: float) -> float:
-        if hi <= lo:
-            return 0.0
-        hi = min(hi, self.horizon - _EPS_GAP * self.horizon)
-        val, _ = quad(lambda s: float(self.value(s)), lo, hi,
-                      epsabs=QUAD_ABS_TOL, epsrel=1e-12, limit=400)
-        return val
-
     def total_mass(self) -> float:
-        """Lam(T-): +inf for singular kinds, the closed/quadrature value otherwise."""
-        if self.is_singular:
-            return math.inf
-        if self.kind == BOUNDED:
-            return self.level * self.horizon
-        return self._quad_mass(0.0, self.horizon)
+        """Lam(T-): +inf for singular kinds, level * T for bounded ones."""
+        return self.level * self.horizon if self.kind == BOUNDED else math.inf
 
     def exp_minus_cumulative(self, t):
         """exp(-Lam(t)) in a form that is exact down to t = T (where it vanishes)."""
@@ -177,21 +133,13 @@ class IntensityModel:
             g = self.gamma
             out = np.expm1(-g * gap) / np.expm1(-g * self.horizon)
         else:
-            out = np.array([
-                math.exp(-self.cumulative(float(ti))) if ti < self.horizon
-                else (0.0 if self.is_singular else math.exp(-self.total_mass()))
-                for ti in t
-            ])
+            out = np.exp(-self.level * t)
         return float(out[0]) if scalar else out
 
     def mass_inverse(self, target: float) -> float:
-        """The inverse of Lam: the time where the cumulative mass reaches ``target``.
-
-        Closed form for power_gap, exp_gap and bounded intensities (clamped to
-        [0, T]), a bracketed secant search for custom ones.
-        """
-        if not self._closed_inverse:
-            return self._bisect_inverse(target)
+        """The inverse of Lam: the time where the cumulative mass reaches
+        ``target``, in closed form and clamped to [0, T].  A zero bounded
+        level reaches no positive mass: such a target gives T."""
         T = self.horizon
         if self.kind == POWER_GAP:
             t = T * (1.0 - math.exp(-target / self.p))
@@ -199,82 +147,8 @@ class IntensityModel:
             g = self.gamma
             t = T + math.log1p(math.expm1(-g * T) * math.exp(-target)) / g
         else:
-            t = target / self.level
+            t = target / self.level if self.level > 0 else T * (target > 0)
         return min(max(t, 0.0), T)
-
-    @property
-    def _closed_inverse(self) -> bool:
-        return self.kind in (POWER_GAP, EXP_GAP) or (self.kind == BOUNDED and self.level > 0)
-
-    def _bisect_inverse(self, target: float) -> float:
-        """Solve Lam(t) = target by bisection from t = 0 (the kinds without a closed form)."""
-        return self._bisect_from(target, 0.0, 0.0)[0]
-
-    def _inverse_from(self, target: float, lo: float, mass_lo: float) -> tuple:
-        """``mass_inverse`` given a start ``lo`` with Lam(lo) = ``mass_lo`` <= target;
-        returns t and the mass at t.  The closed forms ignore the start, the
-        other kinds bisect from it."""
-        if self._closed_inverse:
-            return self.mass_inverse(target), target
-        return self._bisect_from(target, lo, mass_lo)
-
-    def _bisect_from(self, target: float, lo: float, mass_lo: float) -> tuple:
-        """Solve Lam(t) = target on a bracket starting at ``lo``, where Lam is
-        ``mass_lo`` <= target; returns t and the mass found at t.
-
-        Each step is the secant of Lam through the latest two iterates, or the
-        bracket's midpoint where the secant leaves the bracket or only one
-        mass is known.  Stops once the mass residual is below ``MASS_TOL``
-        (where the intensity is steep, time alone cannot control the mass
-        error) AND the bracket, or the secant's next correction, is below
-        ``BISECTION_TOL`` in time; that correction is applied inside the
-        bracket, with the target as its mass.  A target beyond the total mass
-        gives ~T.  Where Lam is a quadrature, the mass at the bracket's lower
-        end is carried and only [lo, t] is integrated at each step.
-        """
-        if target < 0:
-            raise ValueError("target mass must be nonnegative")
-        if target == 0.0:
-            return 0.0, 0.0
-        quadrature = self.kind == CUSTOM
-
-        def mass_from(lo: float, mass_lo: float, t: float) -> float:
-            return mass_lo + self._quad_mass(lo, t) if quadrature else self.cumulative(t)
-
-        T = self.horizon
-        hi, prev = T * (1.0 - _EPS_GAP), None
-        if self.is_singular:
-            # walk the bracket toward T until the mass exceeds the target
-            hi = T - 0.5 * (T - lo)
-            while (mass_hi := mass_from(lo, mass_lo, hi)) < target:
-                lo, mass_lo = hi, mass_hi
-                hi = T - 0.5 * (T - hi)
-                if T - hi < _EPS_GAP * T:
-                    raise InfeasibleGrid("target mass unreachable in floating point")
-            prev = (hi, mass_hi)
-        t, mass = lo, mass_lo               # the latest iterate; prev the one before
-        # ~170 halvings exhaust double precision on any bracket
-        for _ in range(200):
-            step = None
-            if prev is not None and mass != prev[1]:
-                step = (target - mass) * (t - prev[0]) / (mass - prev[1])
-                if abs(step) <= BISECTION_TOL and abs(mass - target) <= MASS_TOL:
-                    if lo <= t + step <= hi:
-                        # the last correction, whose error is second order in it
-                        t, mass = t + step, target
-                    break
-            prev = (t, mass)
-            t = t + step if step is not None and lo < t + step < hi else 0.5 * (lo + hi)
-            mass = mass_from(lo, mass_lo, t)
-            if hi - lo <= BISECTION_TOL and abs(mass - target) <= MASS_TOL:
-                break
-            if t <= lo or t >= hi:          # bracket exhausted in floating point
-                break
-            if mass < target:
-                lo, mass_lo = t, mass
-            else:
-                hi = t
-        return t, mass
 
     def inverse_rate_at_mass(self, u: float) -> float:
         """1 / lam(t) evaluated at the time where Lam(t) = u.
@@ -289,11 +163,7 @@ class IntensityModel:
             g = self.gamma
             w = -math.expm1(-g * self.horizon) * math.exp(-u)   # exp(-gamma gap) deficit
             return w / (g * (1.0 - w))
-        if self.kind == BOUNDED:
-            return 1.0 / self.level if self.level > 0 else math.inf
-        s = self.mass_inverse(u)
-        lam = float(self.value(s))
-        return 1.0 / lam if math.isfinite(lam) and lam > 0 else 0.0
+        return 1.0 / self.level if self.level > 0 else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -550,10 +420,10 @@ def make_grid(model: IntensityModel, n: int, scheme: str = INTENSITY_MASS, *,
 
     ``uniform``: n equally spaced points.
     ``intensity_mass``: n nodes with equal increments of Lam up to ``mass_cap``
-    (placed by ``mass_inverse``; a bisection starts at the previous node), then
-    the terminal node appended.  The equal-mass property holds to 1e-9 while
-    lam at the cap stays below ~1e6/T; beyond that the time coordinate can no
-    longer resolve the mass increments.
+    (placed by ``mass_inverse``), then the terminal node appended.  The
+    equal-mass property holds to 1e-9 while lam at the cap stays below
+    ~1e6/T; beyond that the time coordinate can no longer resolve the mass
+    increments.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -567,11 +437,7 @@ def make_grid(model: IntensityModel, n: int, scheme: str = INTENSITY_MASS, *,
         if not model.is_singular and model.total_mass() < mass_cap:
             raise InfeasibleGrid(
                 f"cumulative mass tops out at {model.total_mass():.6g} < {mass_cap:.6g}")
-        # each target starts at the previous node, with the mass found there
-        inner, t, mass = [], 0.0, 0.0
-        for u in np.linspace(0.0, mass_cap, n)[1:]:
-            t, mass = model._inverse_from(float(u), t, mass)
-            inner.append(t)
+        inner = [model.mass_inverse(float(u)) for u in np.linspace(0.0, mass_cap, n)[1:]]
         pts = np.array([0.0] + inner + [T])
         if np.any(np.diff(pts) <= 0):
             raise InfeasibleGrid("mass-equidistributed nodes collide near the horizon")

@@ -340,8 +340,13 @@ def _lambda_f_integrals(problem: BsdeProblem, grid: TimeGrid, caps: Sequence,
 
 def estimate_lambda_f_integral(sol: SolutionEstimate,
                                level: Optional[float] = None) -> float:
-    """Trapezoidal estimate of E int lam^n |f(Y^n)| dt along the solution."""
+    """Trapezoidal estimate of E int lam^n |f(Y^n)| dt along the solution.
+
+    The level is ``level``, else the solution's own ``lambda_cap``; a singular
+    intensity without either raises ``ValueError`` (its mass is infinite)."""
+    cap = level if level is not None else sol.lambda_cap
+    if cap is None and sol.problem.intensity.is_singular:
+        raise ValueError("a singular intensity needs a truncation level")
     driver = sol.driver_used or sol.problem.effective_driver()
     mean_abs_f = _mean_abs(driver.f(by_node(sol.y)))[:, None]
-    cap = level if level is not None else sol.lambda_cap
     return _lambda_f_integrals(sol.problem, sol.grid, [cap], mean_abs_f)[0]

@@ -184,6 +184,23 @@ class TestClassifyOde:
         with pytest.raises(NumericsError, match="prefix integral failed"):
             bl.classify_ode(power1, overflowing, tolerance=1e-6)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf])
+    def test_nonfinite_prefix_is_a_numerics_error(self, power1, c):
+        coeff = bl.CoefficientProcess.intensity_multiple(c, power1)
+        with pytest.raises(NumericsError, match="prefix integral is (nan|inf)"):
+            bl.classify_ode(power1, coeff, tolerance=1e-6)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-6])
+    def test_nan_or_negative_tolerance_rejected(self, power1, tol):
+        coeff = bl.CoefficientProcess.intensity_multiple(2.0, power1)
+        with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+            bl.classify_ode(power1, coeff, tolerance=tol)
+
+    def test_zero_tolerance_is_valid(self, power1):
+        out = bl.classify_ode(power1, bl.CoefficientProcess.constant(0.0, 1.0),
+                              tolerance=0.0)
+        assert out.converges and out.limit == 0.0
+
 
 class TestOdeFamilyMember:
     def test_linear_member(self, power1, grid129):

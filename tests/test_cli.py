@@ -289,6 +289,21 @@ class TestBadParameters:
         assert "error: " in report
 
 
+    @pytest.mark.parametrize("args,error", [
+        (["affine_plus", "--phi-value", "nan"],
+         "error: representation values exceed the a-priori bound by nan"),
+        (["ode_trichotomy", "--c", "nan"], "error: prefix integral is nan"),
+        (["ode_trichotomy", "--c", "inf"], "error: prefix integral is inf"),
+        (["ode_trichotomy", "--tol", "nan"], "error: tolerance must be nonnegative"),
+    ])
+    def test_nan_input_exits_1_with_report(self, tmp_path, args, error):
+        out = tmp_path / "nan"
+        assert run(["run", *args, "--out", str(out)]) == 1
+        report = (out / "report.txt").read_text()
+        assert error in report
+        assert report.endswith("status: failed\nexit_code: 1\n")
+
+
 class TestBoxExcursion:
     def test_mc_report_prints_raw_excursion(self, tmp_path):
         out = tmp_path / "mc"

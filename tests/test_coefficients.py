@@ -37,12 +37,6 @@ class TestCumulativeIntensity:
         m = bl.IntensityModel.bounded(2.0, 1.0)
         assert m.cumulative(0.25) == pytest.approx(0.5, abs=1e-14)
 
-    def test_custom_uses_quadrature(self):
-        m = bl.IntensityModel.custom(lambda t: 1.0 / (1.0 - t), 1.0, singular=True)
-        ref = bl.IntensityModel.power_gap(1.0, 1.0)
-        for t in [0.1, 0.5, 0.9]:
-            assert abs(m.cumulative(t) - ref.cumulative(t)) < 1e-9
-
 
 class TestMakeGrid:
     def test_mass_equidistributed_example(self):
@@ -182,45 +176,6 @@ class TestBsdeProblem:
                               driver=bl.DriverSpec.neg_identity(),
                               terminal=bl.TerminalSpec.constant(-1.0))
         assert prob.terminal.value == -1.0
-
-
-class TestCustomModelEndToEnd:
-    def test_custom_singular_twin_matches_power_gap(self):
-        # a custom wrapper of the same intensity must drive the solvers and
-        # certificates to the same numbers as the closed-form model
-        import bsdelab as blm
-
-        twin = blm.IntensityModel.custom(
-            lambda t: 1.0 / (1.0 - np.asarray(t, dtype=float)), 1.0, singular=True)
-        closed = blm.IntensityModel.power_gap(1.0, 1.0)
-        grid = blm.make_grid(closed, 121, mass_cap=10.0)   # share the closed-form grid
-
-        def problem(model):
-            return blm.BsdeProblem(
-                intensity=model,
-                coefficient=blm.CoefficientProcess.constant(0.0, 1.0),
-                sign=blm.MINUS_LAMBDA_Y,
-                terminal=blm.TerminalSpec.constant(1.0))
-
-        cert_twin = blm.certify_nonexistence(problem(twin), [4, 16, 64], grid)
-        cert_closed = blm.certify_nonexistence(problem(closed), [4, 16, 64], grid)
-        for (_, a), (_, b) in zip(cert_twin.growth_series, cert_closed.growth_series):
-            assert a == pytest.approx(b, rel=1e-9)
-        assert cert_twin.monotone_divergent
-
-    def test_custom_value_never_evaluated_at_horizon(self):
-        calls = []
-
-        def lam(t):
-            t = np.asarray(t, dtype=float)
-            calls.append(np.max(t))
-            assert np.all(t < 1.0)
-            return 1.0 / (1.0 - t)
-
-        model = bl.IntensityModel.custom(lam, 1.0, singular=True)
-        out = model.value(np.array([0.0, 0.5, 1.0]))
-        assert np.isinf(out[-1])
-        assert calls and max(calls) < 1.0
 
 
 class TestCoefficientBroadcast:

@@ -191,6 +191,20 @@ class TestFunctionals:
         assert mass <= abs(sol.y[0]) + 1.0 + 0.05
 
 
+    def test_lambda_f_mass_needs_a_level_on_a_singular_intensity(self, power1):
+        # a family member carries no truncation level; lam is infinite at T
+        grid = bl.make_grid(power1, 61, mass_cap=10.0)
+        member = bl.fundamental_family(power1, 1.0, grid)
+        prob = bl.BsdeProblem(intensity=power1,
+                              coefficient=bl.CoefficientProcess.constant(0.0, 1.0),
+                              sign=bl.MINUS_LAMBDA_Y)
+        sol = bl.SolutionEstimate(grid=grid, y=member.y, z=member.z,
+                                  mode="ode_exact", problem=prob)
+        with pytest.raises(ValueError, match="needs a truncation level"):
+            bl.estimate_lambda_f_integral(sol)
+        assert bl.estimate_lambda_f_integral(sol, level=16.0) > 0.0
+
+
 class TestMonotoneViolation:
     def test_mc_value_is_the_two_pass_formula(self, power1):
         # the paired difference is formed once; the value must not move a bit
