@@ -21,7 +21,6 @@ from .affine import (
     classify_ode,
     fundamental_family,
     ode_family_member,
-    solve_affine_minus_particular,
     solve_affine_plus,
 )
 from .lipschitz_solver import (
@@ -61,6 +60,5 @@ __all__ = [
     "classify_ode", "comparison_check", "errors", "estimate_bmo",
     "estimate_lambda_f_integral", "fundamental_family", "make_grid",
     "ode_family_member", "residual_check", "run_scheme", "simulate_paths",
-    "solve_affine_minus_particular", "solve_affine_plus", "solve_ode_mode",
-    "solve_regression_mc", "truncate",
+    "solve_affine_plus", "solve_ode_mode", "solve_regression_mc", "truncate",
 ]

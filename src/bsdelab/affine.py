@@ -23,7 +23,7 @@ from .coefficients import (
     IntensityModel,
     TimeGrid,
 )
-from .errors import LabError, NoParticularSolution, NoSolution, NumericsError
+from .errors import LabError, NoSolution, NumericsError
 from .paths import PathBundle
 
 U_SPAN = 45.0                 # exp(-45) ~ 2.9e-20: below every tolerance in use
@@ -38,15 +38,13 @@ def quad(*args, **kwargs):
     return scipy_quad(*args, **kwargs)
 
 
-def _gated_quad(fn, lo, hi, err_cap=None, **opts) -> float:
+def _gated_quad(fn, lo, hi, err_cap=None) -> float:
     """quad with quadpack's roundoff chatter silenced but its error estimate enforced."""
     from scipy.integrate import IntegrationWarning
 
-    options = dict(_QUAD_OPTS)
-    options.update(opts)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(fn, lo, hi, **options)
+        val, err = quad(fn, lo, hi, **_QUAD_OPTS)
     cap = _QUAD_ERR_CAP if err_cap is None else err_cap
     if err > max(cap, 1e-9 * abs(val)):
         raise NumericsError(
@@ -57,7 +55,6 @@ def _gated_quad(fn, lo, hi, err_cap=None, **opts) -> float:
 REPRESENTATION = "representation_formula"
 FUNDAMENTAL = "fundamental_family"
 STOCHASTIC_FUNDAMENTAL = "stochastic_fundamental_family"
-PARTICULAR = "particular_solution"
 ODE_FAMILY = "ode_family"
 
 
@@ -89,16 +86,14 @@ def _coefficient_fn(coefficient) -> Callable:
 def _mass_factor(model: IntensityModel, coefficient) -> Callable:
     """g(u) = phi(s(u)) / lam(s(u)) as a function of the mass coordinate.
 
-    Coefficients defined through the intensity itself (a multiple of it, or the
-    damping exp(-Lam)) evaluate exactly for arbitrarily large u, where the time
-    coordinate s(u) is no longer resolvable in floating point.
+    A constant multiple of the intensity evaluates exactly for arbitrarily
+    large u, where the time coordinate s(u) is no longer resolvable in floating
+    point.
     """
-    if isinstance(coefficient, CoefficientProcess) and coefficient.model == model:
-        if coefficient.kind == "intensity_multiple":
-            factor = coefficient.value_const
-            return lambda u: factor
-        if coefficient.kind == "exp_minus_mass":
-            return lambda u: math.exp(-u) * model.inverse_rate_at_mass(u)
+    if isinstance(coefficient, CoefficientProcess) and coefficient.model == model \
+            and coefficient.kind == "intensity_multiple":
+        factor = coefficient.value_const
+        return lambda u: factor
     fn = _coefficient_fn(coefficient)
 
     def g(u):
@@ -111,7 +106,7 @@ def _mass_factor(model: IntensityModel, coefficient) -> Callable:
 
 
 def _decaying_tail_integral(model: IntensityModel, t: float, coefficient,
-                            y_slope: float = 0.0, u_span: float = U_SPAN) -> float:
+                            y_slope: float = 0.0) -> float:
     """int_t^T exp(-(Lam(s) - Lam(t)) - b (s - t)) phi(s) ds via u = Lam(s) - Lam(t).
 
     A y-slope b acts as a constant addition to the intensity, so it joins the
@@ -125,14 +120,14 @@ def _decaying_tail_integral(model: IntensityModel, t: float, coefficient,
         return math.exp(-u) * drift * g(base + u)
 
     if model.is_singular:
-        hi = u_span
+        hi = U_SPAN
     else:
         hi = model.total_mass() - base
         if hi <= 0:
             return 0.0
-    val = _gated_quad(integrand, 0.0, min(hi, u_span))
-    if not model.is_singular and hi > u_span:
-        val += _gated_quad(integrand, u_span, hi)
+    val = _gated_quad(integrand, 0.0, min(hi, U_SPAN))
+    if not model.is_singular and hi > U_SPAN:
+        val += _gated_quad(integrand, U_SPAN, hi)
     return val
 
 
@@ -275,87 +270,6 @@ def fundamental_family(model: IntensityModel, y0: float, grid: TimeGrid,
 
 
 # ---------------------------------------------------------------------------
-# Exploding-weight integrals: particular solution of the minus equation
-# ---------------------------------------------------------------------------
-
-DIVERGENCE_FACTOR = 1e6       # partial integrals beyond this multiple of the bound diverge
-_CHUNK = 4.0
-_MAX_CHUNKS = 12
-
-
-def _growing_weight_probe(model: IntensityModel, coefficient,
-                          sup_norm: float) -> float:
-    """Chunked partials of int_0^T exp(Lam(s)) |weighted| from t = 0.
-
-    Returns the u-endpoint at which the increments have converged; raises
-    ``NoParticularSolution`` when they stagnate or blow past the threshold.
-    """
-    g = _mass_factor(model, coefficient)
-
-    def integrand(u):
-        return math.exp(u) * g(u)
-
-    total_mass = math.inf if model.is_singular else model.total_mass()
-    partial = 0.0
-    increments = []
-    threshold = DIVERGENCE_FACTOR * max(sup_norm, 1e-300)
-    atol = 1e-10 * max(1.0, sup_norm)
-    lo = 0.0
-    for _ in range(_MAX_CHUNKS):
-        hi = min(lo + _CHUNK, total_mass)
-        inc = _gated_quad(integrand, lo, hi, epsabs=1e-12, epsrel=1e-11)
-        partial += inc
-        increments.append(abs(inc))
-        if hi >= total_mass:
-            return hi          # bounded intensity: the integral is proper
-        if abs(partial) > threshold and len(increments) >= 2 \
-                and abs(partial) - increments[-1] > threshold:
-            raise NoParticularSolution(
-                f"weighted integral exceeds {threshold:.3g} under refinement"
-            )
-        if increments[-1] < atol:
-            return hi
-        lo = hi
-    if increments[-1] < 0.5 * increments[0]:
-        # still decaying, extend once more and accept
-        return lo
-    raise NoParticularSolution(
-        "weighted integral increments do not decay under refinement"
-    )
-
-
-def solve_affine_minus_particular(model: IntensityModel, coefficient,
-                                  grid: TimeGrid) -> AffineSolution:
-    """Particular solution Y_t = -int_t^T exp(Lam(s) - Lam(t)) phi(s) ds.
-
-    Convergence of the exploding-weight integral is probed numerically before
-    any nodal value is computed; divergence raises ``NoParticularSolution``.
-    """
-    if isinstance(coefficient, CoefficientProcess) and coefficient.is_markovian:
-        raise ValueError("the particular solution is built for deterministic data")
-    fn = _coefficient_fn(coefficient)
-    sup = coefficient.sup_norm if isinstance(coefficient, CoefficientProcess) else \
-        float(np.max(np.abs([fn(s) for s in np.linspace(0, model.horizon * (1 - 1e-9), 101)])))
-    if not math.isfinite(sup):
-        sup = 1.0          # scale only enters the divergence threshold
-    u_end = _growing_weight_probe(model, coefficient, sup)
-
-    pts, cap = grid.points, grid.cap_index
-    g = _mass_factor(model, coefficient)
-    y = np.zeros(len(pts))
-    for i in range(cap + 1):
-        base = float(model.cumulative(float(pts[i]))) if pts[i] > 0 else 0.0
-
-        def integrand(u):
-            return math.exp(u) * g(base + u)
-
-        hi = max(u_end - base, 0.0)
-        y[i] = -_gated_quad(integrand, 0.0, hi) if hi > 0 else 0.0
-    return AffineSolution(grid=grid, y=y, z=np.zeros(len(pts)),
-                          provenance=PARTICULAR)
-
-
-# ---------------------------------------------------------------------------
 # Deterministic ODE trichotomy
 # ---------------------------------------------------------------------------
 
@@ -383,8 +297,7 @@ def _averaged_prefix(model: IntensityModel, t: float, coefficient,
     return _gated_quad(integrand, lo, u_hi, err_cap=err_cap)
 
 
-def classify_ode(model: IntensityModel, coefficient, tolerance: float,
-                 epsilons: Optional[Sequence[float]] = None) -> OdeClassification:
+def classify_ode(model: IntensityModel, coefficient, tolerance: float) -> OdeClassification:
     """Decide whether the averaged prefix integral settles to a limit at the horizon.
 
     A NaN or negative ``tolerance`` raises ``ValueError``; a prefix estimate
@@ -393,11 +306,8 @@ def classify_ode(model: IntensityModel, coefficient, tolerance: float,
         raise ValueError("the trichotomy concerns singular intensities")
     if not tolerance >= 0:
         raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
-    if epsilons is None:
-        epsilons = np.geomspace(1e-1, 1e-10, 10)
-    eps = np.asarray(sorted(epsilons, reverse=True), dtype=float)
     estimates = []
-    for e in eps:
+    for e in np.geomspace(1e-1, 1e-10, 10):
         t = float(model.horizon - e)
         try:
             m = _averaged_prefix(model, t, coefficient, err_cap=max(tolerance / 100, 1e-9))

@@ -45,21 +45,21 @@ class IntensityModel:
     @classmethod
     def power_gap(cls, p: float, horizon: float) -> "IntensityModel":
         """lam(t) = p / (T - t); cumulative mass p * ln(T / (T - t))."""
-        if p <= 0 or horizon <= 0:
+        if not (p > 0 and horizon > 0):
             raise ValueError("power_gap requires p > 0 and horizon > 0")
         return cls(kind=POWER_GAP, horizon=horizon, p=p)
 
     @classmethod
     def exp_gap(cls, gamma: float, horizon: float) -> "IntensityModel":
         """lam(t) = gamma / (exp(gamma (T - t)) - 1)."""
-        if gamma <= 0 or horizon <= 0:
+        if not (gamma > 0 and horizon > 0):
             raise ValueError("exp_gap requires gamma > 0 and horizon > 0")
         return cls(kind=EXP_GAP, horizon=horizon, gamma=gamma)
 
     @classmethod
     def bounded(cls, level: float, horizon: float) -> "IntensityModel":
         """Constant intensity lam(t) = level."""
-        if level < 0 or horizon <= 0:
+        if not (level >= 0 and horizon > 0):
             raise ValueError("bounded requires level >= 0 and horizon > 0")
         return cls(kind=BOUNDED, horizon=horizon, level=level)
 
@@ -181,7 +181,7 @@ class CoefficientProcess:
     function of (t, Brownian level).
     """
 
-    kind: str                                  # constant | time_function | markovian | exp_minus_mass
+    kind: str                # constant | time_function | markovian | intensity_multiple
     horizon: float
     value_const: float = 0.0
     fn: Optional[Callable] = None
@@ -223,12 +223,6 @@ class CoefficientProcess:
                    sup_norm=float(sup_norm), nonnegative=nonnegative)
 
     @classmethod
-    def exp_minus_mass(cls, model: IntensityModel) -> "CoefficientProcess":
-        """phi(t) = exp(-Lam(t)); bounded by 1 and vanishing at a singular horizon."""
-        return cls(kind="exp_minus_mass", horizon=model.horizon, model=model,
-                   sup_norm=1.0, nonnegative=True)
-
-    @classmethod
     def intensity_multiple(cls, factor: float, model: IntensityModel) -> "CoefficientProcess":
         """phi(t) = factor * lam(t): unbounded for singular models, but exactly
         representable in mass coordinates (phi / lam is the constant factor)."""
@@ -245,8 +239,6 @@ class CoefficientProcess:
             out = np.full(np.shape(t) or (), self.value_const, dtype=float)
         elif self.kind == "time_function":
             out = np.asarray(self.fn(np.asarray(t, dtype=float)), dtype=float)
-        elif self.kind == "exp_minus_mass":
-            out = self.model.exp_minus_cumulative(t)
         elif self.kind == "intensity_multiple":
             out = self.value_const * np.asarray(self.model.value(t), dtype=float)
         else:
@@ -300,7 +292,7 @@ class DriverSpec:
         The joint form takes both from one ``expm1``: f' = 1 + expm1(-alpha x),
         within an ulp of ``exp``, and f keeps the ``expm1`` accuracy near 0.
         """
-        if alpha <= 0:
+        if not alpha > 0:
             raise ValueError("alpha must be positive")
 
         def joint(x, out=None):
@@ -341,10 +333,11 @@ class DriverSpec:
     def monotone(self) -> bool:
         return self.nondecreasing or self.nonincreasing
 
-    def check_flags(self, lo: float = -10.0, hi: float = 10.0,
-                    n: int = 2001, slack: float = 1e-12) -> dict:
-        """Sample-based verification of the declared flags on [lo, hi]."""
-        xs = np.linspace(lo, hi, n)
+    def check_flags(self, lo: float = -10.0, hi: float = 10.0) -> dict:
+        """Sample-based verification of the declared flags on 2001 points of
+        [lo, hi], each within 1e-12."""
+        slack = 1e-12
+        xs = np.linspace(lo, hi, 2001)
         fx = np.asarray(self.f(xs), dtype=float)
         out = {}
         if self.zero_at_zero:
@@ -432,7 +425,7 @@ def make_grid(model: IntensityModel, n: int, scheme: str = INTENSITY_MASS, *,
         pts = np.linspace(0.0, T, n)
         return TimeGrid(points=pts, cap_index=max(0, n - 2))
     if scheme == INTENSITY_MASS:
-        if mass_cap <= 0:
+        if not mass_cap > 0:
             raise ValueError("mass_cap must be positive")
         if not model.is_singular and model.total_mass() < mass_cap:
             raise InfeasibleGrid(

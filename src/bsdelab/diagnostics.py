@@ -23,7 +23,6 @@ from .affine import (
 )
 from .coefficients import (
     MINUS_LAMBDA_Y,
-    NONLINEAR_PLUS,
     PLUS_LAMBDA_Y,
     BsdeProblem,
     CoefficientProcess,
@@ -112,7 +111,6 @@ class PathologyCertificate:
 
 def certify_nonexistence(problem: BsdeProblem, schedule: Sequence[float],
                          grid: TimeGrid,
-                         ratio_threshold: float = GROWTH_RATIO_THRESHOLD,
                          scenario_id: str = "nonexistence") -> PathologyCertificate:
     """Solve the truncated problems along the schedule and report the mass series
     int lam^n |Y^n| dt, which must blow up when no solution exists.
@@ -134,8 +132,6 @@ def certify_nonexistence(problem: BsdeProblem, schedule: Sequence[float],
             "plus-sign non-existence is certified by the representation formula "
             "(solve_affine_plus raises NoSolution); the mass series stays bounded there"
         )
-    if problem.sign == NONLINEAR_PLUS and not problem.driver.monotone:
-        raise ValueError("nonlinear certificates need a monotone driver")
 
     schedule = [float(n) for n in schedule]
     if len(schedule) < 2:
@@ -161,13 +157,13 @@ def certify_nonexistence(problem: BsdeProblem, schedule: Sequence[float],
         series.append((n, mass))
     values = [m for _, m in series]
     increasing = all(b > a for a, b in zip(values, values[1:]))
-    divergent = increasing and values[-1] > ratio_threshold * values[0]
+    divergent = increasing and values[-1] > GROWTH_RATIO_THRESHOLD * values[0]
     return PathologyCertificate(
         kind="non_existence", scenario_id=scenario_id,
         growth_series=tuple(series), monotone_divergent=divergent,
         metadata={
             "ratio": values[-1] / values[0] if values[0] > 0 else math.inf,
-            "ratio_threshold": ratio_threshold,
+            "ratio_threshold": GROWTH_RATIO_THRESHOLD,
             "proxy_note": (
                 "divergence in the truncation level stands in for the exact "
                 "argument, whose exceptional time is not a stopping time and "
@@ -206,7 +202,6 @@ class EkRed:
 
 
 def certify_nonuniqueness(scenario, grid: TimeGrid,
-                          bundle: Optional[PathBundle] = None,
                           scenario_id: Optional[str] = None) -> PathologyCertificate:
     """Construct at least two family members, verify each by residual check,
     and report their pairwise sup distances."""
@@ -256,7 +251,7 @@ def certify_nonuniqueness(scenario, grid: TimeGrid,
         raise ValueError("a non-uniqueness certificate needs at least two members")
     residuals = []
     for member in members:
-        rep = residual_check(member, problem, bundle=bundle)
+        rep = residual_check(member, problem)
         if not rep.max_residual <= tol:      # a NaN residual fails too
             raise CertificateFailed(
                 f"member y0={member.y0} fails verification: residual "

@@ -21,10 +21,6 @@ class NoSolution(LabError):
         self.reason = reason
 
 
-class NoParticularSolution(LabError):
-    """The weighted integral defining the particular solution diverges."""
-
-
 class ResourceLimit(LabError):
     """A requested simulation exceeds the configured memory cap."""
 

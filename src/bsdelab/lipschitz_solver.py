@@ -526,15 +526,10 @@ def comparison_check(sol_low: SolutionEstimate, sol_high: SolutionEstimate,
         raise ValueError("solutions live on different grids")
     if sol_low.pathwise != sol_high.pathwise:
         raise ValueError("solutions come from different modes")
-    if sol_low.pathwise:
-        mean, stderr = paired_moments(sol_low.y - sol_high.y, axis=0)
-        tol = 3.0 * stderr if tolerance is None else tolerance
-        excess = mean - tol
-        max_violation = float(np.max(excess))
-        return ComparisonReport(max_violation=max_violation,
-                                tolerance=float(np.max(np.atleast_1d(tol))),
-                                ok=max_violation <= 0.0)
-    tol = 0.0 if tolerance is None else tolerance
-    max_violation = float(np.max(sol_low.y - sol_high.y - tol))
-    return ComparisonReport(max_violation=max_violation, tolerance=tol,
+    # deterministic data are one path, whose standard error is 0
+    mean, stderr = paired_moments(np.atleast_2d(sol_low.y - sol_high.y), axis=0)
+    tol = 3.0 * stderr if tolerance is None else tolerance
+    max_violation = float(np.max(mean - tol))
+    return ComparisonReport(max_violation=max_violation,
+                            tolerance=float(np.max(np.atleast_1d(tol))),
                             ok=max_violation <= 0.0)

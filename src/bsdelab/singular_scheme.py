@@ -11,7 +11,7 @@ quadratic variation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,6 +30,8 @@ from .paths import PathBundle
 
 ODE_MONOTONE_SLACK = 1e-10
 BOX_SLACK_ODE = 1e-10
+BMO_QUANTILE = 0.005          # the BMO surface is maximised between the level's
+BMO_EVAL_POINTS = 41          # q and 1 - q quantiles, on this many points
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +103,6 @@ class SchemeReport:
     box_excursion_raw: tuple         # per level: excursion from the box before the clamp
     y_min: tuple                     # per level: smallest Y over nodes and paths
     y_max: tuple                     # per level: largest Y over nodes and paths
-    notes: dict = field(default_factory=dict)
 
     @property
     def status(self) -> str:
@@ -141,6 +142,8 @@ def run_scheme(problem: BsdeProblem, grid: TimeGrid, schedule: Sequence[float],
     schedule = [float(n) for n in schedule]
     if len(schedule) < 2 or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be increasing with at least two levels")
+    if not config.tol >= 0:                   # NaN fails too
+        raise ValueError(f"tolerance must be nonnegative, got {config.tol}")
     t_cap = grid.t_cap
     if t0 is None:
         t0 = t_cap
@@ -167,7 +170,7 @@ def run_scheme(problem: BsdeProblem, grid: TimeGrid, schedule: Sequence[float],
     mean_abs_f = np.empty((n_pts, n_levels))
     y_top = np.empty((n_pts, 2, m_paths))      # the last two levels
     z_top = np.zeros((n_pts - 1, m_paths))     # the last level
-    bmo = _BmoFold(sweep.basis) if mc else None
+    bmo = _BmoFold(sweep.basis)               # stays at 0 in ODE mode
     # per-sweep scratch: the paired level differences, then |f|
     scratch = np.empty((n_levels, m_paths))
     diff = scratch[:-1]
@@ -188,15 +191,14 @@ def run_scheme(problem: BsdeProblem, grid: TimeGrid, schedule: Sequence[float],
             if mc:
                 bmo.add(bundle.levels[:, i, 0], node.z[-1], dts[i], node.fit)
 
-    if mc:
-        gaps = tuple(float(math.sqrt(np.mean(g ** 2))) for g in gap)
-        kept = ((y_top[:, 0, :].T, None), (y_top[:, 1, :].T, z_top.T))
-        bmo_value, bmo_stderr = bmo.value, bmo.stderr
-    else:
-        gaps = tuple(float(g[0]) for g in gap)
-        kept = ((y_top[:, 0, 0], None), (y_top[:, 1, 0], z_top[:, 0]))
-        bmo_value, bmo_stderr = 0.0, 0.0
-    solutions = tuple(sweep.solution(n_levels - 2 + j, y, z) for j, (y, z) in enumerate(kept))
+    # RMS over the paths; with one path sqrt(g^2) is g exactly
+    gaps = tuple(float(math.sqrt(np.mean(g ** 2))) for g in gap)
+    ys, zs = y_top.transpose(1, 2, 0), z_top.T    # (2, M, N) and (M, N - 1)
+    if not mc:
+        ys, zs = ys[:, 0], zs[0]
+    solutions = (sweep.solution(n_levels - 2, ys[0], None),
+                 sweep.solution(n_levels - 1, ys[1], zs))
+    bmo_value, bmo_stderr = bmo.value, bmo.stderr
     mono = max(float(np.max(excess)), 0.0)
     box_slack = BOX_SLACK_ODE if config.mode == "ode" else config.clamp_margin + 1e-12
     # the sweep's excursion before the Monte Carlo clamp, not the clamped values
@@ -218,10 +220,7 @@ def run_scheme(problem: BsdeProblem, grid: TimeGrid, schedule: Sequence[float],
         lambda_f_integrals=masses, envelope_bound=sup, t_cap=t_cap,
         y0=per_level(sweep.y0_mean), residual_max=per_level(sweep.residual_max),
         box_excursion_raw=per_level(sweep.box_excursion_raw),
-        y_min=per_level(sweep.y_min), y_max=per_level(sweep.y_max),
-        notes={"mode": config.mode,
-               "envelope": "on (t_cap, T] the solution lies between "
-                           "-(T-t)*envelope_bound and 0"})
+        y_min=per_level(sweep.y_min), y_max=per_level(sweep.y_max))
 
 
 def _extrapolated_final(solutions, schedule, sup) -> SolutionEstimate:
@@ -256,8 +255,8 @@ class _BmoFold:
     inner-quantile range of evaluation points.
     """
 
-    def __init__(self, basis: RegressionBasis, quantile: float = 0.005, n_eval: int = 41):
-        self.basis, self.quantile, self.n_eval = basis, quantile, n_eval
+    def __init__(self, basis: RegressionBasis):
+        self.basis = basis
         self.tail = 0.0
         self.value = 0.0
         self._argmax = None     # (level, tail, coef, evaluation row) at the maximum
@@ -272,10 +271,10 @@ class _BmoFold:
         else:
             coef = fit.solve(target)
         coef = coef[:, 0]
-        lo, hi = np.quantile(w, [self.quantile, 1.0 - self.quantile])
+        lo, hi = np.quantile(w, [BMO_QUANTILE, 1.0 - BMO_QUANTILE])
         # C order: BLAS sums a matrix-vector product in an order set by the
         # layout, and the estimates are pinned to the row-major one
-        x_eval = np.ascontiguousarray(self.basis.design(np.linspace(lo, hi, self.n_eval)))
+        x_eval = np.ascontiguousarray(self.basis.design(np.linspace(lo, hi, BMO_EVAL_POINTS)))
         est = x_eval @ coef
         j = int(np.argmax(est))
         # ties go to the earliest node, as in a forward scan
@@ -301,8 +300,7 @@ class _BmoFold:
 
 
 def estimate_bmo(sol: SolutionEstimate, bundle: Optional[PathBundle],
-                 basis: Optional[RegressionBasis] = None,
-                 quantile: float = 0.005, n_eval: int = 41) -> BmoEstimate:
+                 basis: Optional[RegressionBasis] = None) -> BmoEstimate:
     """Largest conditional remaining Z quadratic variation over the grid nodes.
 
     For each node, the pathwise tail sum of |Z|^2 dt is regressed on the
@@ -314,7 +312,7 @@ def estimate_bmo(sol: SolutionEstimate, bundle: Optional[PathBundle],
         return BmoEstimate(0.0, 0.0)
     if bundle is None:
         raise ValueError("the Monte Carlo estimate needs the path bundle")
-    fold = _BmoFold(basis or RegressionBasis.polynomial(3), quantile, n_eval)
+    fold = _BmoFold(basis or RegressionBasis.polynomial(3))
     gaps = sol.grid.gaps
     for i in range(sol.z.shape[1] - 1, -1, -1):
         fold.add(bundle.levels[:, i, 0], sol.z[:, i], gaps[i], node_index=i)

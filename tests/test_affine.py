@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import bsdelab as bl
-from bsdelab.errors import NoParticularSolution, NoSolution, NumericsError
+from bsdelab.errors import NoSolution, NumericsError
 
 
 @pytest.fixture(scope="module")
@@ -128,25 +128,6 @@ class TestFundamentalFamily:
             bl.fundamental_family(m, 1.0, grid)
 
 
-class TestParticularSolution:
-    def test_damped_coefficient_closed_form(self, power1, grid129):
-        coeff = bl.CoefficientProcess.exp_minus_mass(power1)
-        sol = bl.solve_affine_minus_particular(power1, coeff, grid129)
-        cap = grid129.cap_index
-        exact = -(1.0 - grid129.points) ** 2
-        assert np.max(np.abs(sol.y[:cap + 1] - exact[:cap + 1])) < 1e-8
-
-    def test_zero_coefficient(self, power1, grid129):
-        sol = bl.solve_affine_minus_particular(
-            power1, bl.CoefficientProcess.constant(0.0, 1.0), grid129)
-        assert np.max(np.abs(sol.y)) < 1e-15
-
-    def test_constant_coefficient_diverges(self, power1, grid129):
-        with pytest.raises(NoParticularSolution):
-            bl.solve_affine_minus_particular(
-                power1, bl.CoefficientProcess.constant(1.0, 1.0), grid129)
-
-
 class TestClassifyOde:
     def test_intensity_multiple_limit(self, power1):
         coeff = bl.CoefficientProcess.intensity_multiple(2.0, power1)
@@ -228,6 +209,16 @@ class TestOdeFamilyMember:
         assert np.allclose(gaps, 1.0 - grid129.points[:cap + 1], atol=1e-10)
         assert np.all(gaps > 0)
         assert m0.y[-1] == m1.y[-1]
+
+    def test_time_function_member_closed_form(self, power1, grid129):
+        # phi = 1 - t on lam = 1 / (1 - t): Y = (1 - t) (y0 + t), so y0 = -1 is
+        # the member -(1 - t)^2 that vanishes at T
+        coeff = bl.CoefficientProcess.from_function(lambda t: 1.0 - t, 1.0)
+        member = bl.ode_family_member(power1, coeff, -1.0, grid129)
+        cap = grid129.cap_index
+        exact = -(1.0 - grid129.points) ** 2
+        assert np.max(np.abs(member.y[:cap + 1] - exact[:cap + 1])) < 1e-12
+        assert member.y[-1] == pytest.approx(0.0, abs=1e-9)
 
     def test_divergent_case_is_domain_error(self, power1, grid129):
         def osc(t):

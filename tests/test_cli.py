@@ -295,6 +295,12 @@ class TestBadParameters:
         (["ode_trichotomy", "--c", "nan"], "error: prefix integral is nan"),
         (["ode_trichotomy", "--c", "inf"], "error: prefix integral is inf"),
         (["ode_trichotomy", "--tol", "nan"], "error: tolerance must be nonnegative"),
+        (["affine_plus", "--p", "nan"], "error: power_gap requires p > 0"),
+        (["affine_plus", "--mass-cap", "nan"], "error: mass_cap must be positive"),
+        (["ek_red", "--gamma", "nan"], "error: exp_gap requires gamma > 0"),
+        (["nonlinear_exp", "--alpha", "nan"], "error: alpha must be positive"),
+        (["nonlinear_exp", "--tol", "nan", "--n-grid", "41", "--schedule", "2,4"],
+         "error: tolerance must be nonnegative"),
     ])
     def test_nan_input_exits_1_with_report(self, tmp_path, args, error):
         out = tmp_path / "nan"

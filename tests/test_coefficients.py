@@ -182,9 +182,8 @@ class TestCoefficientBroadcast:
     @pytest.mark.parametrize("make", [
         lambda m: bl.CoefficientProcess.constant(0.7, 1.0),
         lambda m: bl.CoefficientProcess.from_function(lambda t: 1.0 + np.sin(t), 1.0),
-        lambda m: bl.CoefficientProcess.exp_minus_mass(m),
         lambda m: bl.CoefficientProcess.intensity_multiple(2.0, m),
-    ], ids=["constant", "time_function", "exp_minus_mass", "intensity_multiple"])
+    ], ids=["constant", "time_function", "intensity_multiple"])
     def test_deterministic_value_broadcasts_over_w(self, make):
         coeff = make(bl.IntensityModel.power_gap(1.0, 1.0))
         at_t = coeff.value(0.3)

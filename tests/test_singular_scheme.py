@@ -125,6 +125,13 @@ class TestRunScheme:
         assert not report.converged
         assert report.status == "not_converged"
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    def test_nan_or_negative_tolerance_rejected(self, power1, tol):
+        grid = bl.make_grid(power1, 61, mass_cap=10.0)
+        prob = theorem_problem(power1, bl.DriverSpec.exp_utility(1.0))
+        with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+            bl.run_scheme(prob, grid, [2, 4], config=bl.SchemeConfig(tol=tol))
+
     def test_mc_mode_runs_and_matches_ode(self, power1):
         grid = bl.make_grid(power1, 61, mass_cap=10.0)
         bundle = bl.simulate_paths(grid, 1, 30_000, seed=17)
@@ -218,3 +225,15 @@ class TestMonotoneViolation:
             mean = (a.y - b.y).mean(axis=0)
             stderr = (a.y - b.y).std(axis=0) / math.sqrt(a.y.shape[0])
             assert bl.comparison_check(a, b).max_violation == float(np.max(mean - 3.0 * stderr))
+
+    def test_ode_value_is_the_exact_difference(self, power1):
+        # one deterministic path: no standard error, the tolerance as given
+        grid = bl.make_grid(power1, 41, mass_cap=8.0)
+        prob = theorem_problem(power1, bl.DriverSpec.exp_utility(1.0))
+        clipped = bl.truncate(prob.driver, 1.0, 1.0)
+        lo, hi = bl.backward_sweep(prob, grid, [4.0, 8.0], driver_override=clipped)
+        for a, b in ((lo, hi), (hi, lo)):
+            for tolerance, t in ((None, 0.0), (1e-6, 1e-6)):
+                rep = bl.comparison_check(a, b, tolerance=tolerance)
+                assert rep.max_violation == float(np.max(a.y - b.y - t))
+                assert rep.tolerance == t
