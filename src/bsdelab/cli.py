@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -42,7 +43,7 @@ from .diagnostics import (
 from .errors import LabError, NoSolution
 from .lipschitz_solver import RegressionBasis
 from .paths import simulate_paths
-from .singular_scheme import SchemeConfig, run_scheme
+from .singular_scheme import SCHEME_THETA, SchemeConfig, run_scheme
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -144,9 +145,11 @@ def _report_header(cfg: ScenarioConfig, name: str, info: ScenarioInfo) -> None:
 # ---------------------------------------------------------------------------
 
 def _parse_y0_list(raw) -> tuple:
-    if isinstance(raw, (tuple, list)):
-        return tuple(float(v) for v in raw)
-    return tuple(float(v) for v in str(raw).split(","))
+    values = raw if isinstance(raw, (tuple, list)) else str(raw).split(",")
+    y0s = tuple(float(v) for v in values)
+    if not all(math.isfinite(v) for v in y0s):
+        raise ValueError(f"y0_list entries must be finite, got {raw}")
+    return y0s
 
 
 def _parse_schedule(raw) -> tuple:
@@ -256,6 +259,7 @@ def _run_nonlinear_exp(cfg: ScenarioConfig) -> int:
     config = SchemeConfig(mode=mode, tol=p["tol"], bundle=bundle,
                           basis=RegressionBasis.polynomial(int(p["basis_degree"])))
     cfg.say("results:")
+    cfg.say(f"  theta = {_fmt(SCHEME_THETA)}")
     try:
         report = run_scheme(problem, grid, schedule, config=config)
     except NoSolution as exc:
@@ -263,6 +267,7 @@ def _run_nonlinear_exp(cfg: ScenarioConfig) -> int:
         return _finish(cfg, "no_solution_certified", EXIT_NO_SOLUTION)
     final = report.final
     resid = final.diagnostics.get("residual_max", 0.0)
+    cfg.say(f"  theta_fallback_segments = {final.diagnostics['theta_fallback_segments']}")
     _write_csv(cfg.out_dir / "solution.csv",
                ["t", "Y_mean", "Y_sd", "Z_mean", "residual"],
                _solution_rows(grid, final.y, final.z, [resid] * len(grid.points)))
@@ -325,7 +330,7 @@ SCENARIOS = {
         claim="monotone exponential driver: truncation levels increase to the "
               "unique bounded solution inside the analytic box",
         defaults={"alpha": 1.0, "p": 1.0, "phi_value": 1.0, "terminal": 0.0,
-                  "n_grid": 241, "mass_cap": 12.0,
+                  "n_grid": 31, "mass_cap": 12.0,
                   "schedule": DEFAULT_SCHEDULE, "tol": 1e-3, "mode": "ode",
                   "m_paths": 20000, "basis_degree": 3},
         run=_run_nonlinear_exp,

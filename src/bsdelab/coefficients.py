@@ -459,6 +459,8 @@ class TerminalSpec:
 
     @classmethod
     def constant(cls, a: float) -> "TerminalSpec":
+        if not math.isfinite(a):
+            raise ValueError(f"terminal value must be finite, got {a}")
         return cls(kind="zero") if a == 0.0 else cls(kind="constant", value=float(a))
 
     @classmethod

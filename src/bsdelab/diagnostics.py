@@ -136,6 +136,8 @@ def certify_nonexistence(problem: BsdeProblem, schedule: Sequence[float],
     schedule = [float(n) for n in schedule]
     if len(schedule) < 2:
         raise ValueError("the schedule needs at least two levels to witness growth")
+    if not all(0 < n < math.inf for n in schedule):     # NaN fails too
+        raise ValueError("truncation levels must be finite and positive")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be increasing")
     # split each segment [t_i, t_i+1) into ceil(2 dt min(n, lam(t_i+1))) equal

@@ -1,7 +1,9 @@
-"""Classical bounded-coefficient BSDE solver: backward implicit Euler.
+"""Classical bounded-coefficient BSDE solver: backward theta-step.
 
-Deterministic data reduce to a stiff backward ODE solved node by node with a
-safeguarded Newton iteration.  Markovian data run least-squares Monte Carlo:
+y_i = y_{i+1} - dt [theta G_i(y_i) + (1 - theta) G_{i+1}(y_{i+1})]: implicit
+Euler at theta = 1, the trapezoid rule at theta = 1/2.  Deterministic data
+reduce to a stiff backward ODE solved node by node with a safeguarded Newton
+iteration.  Markovian data run least-squares Monte Carlo:
 conditional expectations are fitted on basis functions of the Brownian level,
 the implicit step is solved per path with the regressed Z frozen.  All levels
 of a truncation schedule share one backward pass and one factorisation of
@@ -200,7 +202,8 @@ def _implicit_step(y_next, forcing, dt, lam, driver, b, work):
     bracket and bisection; where 1 + dt (lam f'(y) + b) <= 0 at a Newton
     iterate the step is not monotone in ``y_next``: ``NumericsError``.
     Every Newton operation writes into ``work``, a ``_NewtonWorkspace`` of the
-    state's shape, and so do the values it returns.
+    state's shape, and so do the values it returns; ``work.f`` and
+    ``work.fprime`` are left holding f and f' at the values.
     Returns the values, f at the values, and per level (row) the worst
     residual, the Newton iterates and the entries that fell back to bisection.
     """
@@ -256,9 +259,20 @@ def _implicit_step(y_next, forcing, dt, lam, driver, b, work):
         y[bad] = _bracket_and_bisect(
             lambda v: full_residual(v, driver.f(v), y_next_bad, forcing_bad, lam_bad),
             y_next_bad)
-        fy = driver.f(y)
+        driver.f_fprime(y, out=(fy, dfy))
         resid = np.max(np.abs(full_residual(y, fy, y_next, forcing, lam)), axis=1)
     return y, fy, resid, iterations, fallbacks
+
+
+def _explicit_half(y_next, phi_next, lam_next, b, h, work, out):
+    """The theta-step's explicit half y_next - h (phi_next + lam_next f + b y_next)
+    into ``out``, with f at ``y_next`` read from ``work.f``."""
+    np.multiply(lam_next, work.f, out=out)
+    np.add(phi_next, out, out=out)
+    if b != 0.0:
+        np.add(out, np.multiply(b, y_next, out=work.scratch), out=out)
+    np.multiply(h, out, out=out)
+    return np.subtract(y_next, out, out=out)
 
 
 def _box_clamp_applies(problem: BsdeProblem) -> bool:
@@ -284,7 +298,7 @@ class SweepNode(NamedTuple):
 
 
 class NodeSweep:
-    """Backward implicit Euler for every truncation level in ``caps``, node by node.
+    """Backward theta-step for every truncation level in ``caps``, node by node.
 
     The state at a node has shape (L, M): L levels and M paths, M = 1 without a
     bundle (ODE mode, deterministic data).  With a bundle the conditional
@@ -297,6 +311,17 @@ class NodeSweep:
     the Monte Carlo clamp pulls the values into the box with ``clamp_margin``
     slack.
 
+    The implicit half of the step runs ``_implicit_step`` over ``theta dt``;
+    ``theta`` = 1, the default and ``backward_sweep``'s, is implicit Euler.
+    For ``theta`` < 1 the explicit half y_{i+1} - (1 - theta) dt G_{i+1}(y_{i+1})
+    becomes the step's input, and in Monte Carlo mode the Y regression target;
+    f and f' at y_{i+1} are the previous step's, kept in its workspace.  Where
+    the explicit half is not monotone in y_{i+1}, that is
+    1 - (1 - theta) dt max(lam_{i+1} f'(y_{i+1}) + b) < 0 (or NaN), the segment
+    runs at theta = 1; ``theta_fallback_segments`` counts such segments.  The
+    tail from ``t_cap`` to T always runs at theta = 1 and is not counted: lam_n
+    rises from lam(t_cap) to n inside it, which the grid does not resolve.
+
     ``nodes()`` yields one ``SweepNode`` per grid index, from T backward; only
     the current node is held, and its ``y``, ``f`` and ``z`` live in per-sweep
     buffers until the next node is computed.  Once it is exhausted,
@@ -306,13 +331,18 @@ class NodeSweep:
     ``bisection_entries`` (entries that fell back to the bracket, summed).
     ``regression_cond_min`` and ``regression_cond_max`` bound the condition
     numbers of the nodes' regressions (NaN where no node regressed).
+    ``theta_fallback_segments`` is one count for the sweep.
     """
 
     def __init__(self, problem: BsdeProblem, grid: TimeGrid, caps: Sequence,
                  bundle: Optional[PathBundle] = None,
                  basis: Optional[RegressionBasis] = None,
                  driver_override: Optional[DriverSpec] = None,
-                 clamp_margin: float = 1e-3):
+                 clamp_margin: float = 1e-3, theta: float = 1.0):
+        if not 0 < theta <= 1:
+            raise ValueError(f"theta must lie in (0, 1], got {theta}")
+        if theta < 1 and problem.z_slope != 0.0:
+            raise ValueError("theta < 1 needs z_slope = 0: Z is frozen in the implicit half")
         self.mc = bundle is not None
         if self.mc:
             if basis is None:
@@ -324,22 +354,22 @@ class NodeSweep:
             raise ValueError("ODE mode needs deterministic coefficients")
         elif problem.terminal.kind == "random":
             raise ValueError("ODE mode needs a deterministic terminal value")
-        lam_nodes = []
+        lam = []
         for cap in caps:
             if cap is None and problem.intensity.is_singular:
                 raise ValueError("the classical solver needs a bounded (truncated) intensity")
-            lam_nodes.append(np.asarray(problem.intensity.value(grid.points[:-1], cap),
-                                        dtype=float))
+            lam.append(np.asarray(problem.intensity.value(grid.points, cap), dtype=float))
         if self.mc and bundle.dim != 1:
             raise ValueError("regression mode currently supports one Brownian dimension")
         self.problem, self.grid, self.caps = problem, grid, list(caps)
         self.bundle, self.basis, self.clamp_margin = bundle, basis, clamp_margin
+        self.theta = theta
         self.driver = driver_override if driver_override is not None \
             else problem.effective_driver()
         self.m_paths = bundle.n_paths if self.mc else 1
         self.box = _box_clamp_applies(problem)
-        self._lam_nodes = np.array(lam_nodes)
-        n_levels = len(lam_nodes)
+        self._lam = np.array(lam)              # (L, N + 1): lam_n at every node
+        n_levels = len(lam)
         self.residual_max = np.zeros(n_levels)
         self.box_excursion_raw = np.zeros(n_levels)
         self.y_min = np.full(n_levels, np.inf)
@@ -349,10 +379,11 @@ class NodeSweep:
         self.newton_max_per_node = np.zeros(n_levels, dtype=int)
         self.bisection_entries = np.zeros(n_levels, dtype=int)
         self.regression_cond_min = self.regression_cond_max = math.nan
+        self.theta_fallback_segments = 0
 
     def nodes(self):
         """Yield a ``SweepNode`` per grid index, from the terminal node backward."""
-        problem, grid, driver = self.problem, self.grid, self.driver
+        problem, grid, driver, theta = self.problem, self.grid, self.driver, self.theta
         pts = grid.points
         n_levels = len(self.caps)
         sup = problem.coefficient.sup_norm
@@ -360,28 +391,48 @@ class NodeSweep:
         y_next = np.empty((n_levels, self.m_paths))
         work = _NewtonWorkspace(y_next.shape)
         sigma_z = np.empty_like(y_next)             # per-sweep buffer for phi + sigma Z
+        phi = None          # phi at the right node until the node's own replaces it
         if self.mc:
             levels = self.bundle.levels[:, :, 0]
             increments = self.bundle.increments[:, :, 0]
-            # the targets Y and Y dW / dt; each node's fit overwrites them with
-            # the fitted Y and Z
+            # the targets Y (or the explicit half) and Y dW / dt; each node's fit
+            # overwrites them with the fitted Y and Z
             targets = np.empty((2 * n_levels, self.m_paths))
             y_fit, z_i = targets[:n_levels], targets[n_levels:]
             # the Monte Carlo clamp's masks
             moved, above = np.empty(y_next.shape, bool), np.empty(y_next.shape, bool)
             y_next[:] = problem.terminal.values(levels[:, -1])
+            if theta < 1:
+                phi = np.asarray(problem.coefficient.value(pts[-1], levels[:, -1]),
+                                 dtype=float)
         else:
             z_i = np.zeros_like(y_next)                 # Z vanishes on deterministic data
+            explicit = np.empty_like(y_next)            # per-sweep buffer, theta < 1
             y_next[:] = float(problem.terminal.values())
+            if theta < 1:
+                phi = float(problem.coefficient.value(pts[-1]))
         self._extremes(y_next)
-        yield SweepNode(len(pts) - 1, y_next, driver.f(y_next))
+        # f and f' at the right node stay in the workspace from step to step
+        driver.f_fprime(y_next, out=(work.f, work.fprime))
+        yield SweepNode(len(pts) - 1, y_next, work.f)
         for i in range(len(pts) - 2, -1, -1):
             t_i = float(pts[i])
             dt = float(pts[i + 1] - t_i)
+            lam_next = self._lam[:, i + 1, None]
+            theta_i = theta if i < grid.cap_index else 1.0      # the tail: implicit Euler
+            if theta_i < 1:
+                slope = np.max(np.multiply(lam_next, work.fprime, out=work.scratch)) + b
+                if not 1.0 - (1.0 - theta) * dt * slope >= 0:      # NaN fails too
+                    theta_i = 1.0
+                    self.theta_fallback_segments += 1
             fit = None
             if self.mc:
                 w_i = levels[:, i]
-                np.copyto(y_fit, y_next)
+                if theta_i < 1:
+                    _explicit_half(y_next, phi, lam_next, b, (1.0 - theta_i) * dt, work,
+                                   out=y_fit)
+                else:
+                    np.copyto(y_fit, y_next)
                 np.multiply(y_next, increments[:, i], out=z_i)
                 np.divide(z_i, dt, out=z_i)
                 coef, fit = fit_coefficients(self.basis, w_i, targets.T, node_index=i)
@@ -396,12 +447,15 @@ class NodeSweep:
                 phi = np.asarray(problem.coefficient.value(t_i, w_i), dtype=float)
             else:
                 y_fit = y_next
+                if theta_i < 1:
+                    y_fit = _explicit_half(y_next, phi, lam_next, b, (1.0 - theta_i) * dt,
+                                           work, out=explicit)
                 phi = np.asarray(problem.coefficient.value(t_i), dtype=float)
             forcing = phi
             if sigma != 0.0:        # skipped at 0, as the step skips b
                 forcing = np.add(phi, np.multiply(sigma, z_i, out=sigma_z), out=sigma_z)
             y_i, f_i, resid, iterations, fallbacks = _implicit_step(
-                y_fit, forcing, dt, self._lam_nodes[:, i, None], driver, b, work)
+                y_fit, forcing, theta_i * dt, self._lam[:, i, None], driver, b, work)
             np.maximum(self.residual_max, resid, out=self.residual_max)
             self.newton_iterations += iterations
             np.maximum(self.newton_max_per_node, iterations, out=self.newton_max_per_node)
@@ -417,7 +471,7 @@ class NodeSweep:
                                   np.greater(y_i, hi, out=above), out=moved)
                     np.clip(y_i, lo, hi, out=y_i)
                     if moved.any():
-                        f_i[moved] = driver.f(y_i[moved])
+                        f_i[moved], work.fprime[moved] = driver.f_fprime(y_i[moved])
             self._extremes(y_i)
             yield SweepNode(i, y_i, f_i, z_i, fit)
             y_next = y_i
@@ -433,7 +487,8 @@ class NodeSweep:
                        "y_min": float(self.y_min[k]), "y_max": float(self.y_max[k]),
                        "newton_iterations": int(self.newton_iterations[k]),
                        "newton_max_per_node": int(self.newton_max_per_node[k]),
-                       "bisection_entries": int(self.bisection_entries[k])}
+                       "bisection_entries": int(self.bisection_entries[k]),
+                       "theta_fallback_segments": self.theta_fallback_segments}
         if self.box:
             diagnostics["box_excursion_raw"] = float(self.box_excursion_raw[k])
         if self.mc:

@@ -32,6 +32,7 @@ ODE_MONOTONE_SLACK = 1e-10
 BOX_SLACK_ODE = 1e-10
 BMO_QUANTILE = 0.005          # the BMO surface is maximised between the level's
 BMO_EVAL_POINTS = 41          # q and 1 - q quantiles, on this many points
+SCHEME_THETA = 0.5            # the sweep's theta-step: the trapezoid rule
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +128,8 @@ def run_scheme(problem: BsdeProblem, grid: TimeGrid, schedule: Sequence[float],
     ordering of consecutive levels, their sup gaps on [0, t0], the driver mass
     integrands, and in Monte Carlo mode the BMO tail of the top level, fitted
     on the regression the sweep factored at each node.  Full (M, N) arrays are
-    kept only for the last two levels, which the final estimate needs.
+    kept only for the last two levels, which the final estimate needs.  The
+    sweep runs the theta-step at ``SCHEME_THETA``, which needs ``z_slope`` = 0.
 
     A nonzero terminal value is a certified failure (``NoSolution``); schedule
     exhaustion above the tolerance is an informative ``not_converged`` report,
@@ -140,6 +142,8 @@ def run_scheme(problem: BsdeProblem, grid: TimeGrid, schedule: Sequence[float],
         raise NoSolution("the nonlinear singular equation has no solution with "
                          "a nonvanishing terminal value")
     schedule = [float(n) for n in schedule]
+    if not all(0 < n < math.inf for n in schedule):     # NaN fails too
+        raise ValueError("truncation levels must be finite and positive")
     if len(schedule) < 2 or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be increasing with at least two levels")
     if not config.tol >= 0:                   # NaN fails too
@@ -161,7 +165,8 @@ def run_scheme(problem: BsdeProblem, grid: TimeGrid, schedule: Sequence[float],
     if config.mode == "mc" and bundle is None:
         raise ValueError("mc mode needs a path bundle")
     sweep = NodeSweep(problem, grid, schedule, bundle=bundle, basis=config.basis,
-                      driver_override=clipped, clamp_margin=config.clamp_margin)
+                      driver_override=clipped, clamp_margin=config.clamp_margin,
+                      theta=SCHEME_THETA)
 
     mc, dts = sweep.mc, grid.gaps
     n_pts, n_levels, m_paths = len(grid.points), len(schedule), sweep.m_paths

@@ -5,16 +5,39 @@ backward sweep: ``backward_sweep`` keeps every level's full ``y``/``z``, and
 the sup gaps, the ordering check, the driver-mass integrals and the BMO
 functional are then computed by reading those arrays back.  One change from
 that body: the BMO regression uses the configured basis (it was always
-cubic), so that the reference also holds for other basis degrees.  The
-differential tests compare every ``SchemeReport`` field against it.
+cubic), so that the reference also holds for other basis degrees.  Another:
+the levels come from ``scheme_sweep``, the sweep at the scheme's theta-step.
+The differential tests compare every ``SchemeReport`` field against it.
 """
 
 import math
 
 import numpy as np
 
-from bsdelab.lipschitz_solver import RegressionBasis, backward_sweep, fit_coefficients
-from bsdelab.singular_scheme import BOX_SLACK_ODE, SchemeConfig, _extrapolated_final, truncate
+from bsdelab.lipschitz_solver import NodeSweep, RegressionBasis, fit_coefficients
+from bsdelab.singular_scheme import (
+    BOX_SLACK_ODE,
+    SCHEME_THETA,
+    SchemeConfig,
+    _extrapolated_final,
+    truncate,
+)
+
+
+def scheme_sweep(problem, grid, caps, **kwargs):
+    """``backward_sweep`` at ``SCHEME_THETA``: a ``NodeSweep`` at the scheme's
+    theta, its nodes stacked into one ``SolutionEstimate`` per level."""
+    sweep = NodeSweep(problem, grid, caps, theta=SCHEME_THETA, **kwargs)
+    n_pts, n_levels = len(grid.points), len(sweep.caps)
+    y = np.empty((n_pts, n_levels, sweep.m_paths))
+    z = np.zeros((n_pts - 1, n_levels, sweep.m_paths))
+    for node in sweep.nodes():
+        y[node.index] = node.y
+        if node.z is not None:
+            z[node.index] = node.z
+    if sweep.mc:
+        return [sweep.solution(k, y[:, k, :].T, z[:, k, :].T) for k in range(n_levels)]
+    return [sweep.solution(k, y[:, k, 0], z[:, k, 0]) for k in range(n_levels)]
 
 
 def sup_gap(a, b, upto):
@@ -79,8 +102,8 @@ def run_scheme(problem, grid, schedule, t0=None, config=None):
     sup = problem.coefficient.sup_norm
     clipped = truncate(problem.driver, sup, problem.horizon)
     bundle = config.bundle if config.mode == "mc" else None
-    solutions = backward_sweep(problem, grid, schedule, bundle=bundle, basis=config.basis,
-                               driver_override=clipped, clamp_margin=config.clamp_margin)
+    solutions = scheme_sweep(problem, grid, schedule, bundle=bundle, basis=config.basis,
+                             driver_override=clipped, clamp_margin=config.clamp_margin)
 
     gaps = tuple(sup_gap(a, b, upto) for a, b in zip(solutions, solutions[1:]))
     mono = max(max(monotone_violation(a, b) for a, b in zip(solutions, solutions[1:])), 0.0)

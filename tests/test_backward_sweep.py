@@ -85,14 +85,15 @@ def test_mc_levels_match_reference(markovian_case):
 
 def test_scheme_level_equals_lone_solve(markovian_case):
     # run_scheme keeps the paths of its top level only; the first level's are
-    # read from the stored-array reference, which runs the same sweep
+    # read from the stored-array reference, which runs the same sweep; the lone
+    # solve runs the scheme's theta-step too
     prob, grid, bundle, clipped, schedule = markovian_case
     config = bl.SchemeConfig(mode="mc", tol=1.0, bundle=bundle)
     report = bl.run_scheme(prob, grid, schedule, config=config)
     stored = stored_scheme_reference.run_scheme(prob, grid, schedule, config=config)
     for k, level in ((0, stored["solutions"][0]), (len(schedule) - 1, report.solutions[-1])):
-        lone = bl.solve_regression_mc(prob, grid, bundle, lambda_cap=schedule[k],
-                                      driver_override=clipped)
+        lone = stored_scheme_reference.scheme_sweep(prob, grid, [schedule[k]], bundle=bundle,
+                                                    driver_override=clipped)[0]
         assert level.lambda_cap == schedule[k]
         assert np.max(np.abs(level.y - lone.y)) <= 1e-12
         assert np.max(np.abs(level.z - lone.z)) <= 1e-12

@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from bsdelab import cli
 
+import stored_scheme_reference
+
 
 def run(args):
     return cli.main(args)
@@ -154,6 +156,14 @@ class TestRunScenarios:
         assert "status: converged" in report
         rows = list(csv.DictReader(open(out / "scheme.csv")))
         assert [r["n"] for r in rows] == ["2.0", "4.0", "8.0", "16.0", "32.0", "64.0"]
+
+    @pytest.mark.parametrize("args,fallbacks", [([], 0), (["--alpha", "5", "--n-grid", "21"], 1)])
+    def test_nonlinear_exp_reports_theta_and_fallbacks(self, tmp_path, args, fallbacks):
+        out = tmp_path / "nl"
+        assert run(["run", "nonlinear_exp", *args, "--out", str(out)]) == 0
+        report = (out / "report.txt").read_text()
+        assert (f"results:\n  theta = 0.5\n  theta_fallback_segments = {fallbacks}\n"
+                in report)
 
     def test_nonlinear_exp_nonzero_terminal_exits_3(self, tmp_path):
         out = tmp_path / "nl3"
@@ -301,6 +311,15 @@ class TestBadParameters:
         (["nonlinear_exp", "--alpha", "nan"], "error: alpha must be positive"),
         (["nonlinear_exp", "--tol", "nan", "--n-grid", "41", "--schedule", "2,4"],
          "error: tolerance must be nonnegative"),
+        (["nonlinear_exp", "--terminal", "nan"], "error: terminal value must be finite"),
+        (["affine_plus", "--terminal", "nan"], "error: terminal value must be finite"),
+        (["affine_minus_family", "--y0-list", "nan,1"],
+         "error: y0_list entries must be finite"),
+        (["ek_red", "--y0-list", "inf,1"], "error: y0_list entries must be finite"),
+        (["nonlinear_exp", "--schedule", "2,nan", "--n-grid", "21"],
+         "error: truncation levels must be finite and positive"),
+        (["affine_plus", "--terminal", "1", "--schedule", "4,nan"],
+         "error: truncation levels must be finite and positive"),
     ])
     def test_nan_input_exits_1_with_report(self, tmp_path, args, error):
         out = tmp_path / "nan"
@@ -342,8 +361,10 @@ class TestBmoBasis:
                               sign=bl.NONLINEAR_PLUS, driver=bl.DriverSpec.exp_utility(1.0))
         clipped = bl.truncate(prob.driver, 1.0, 1.0)
         quintic = bl.RegressionBasis.polynomial(5)
-        top = bl.backward_sweep(prob, grid, [4.0, 16.0, 64.0], bundle=bundle, basis=quintic,
-                                driver_override=clipped)[-1]
+        # the CLI's run_scheme steps at the scheme's theta, and so does the reference
+        top = stored_scheme_reference.scheme_sweep(prob, grid, [4.0, 16.0, 64.0],
+                                                   bundle=bundle, basis=quintic,
+                                                   driver_override=clipped)[-1]
         assert reported == bl.estimate_bmo(top, bundle, basis=quintic).value
         assert reported != bl.estimate_bmo(top, bundle).value     # the cubic's
 

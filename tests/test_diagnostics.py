@@ -101,6 +101,21 @@ class TestCertifyNonexistence:
         with pytest.raises(ValueError, match="at least two levels"):
             bl.certify_nonexistence(prob, schedule, grid241)
 
+    @pytest.mark.parametrize("schedule,error", [
+        ([0, 4], "truncation levels must be finite and positive"),
+        ([-4, 4], "truncation levels must be finite and positive"),
+        ([4, math.nan], "truncation levels must be finite and positive"),
+        ([4, math.inf], "truncation levels must be finite and positive"),
+        ([16, 4], "schedule must be increasing"),
+        ([4, 4], "schedule must be increasing"),
+    ])
+    def test_malformed_schedule_named(self, power1, grid241, schedule, error):
+        prob = bl.BsdeProblem(
+            intensity=power1, coefficient=bl.CoefficientProcess.constant(1.0, 1.0),
+            sign=bl.MINUS_LAMBDA_Y, terminal=bl.TerminalSpec.constant(1.0))
+        with pytest.raises(ValueError, match=error):
+            bl.certify_nonexistence(prob, schedule, grid241)
+
 
 class TestCertifyNonuniqueness:
     def test_fundamental_minus_members(self, power1, grid241):

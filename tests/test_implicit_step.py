@@ -165,6 +165,15 @@ def test_warm_step_allocates_at_most_three_states():
 
 
 def test_warm_mc_node_allocates_at_most_two_states():
+    _assert_warm_mc_node_allocates_at_most_two_states(theta=1.0)
+
+
+def test_warm_theta_step_mc_node_allocates_at_most_two_states():
+    # the explicit half goes into the targets, reading f and f' from the workspace
+    _assert_warm_mc_node_allocates_at_most_two_states(theta=0.5)
+
+
+def _assert_warm_mc_node_allocates_at_most_two_states(theta):
     # one node of the MC defaults' shape, eight levels of 20000 paths, once the
     # sweep's buffers exist: the targets, fitted values, step values and clamp
     # masks go into them, and the node allocates its design and its QR factors
@@ -178,7 +187,7 @@ def test_warm_mc_node_allocates_at_most_two_states():
     bundle = bl.simulate_paths(grid, 1, 20_000, seed=3)
     caps = [2.0 ** k for k in range(1, 9)]
     sweep = lipschitz_solver.NodeSweep(prob, grid, caps, bundle=bundle,
-                                       driver_override=clipped)
+                                       driver_override=clipped, theta=theta)
     nodes = sweep.nodes()
     for _ in range(4):
         next(nodes)

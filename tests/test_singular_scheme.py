@@ -132,6 +132,19 @@ class TestRunScheme:
         with pytest.raises(ValueError, match="tolerance must be nonnegative"):
             bl.run_scheme(prob, grid, [2, 4], config=bl.SchemeConfig(tol=tol))
 
+    @pytest.mark.parametrize("schedule,error", [
+        ([0, 4], "truncation levels must be finite and positive"),
+        ([2, math.nan], "truncation levels must be finite and positive"),
+        ([2, math.inf], "truncation levels must be finite and positive"),
+        ([4, 2], "schedule must be increasing"),
+        ([4], "schedule must be increasing with at least two levels"),
+    ])
+    def test_malformed_schedule_named(self, power1, schedule, error):
+        grid = bl.make_grid(power1, 21, mass_cap=10.0)
+        prob = theorem_problem(power1, bl.DriverSpec.exp_utility(1.0))
+        with pytest.raises(ValueError, match=error):
+            bl.run_scheme(prob, grid, schedule, config=bl.SchemeConfig())
+
     def test_mc_mode_runs_and_matches_ode(self, power1):
         grid = bl.make_grid(power1, 61, mass_cap=10.0)
         bundle = bl.simulate_paths(grid, 1, 30_000, seed=17)
