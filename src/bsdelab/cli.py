@@ -257,7 +257,8 @@ def _run_nonlinear_exp(cfg: ScenarioConfig) -> int:
         bundle = simulate_paths(grid, 1, int(p["m_paths"]), cfg.seed,
                                 workers=cfg.threads)
     config = SchemeConfig(mode=mode, tol=p["tol"], bundle=bundle,
-                          basis=RegressionBasis.polynomial(int(p["basis_degree"])))
+                          basis=RegressionBasis.polynomial(int(p["basis_degree"])),
+                          workers=cfg.threads)
     cfg.say("results:")
     cfg.say(f"  theta = {_fmt(SCHEME_THETA)}")
     try:
@@ -445,6 +446,8 @@ def run_scenario(name: str, overrides: dict, out_dir, seed: int = 1,
     cfg = ScenarioConfig(params=params, out_dir=out, seed=seed, threads=threads)
     _report_header(cfg, name, info)
     try:
+        if threads < 1:
+            raise ValueError(f"threads must be at least 1, got {threads}")
         return info.run(cfg)
     except (LabError, ValueError) as exc:
         cfg.say(f"error: {exc}")

@@ -16,11 +16,13 @@ as the truncation level grows; an explicit step would need dt ~ 1/n.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
+from scipy.linalg import get_lapack_funcs, solve_triangular
 
 from .coefficients import BsdeProblem, DriverSpec, TimeGrid
 from .errors import BasisDegenerate, NumericsError
@@ -28,6 +30,7 @@ from .paths import PathBundle
 
 NEWTON_TOL = 1e-12
 _COND_LIMIT = 1e10
+SWEEP_BLOCK = 1 << 14     # smallest path block a threaded Monte Carlo sweep steps
 
 
 # ---------------------------------------------------------------------------
@@ -47,11 +50,12 @@ class RegressionBasis:
             raise ValueError("degree must be nonnegative")
         return cls(kind="polynomial", degree=degree)
 
-    def design(self, w: np.ndarray) -> np.ndarray:
+    def design(self, w: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Monomials 1, w, ..., w^degree of a one-dimensional level, built column
-        by column in Fortran order: the products np.vander forms."""
+        by column in Fortran order: the products np.vander forms.  They go into
+        ``out`` when it is given."""
         w = np.asarray(w, dtype=float)
-        x = np.empty((len(w), self.degree + 1), order="F")
+        x = np.empty((len(w), self.degree + 1), order="F") if out is None else out
         x[:, 0] = 1.0
         for k in range(1, self.degree + 1):
             np.multiply(x[:, k - 1], w, out=x[:, k])
@@ -61,19 +65,23 @@ class RegressionBasis:
 def _degenerate_level(w: np.ndarray) -> bool:
     """True when the level carries no information (e.g. W_0 = 0 on every path)."""
     w = np.asarray(w, dtype=float)
-    return bool(np.ptp(w) < 1e-14 * (1.0 + np.max(np.abs(w))))
+    hi, lo = w.max(), w.min()
+    # max |w| without an |w| array
+    return bool(hi - lo < 1e-14 * (1.0 + np.maximum(hi, -lo)))
 
 
 @dataclass(frozen=True)
 class NodeFit:
     """A node's design, its QR factors and the condition number of R; ``q`` and
     ``cond`` are None on a level that carries no information, where every fit
-    is the plain mean."""
+    is the plain mean.  ``quantiles`` are the level's quantiles a sweep was
+    asked for (None otherwise)."""
 
     design: np.ndarray
     q: Optional[np.ndarray] = None
     r: Optional[np.ndarray] = None
     cond: Optional[float] = None
+    quantiles: Optional[np.ndarray] = None
 
     def solve(self, target: np.ndarray) -> np.ndarray:
         """Least-squares coefficients of every column of ``target`` (M, T)."""
@@ -84,34 +92,96 @@ class NodeFit:
         return solve_triangular(self.r, self.q.T @ target)
 
 
-def fit_coefficients(basis: RegressionBasis, w: np.ndarray, target: np.ndarray,
-                     node_index: int = -1) -> tuple:
-    """Least-squares fit of every column of ``target`` (M, T) on ``basis.design(w)``.
+def _in_place(routine, *args):
+    """A LAPACK ``routine`` run in place on its first argument, with the
+    workspace size its query returns: the calls ``scipy.linalg.qr`` makes."""
+    lwork = routine(*args, lwork=-1, overwrite_a=1)[-2][0].real.astype(np.int_)
+    *out, info = routine(*args, lwork=lwork, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of a LAPACK call")
+    return out[:-1]
 
-    One economic QR factorisation serves all columns; the condition-number
-    guard reads the singular values of R, and the fit carries their ratio.  On
-    a level that carries no information the sigma-algebra is trivial and the
-    fit is the plain mean, held by the intercept.  Returns ``(coef, fit)``:
-    the fitted values are ``fit.design @ coef``, and ``fit.solve`` fits
-    further targets on the same factorisation.
+
+def _factor(basis: RegressionBasis, w: np.ndarray, node_index: int,
+            qr: np.ndarray) -> tuple:
+    """Economic QR of the design on the level ``w``, in place in ``qr``, an
+    (M, K) buffer in Fortran order.
+
+    Returns ``(q, r, cond)``: ``q`` is Q in Fortran order, in ``qr``, and
+    ``cond`` the ratio of the singular values of R that the condition-number
+    guard reads.  On a level that carries no information the sigma-algebra is
+    trivial and the fit is the plain mean, held by the intercept:
+    ``(None, None, None)``.
     """
-    design = basis.design(w)
     if _degenerate_level(w):
-        fit = NodeFit(design)
-        return fit.solve(target), fit
-    if design.shape[0] < design.shape[1]:
+        return None, None, None
+    if qr.shape[0] < qr.shape[1]:
         raise BasisDegenerate(node_index, math.inf)
-    # the Fortran-ordered design reaches LAPACK without a transposing copy; no
-    # finiteness scan: a NaN in the design propagates into R and its SVD
-    q, r = qr(design, mode="economic", check_finite=False)
+    # the Fortran-ordered design reaches LAPACK without a copy; no finiteness
+    # scan: a NaN in the design propagates into R and its SVD
+    basis.design(w, out=qr)
+    geqrf, orgqr = get_lapack_funcs(("geqrf", "orgqr"), (qr,))
+    factored, tau = _in_place(geqrf, qr)
+    r = np.triu(factored[:qr.shape[1]])
+    q, = _in_place(orgqr, factored, tau)
     svals = np.linalg.svd(r, compute_uv=False)
     if svals[-1] <= 0 or svals[0] / svals[-1] > _COND_LIMIT:
         cond = math.inf if svals[-1] <= 0 else svals[0] / svals[-1]
         raise BasisDegenerate(node_index, cond)
+    return q, r, float(svals[0] / svals[-1])
+
+
+def fit_coefficients(basis: RegressionBasis, w: np.ndarray, target: np.ndarray,
+                     node_index: int = -1) -> tuple:
+    """Least-squares fit of every column of ``target`` (M, T) on ``basis.design(w)``.
+
+    One economic QR factorisation (``_factor``) serves all columns.  Returns
+    ``(coef, fit)``: the fitted values are ``fit.design @ coef``, and
+    ``fit.solve`` fits further targets on the same factorisation.
+    """
+    design = basis.design(w)
+    q, r, cond = _factor(basis, w, node_index, np.empty_like(design))
     # Q in C order: BLAS sums ``q.T @ target`` in an order set by the layout,
     # and this one matches the C-ordered factor of np.linalg.qr bit for bit
-    fit = NodeFit(design, np.ascontiguousarray(q), r, float(svals[0] / svals[-1]))
+    fit = NodeFit(design, None if q is None else np.ascontiguousarray(q), r, cond)
     return fit.solve(target), fit
+
+
+class _NodeFactors:
+    """A sweep's buffers for its nodes' regressions, allocated once: the design
+    and the QR (Fortran order), Q (C order) and a copy of the level that the
+    quantiles partition.
+
+    ``factor`` works in the QR buffer alone, so it can run for the next node
+    while the current node, whose design and Q ``fill_rows`` put in their
+    buffers, is stepped."""
+
+    def __init__(self, basis: RegressionBasis, n_paths: int, quantiles: Sequence = ()):
+        shape = (n_paths, basis.degree + 1)
+        self.basis, self.quantiles = basis, quantiles
+        self.design, self.qr = np.empty(shape, order="F"), np.empty(shape, order="F")
+        self.q = np.empty(shape)
+        self._sorted = np.empty(n_paths) if quantiles else None
+        self._factored = None       # the last factored node's Q, in Fortran order
+
+    def factor(self, w: np.ndarray, node_index: int) -> NodeFit:
+        """Node ``node_index``'s fit on the level ``w``, with the level's
+        ``quantiles``; its design and Q are valid once ``fill_rows`` has filled
+        every row, until the next node's."""
+        self._factored, r, cond = _factor(self.basis, w, node_index, self.qr)
+        quantiles = None
+        if self.quantiles:
+            np.copyto(self._sorted, w)
+            quantiles = np.quantile(self._sorted, self.quantiles, overwrite_input=True)
+        q = None if self._factored is None else self.q
+        return NodeFit(self.design, q, r, cond, quantiles)
+
+    def fill_rows(self, w: np.ndarray, rows: slice) -> None:
+        """The rows ``rows`` of the last factored node's design on ``w`` and of
+        its Q, copied in C order (see ``fit_coefficients``)."""
+        self.basis.design(w[rows], out=self.design[rows])
+        if self._factored is not None:
+            np.copyto(self.q[rows], self._factored[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +248,8 @@ class _NewtonWorkspace:
     values go into one of two buffers that alternate, so a step's values can
     be the next step's ``y_next``; they are valid until the step after next."""
 
+    _BUFFERS = ("residual", "deriv", "scratch", "f", "fprime", "active")
+
     def __init__(self, shape):
         self.residual = np.empty(shape)
         self.deriv = np.empty(shape)
@@ -192,22 +264,39 @@ class _NewtonWorkspace:
         self._values.reverse()
         return self._values[0]
 
+    def columns(self, cols: slice) -> "_NewtonWorkspace":
+        """The columns ``cols`` of these buffers, the values buffers excepted:
+        the workspace of ``_newton`` on a block of paths."""
+        view = object.__new__(_NewtonWorkspace)
+        for name in self._BUFFERS:
+            setattr(view, name, getattr(self, name)[:, cols])
+        return view
 
-def _implicit_step(y_next, forcing, dt, lam, driver, b, work):
-    """Solve y = y_next - dt (forcing + lam f(y) + b y) entrywise for a (L, M) state.
 
-    Newton from ``y_next``, with f and f' from one joint evaluation per
-    iterate; an entry stops moving once its residual is below ``NEWTON_TOL``.
-    Entries that leave the finite range or do not converge fall back to a
-    bracket and bisection; where 1 + dt (lam f'(y) + b) <= 0 at a Newton
-    iterate the step is not monotone in ``y_next``: ``NumericsError``.
-    Every Newton operation writes into ``work``, a ``_NewtonWorkspace`` of the
-    state's shape, and so do the values it returns; ``work.f`` and
-    ``work.fprime`` are left holding f and f' at the values.
-    Returns the values, f at the values, and per level (row) the worst
-    residual, the Newton iterates and the entries that fell back to bisection.
+class _NewtonRun(NamedTuple):
+    """What ``_newton`` reports on its block."""
+
+    iterations: np.ndarray      # per row: the passes in which the row had an active entry
+    resid: np.ndarray           # per row: the largest |residual| (NaN in a row with a NaN)
+    smallest: list              # per pass: the smallest 1 + dt (lam f' + b); the
+                                # block stops at the first that is not > 0
+    final: Optional[float]      # the same at the converged iterate, when asked for
+
+
+def _newton(y, y_next, forcing, dt, lam, driver, b, work, check_final=False) -> _NewtonRun:
+    """Newton iterations for y = y_next - dt (forcing + lam f(y) + b y) into ``y``.
+
+    Starts from ``y_next``, with f and f' from one joint evaluation per
+    iterate; an entry stops moving once its residual is below ``NEWTON_TOL``,
+    and the iterations stop when no entry moves, after 100 passes, or at a
+    pass where 1 + dt (lam f'(y) + b) > 0 fails somewhere.  Leaves the
+    residual in ``work.residual``, its absolute value in ``work.scratch`` and
+    f and f' at ``y`` in ``work.f`` and ``work.fprime``.  An entry's iterates
+    do not depend on the other entries, so column blocks of a state run the
+    passes of the whole state; ``check_final`` also reports the smallest
+    derivative at a converged block's last iterate, which the whole state
+    checks on the passes the block no longer runs.
     """
-    y = work.values()
     np.copyto(y, y_next)
     F, deriv, tmp, fy, dfy, active = (work.residual, work.deriv, work.scratch,
                                       work.f, work.fprime, work.active)
@@ -223,45 +312,153 @@ def _implicit_step(y_next, forcing, dt, lam, driver, b, work):
         np.subtract(y, y_next, out=F)
         np.add(F, tmp, out=F)
 
+    def derivative():
+        # deriv = 1 + dt (lam f' + b); its smallest entry, NaN when any entry is
+        np.multiply(lam, dfy, out=deriv)
+        if b != 0.0:
+            np.add(deriv, b, out=deriv)
+        np.multiply(dt, deriv, out=deriv)
+        np.add(1.0, deriv, out=deriv)
+        return float(np.min(deriv))
+
     iterations = np.zeros(y.shape[0], dtype=int)
+    smallest, final = [], None
     driver.f_fprime(y, out=(fy, dfy))
     residual()
     for _ in range(100):
         np.greater_equal(np.abs(F, out=tmp), NEWTON_TOL, out=active)
         rows = active.any(axis=1)
         if not rows.any():
+            if check_final:
+                final = derivative()
             break
         iterations += rows
-        # deriv = 1 + dt (lam f' + b)
-        np.multiply(lam, dfy, out=deriv)
-        if b != 0.0:
-            np.add(deriv, b, out=deriv)
-        np.multiply(dt, deriv, out=deriv)
-        np.add(1.0, deriv, out=deriv)
-        smallest = np.min(deriv)            # NaN when any entry is: not > 0
-        if not smallest > 0:
-            raise NumericsError(f"implicit step not monotone: 1 + dt (lam f' + b) = "
-                                f"{float(smallest):.3g} <= 0 at dt = {dt:.3g}")
+        smallest.append(derivative())
+        if not smallest[-1] > 0:
+            break
         np.subtract(y, np.divide(F, deriv, out=tmp), out=y, where=active)
         driver.f_fprime(y, out=(fy, dfy))
         residual()
-    resid = np.abs(F, out=tmp).max(axis=1)      # NaN in a row with a NaN entry
+    resid = np.abs(F, out=tmp).max(axis=1)
+    return _NewtonRun(iterations, resid, smallest, final)
+
+
+def _check_monotone(runs: Sequence, dt: float) -> None:
+    """Raise where the Newton passes of the blocks in ``runs``, taken as one
+    state, meet a derivative 1 + dt (lam f' + b) that is not > 0."""
+    # a block stops at its first failing pass: without one, nothing fails
+    if all((not run.smallest or run.smallest[-1] > 0)
+           and (run.final is None or run.final > 0) for run in runs):
+        return
+    for k in range(max(len(run.smallest) for run in runs)):
+        # a block that stopped earlier sits at its last iterate
+        smallest = np.min([run.smallest[k] if k < len(run.smallest) else run.final
+                           for run in runs])
+        if not smallest > 0:
+            raise NumericsError(f"implicit step not monotone: 1 + dt (lam f' + b) = "
+                                f"{float(smallest):.3g} <= 0 at dt = {dt:.3g}")
+
+
+def _bisect_failures(y, y_next, forcing, dt, lam, driver, b, work, resid) -> tuple:
+    """The entries of a Newton result ``y`` whose residual is not below
+    ``NEWTON_TOL`` (``work.scratch`` holds |residual|), solved again by one
+    bracket and bisection on them all.  Returns per row the worst residual and
+    the entries that fell back."""
     fallbacks = np.zeros(y.shape[0], dtype=int)
-    if not np.all(resid < NEWTON_TOL):
-        bad = np.logical_not(np.less(tmp, NEWTON_TOL, out=active), out=active)
-        fallbacks = bad.sum(axis=1)
+    if np.all(resid < NEWTON_TOL):
+        return resid, fallbacks
+    bad = np.logical_not(np.less(work.scratch, NEWTON_TOL, out=work.active), out=work.active)
+    fallbacks = bad.sum(axis=1)
 
-        def full_residual(v, fv, y_next, forcing, lam):
-            return v - y_next + dt * (forcing + lam * fv + b * v)
+    def full_residual(v, fv, y_next, forcing, lam):
+        return v - y_next + dt * (forcing + lam * fv + b * v)
 
-        y_next_bad, forcing_bad, lam_bad = (np.broadcast_to(a, y.shape)[bad]
-                                            for a in (y_next, forcing, lam))
-        y[bad] = _bracket_and_bisect(
-            lambda v: full_residual(v, driver.f(v), y_next_bad, forcing_bad, lam_bad),
-            y_next_bad)
-        driver.f_fprime(y, out=(fy, dfy))
-        resid = np.max(np.abs(full_residual(y, fy, y_next, forcing, lam)), axis=1)
-    return y, fy, resid, iterations, fallbacks
+    y_next_bad, forcing_bad, lam_bad = (np.broadcast_to(a, y.shape)[bad]
+                                        for a in (y_next, forcing, lam))
+    y[bad] = _bracket_and_bisect(
+        lambda v: full_residual(v, driver.f(v), y_next_bad, forcing_bad, lam_bad),
+        y_next_bad)
+    driver.f_fprime(y, out=(work.f, work.fprime))
+    resid = np.max(np.abs(full_residual(y, work.f, y_next, forcing, lam)), axis=1)
+    return resid, fallbacks
+
+
+def _implicit_step(y_next, forcing, dt, lam, driver, b, work, blocks=None):
+    """Solve y = y_next - dt (forcing + lam f(y) + b y) entrywise for a (L, M) state.
+
+    Newton from ``y_next`` (``_newton``).  Entries that leave the finite range
+    or do not converge fall back to a bracket and bisection; where
+    1 + dt (lam f'(y) + b) <= 0 at a Newton iterate the step is not monotone
+    in ``y_next``: ``NumericsError``.
+    Every Newton operation writes into ``work``, a ``_NewtonWorkspace`` of the
+    state's shape, and so do the values it returns; ``work.f`` and
+    ``work.fprime`` are left holding f and f' at the values.
+    Returns the values, f at the values, and per level (row) the worst
+    residual, the Newton iterates and the entries that fell back to bisection.
+    With ``blocks``, a ``_PathBlocks``, the Newton passes run on column blocks
+    of the state and the counters are the largest over the blocks; the
+    monotonicity check and the bisection see the whole state, so the results
+    and errors are the same.
+    """
+    y = work.values()
+    if blocks is None:
+        runs = [_newton(y, y_next, forcing, dt, lam, driver, b, work)]
+    else:
+        def block(k):
+            cols = blocks.cols[k]
+            return _newton(y[:, cols], y_next[:, cols], _columns(forcing, cols), dt, lam,
+                           driver, b, blocks.work[k], check_final=True)
+
+        runs = blocks.run(block)
+    _check_monotone(runs, dt)
+    # maxima over the blocks; np.maximum keeps a NaN residual
+    resid, fallbacks = _bisect_failures(y, y_next, forcing, dt, lam, driver, b, work,
+                                        reduce(np.maximum, [run.resid for run in runs]))
+    return y, work.f, resid, reduce(np.maximum, [run.iterations for run in runs]), fallbacks
+
+
+def _columns(a, cols: slice):
+    """The columns ``cols`` of a per-path array; a scalar is every path's."""
+    return a[..., cols] if np.ndim(a) else a
+
+
+def _block_columns(n_paths: int, workers: int) -> list:
+    """Column slices of ``min(workers, n_paths // SWEEP_BLOCK)`` blocks of
+    nearly equal width, at least one."""
+    count = max(1, min(workers, n_paths // SWEEP_BLOCK))
+    edges = [n_paths * k // count for k in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+class _PathBlocks:
+    """Column blocks of a sweep's (L, M) state (``_block_columns``), stepped by
+    a thread pool.
+
+    ``work`` holds each block's view of the sweep's ``_NewtonWorkspace``.  The
+    pool has one thread per block and exists only with two blocks or more;
+    ``close`` shuts it down."""
+
+    def __init__(self, n_paths: int, workers: int, work: _NewtonWorkspace):
+        self.cols = _block_columns(n_paths, workers)
+        self.work = [work.columns(cols) for cols in self.cols]
+        count = len(self.cols)
+        self.pool = ThreadPoolExecutor(max_workers=count) if count > 1 else None
+
+    def run(self, fn) -> list:
+        """``fn(k)`` for every block k, in block order; this thread runs block 0
+        and the pool the others."""
+        if self.pool is None:
+            return [fn(0)]
+        futures = [self.pool.submit(fn, k) for k in range(1, len(self.cols))]
+        try:
+            first = fn(0)
+        finally:
+            wait(futures)
+        return [first] + [future.result() for future in futures]
+
+    def close(self) -> None:
+        if self.pool is not None:
+            self.pool.shutdown(cancel_futures=True)
 
 
 def _explicit_half(y_next, phi_next, lam_next, b, h, work, out):
@@ -294,7 +491,8 @@ class SweepNode(NamedTuple):
     f: np.ndarray                     # (L, M) driver f at y, until the next node
     z: Optional[np.ndarray] = None    # (L, M) Z on the left node, until the next
                                       # node; None at T
-    fit: Optional[NodeFit] = None     # the node's regression (Monte Carlo mode)
+    fit: Optional[NodeFit] = None     # the node's regression (Monte Carlo mode),
+                                      # until the next node
 
 
 class NodeSweep:
@@ -309,7 +507,8 @@ class NodeSweep:
     is enough at these accuracy targets).  When the problem's flags prove the
     a-priori box, each level's largest excursion from it is recorded before
     the Monte Carlo clamp pulls the values into the box with ``clamp_margin``
-    slack.
+    slack.  With ``level_quantiles`` each node's fit carries those quantiles
+    of the Brownian level.
 
     The implicit half of the step runs ``_implicit_step`` over ``theta dt``;
     ``theta`` = 1, the default and ``backward_sweep``'s, is implicit Euler.
@@ -322,9 +521,17 @@ class NodeSweep:
     tail from ``t_cap`` to T always runs at theta = 1 and is not counted: lam_n
     rises from lam(t_cap) to n inside it, which the grid does not resolve.
 
+    ``workers`` > 1 threads a Monte Carlo sweep of at least two
+    ``SWEEP_BLOCK``-path blocks: the per-path work (the regression targets,
+    the fitted values, the Newton passes, the box excursion, the clamp and the
+    extremes) runs on column blocks of the state, one per worker, and each
+    node's factorisation runs while the node before it in the sweep is
+    stepped.  Every reduction over the paths runs on the whole state, so the
+    values and counters do not depend on ``workers``.
+
     ``nodes()`` yields one ``SweepNode`` per grid index, from T backward; only
-    the current node is held, and its ``y``, ``f`` and ``z`` live in per-sweep
-    buffers until the next node is computed.  Once it is exhausted,
+    the current node is held, and its ``y``, ``f``, ``z`` and ``fit`` live in
+    per-sweep buffers until the next node is computed.  Once it is exhausted,
     ``residual_max``, ``box_excursion_raw``, ``y_min``, ``y_max``,
     ``y0_mean`` and the Newton counters hold one value per level:
     ``newton_iterations`` (summed over nodes), ``newton_max_per_node`` and
@@ -338,11 +545,14 @@ class NodeSweep:
                  bundle: Optional[PathBundle] = None,
                  basis: Optional[RegressionBasis] = None,
                  driver_override: Optional[DriverSpec] = None,
-                 clamp_margin: float = 1e-3, theta: float = 1.0):
+                 clamp_margin: float = 1e-3, theta: float = 1.0, workers: int = 1,
+                 level_quantiles: Sequence = ()):
         if not 0 < theta <= 1:
             raise ValueError(f"theta must lie in (0, 1], got {theta}")
         if theta < 1 and problem.z_slope != 0.0:
             raise ValueError("theta < 1 needs z_slope = 0: Z is frozen in the implicit half")
+        if workers < 1:
+            raise ValueError(f"workers must be at least 1, got {workers}")
         self.mc = bundle is not None
         if self.mc:
             if basis is None:
@@ -363,7 +573,7 @@ class NodeSweep:
             raise ValueError("regression mode currently supports one Brownian dimension")
         self.problem, self.grid, self.caps = problem, grid, list(caps)
         self.bundle, self.basis, self.clamp_margin = bundle, basis, clamp_margin
-        self.theta = theta
+        self.theta, self.workers, self.level_quantiles = theta, workers, level_quantiles
         self.driver = driver_override if driver_override is not None \
             else problem.effective_driver()
         self.m_paths = bundle.n_paths if self.mc else 1
@@ -383,13 +593,20 @@ class NodeSweep:
 
     def nodes(self):
         """Yield a ``SweepNode`` per grid index, from the terminal node backward."""
+        work = _NewtonWorkspace((len(self.caps), self.m_paths))
+        blocks = _PathBlocks(self.m_paths, self.workers if self.mc else 1, work)
+        try:
+            yield from self._sweep(work, blocks)
+        finally:
+            blocks.close()
+
+    def _sweep(self, work: _NewtonWorkspace, blocks: _PathBlocks):
         problem, grid, driver, theta = self.problem, self.grid, self.driver, self.theta
         pts = grid.points
         n_levels = len(self.caps)
         sup = problem.coefficient.sup_norm
         b, sigma = problem.y_slope, problem.z_slope
         y_next = np.empty((n_levels, self.m_paths))
-        work = _NewtonWorkspace(y_next.shape)
         sigma_z = np.empty_like(y_next)             # per-sweep buffer for phi + sigma Z
         phi = None          # phi at the right node until the node's own replaces it
         if self.mc:
@@ -401,6 +618,8 @@ class NodeSweep:
             y_fit, z_i = targets[:n_levels], targets[n_levels:]
             # the Monte Carlo clamp's masks
             moved, above = np.empty(y_next.shape, bool), np.empty(y_next.shape, bool)
+            factors = _NodeFactors(self.basis, self.m_paths, self.level_quantiles)
+            ahead = None        # the next node's factorisation, running in the pool
             y_next[:] = problem.terminal.values(levels[:, -1])
             if theta < 1:
                 phi = np.asarray(problem.coefficient.value(pts[-1], levels[:, -1]),
@@ -428,17 +647,34 @@ class NodeSweep:
             fit = None
             if self.mc:
                 w_i = levels[:, i]
-                if theta_i < 1:
-                    _explicit_half(y_next, phi, lam_next, b, (1.0 - theta_i) * dt, work,
-                                   out=y_fit)
-                else:
-                    np.copyto(y_fit, y_next)
-                np.multiply(y_next, increments[:, i], out=z_i)
-                np.divide(z_i, dt, out=z_i)
-                coef, fit = fit_coefficients(self.basis, w_i, targets.T, node_index=i)
-                # fitted values (design @ coef).T, laid out level-major
-                np.matmul(coef[:, :n_levels].T, fit.design.T, out=y_fit)
-                np.matmul(coef[:, n_levels:].T, fit.design.T, out=z_i)
+                # a BasisDegenerate of a node factored ahead surfaces here, at its node
+                fit = ahead.result() if ahead is not None else factors.factor(w_i, i)
+                h = (1.0 - theta_i) * dt
+
+                def regression_targets(k):
+                    cols = blocks.cols[k]
+                    factors.fill_rows(w_i, cols)
+                    if theta_i < 1:
+                        _explicit_half(y_next[:, cols], _columns(phi, cols), lam_next, b, h,
+                                       blocks.work[k], out=y_fit[:, cols])
+                    else:
+                        np.copyto(y_fit[:, cols], y_next[:, cols])
+                    np.multiply(y_next[:, cols], increments[cols, i], out=z_i[:, cols])
+                    np.divide(z_i[:, cols], dt, out=z_i[:, cols])
+
+                blocks.run(regression_targets)
+                # the QR buffer is free: factor the next node while this one is stepped
+                if blocks.pool is not None and i > 0:
+                    ahead = blocks.pool.submit(factors.factor, levels[:, i - 1], i - 1)
+                coef = fit.solve(targets.T)
+
+                def fitted_values(k):
+                    # (design @ coef).T, laid out level-major
+                    design = fit.design[blocks.cols[k]].T
+                    np.matmul(coef[:, :n_levels].T, design, out=y_fit[:, blocks.cols[k]])
+                    np.matmul(coef[:, n_levels:].T, design, out=z_i[:, blocks.cols[k]])
+
+                blocks.run(fitted_values)
                 if fit.cond is not None:
                     self.regression_cond_min = float(np.fmin(self.regression_cond_min,
                                                              fit.cond))
@@ -454,25 +690,38 @@ class NodeSweep:
             forcing = phi
             if sigma != 0.0:        # skipped at 0, as the step skips b
                 forcing = np.add(phi, np.multiply(sigma, z_i, out=sigma_z), out=sigma_z)
-            y_i, f_i, resid, iterations, fallbacks = _implicit_step(
-                y_fit, forcing, theta_i * dt, self._lam[:, i, None], driver, b, work)
+            step = (y_fit, forcing, theta_i * dt, self._lam[:, i, None], driver, b, work)
+            y_i, f_i, resid, iterations, fallbacks = (
+                _implicit_step(*step) if blocks.pool is None else _implicit_step(*step, blocks))
             np.maximum(self.residual_max, resid, out=self.residual_max)
             self.newton_iterations += iterations
             np.maximum(self.newton_max_per_node, iterations, out=self.newton_max_per_node)
             self.bisection_entries += fallbacks
+            lower = -(grid.horizon - t_i) * sup
+
+            def box_and_extremes(k):
+                # the excursion from the box, the Monte Carlo clamp, then the extremes
+                cols = blocks.cols[k]
+                y, excursion = y_i[:, cols], None
+                if self.box:
+                    excursion = np.maximum(y.max(axis=1), lower - y.min(axis=1))
+                    if self.mc:
+                        lo, hi = lower - self.clamp_margin, self.clamp_margin
+                        out = moved[:, cols]
+                        np.logical_or(np.less(y, lo, out=out),
+                                      np.greater(y, hi, out=above[:, cols]), out=out)
+                        np.clip(y, lo, hi, out=y)
+                        if out.any():
+                            f_i[:, cols][out], work.fprime[:, cols][out] = \
+                                driver.f_fprime(y[out])
+                return excursion, y.min(axis=1), y.max(axis=1)
+
+            excursions, mins, maxs = zip(*blocks.run(box_and_extremes))
             if self.box:
-                lower = -(grid.horizon - t_i) * sup
-                np.maximum(self.box_excursion_raw,
-                           np.maximum(y_i.max(axis=1), lower - y_i.min(axis=1)),
+                np.maximum(self.box_excursion_raw, reduce(np.maximum, excursions),
                            out=self.box_excursion_raw)
-                if self.mc:
-                    lo, hi = lower - self.clamp_margin, self.clamp_margin
-                    np.logical_or(np.less(y_i, lo, out=moved),
-                                  np.greater(y_i, hi, out=above), out=moved)
-                    np.clip(y_i, lo, hi, out=y_i)
-                    if moved.any():
-                        f_i[moved], work.fprime[moved] = driver.f_fprime(y_i[moved])
-            self._extremes(y_i)
+            np.minimum(self.y_min, reduce(np.minimum, mins), out=self.y_min)
+            np.maximum(self.y_max, reduce(np.maximum, maxs), out=self.y_max)
             yield SweepNode(i, y_i, f_i, z_i, fit)
             y_next = y_i
         self.y0_mean = y_next.mean(axis=1)

@@ -32,6 +32,7 @@ ODE_MONOTONE_SLACK = 1e-10
 BOX_SLACK_ODE = 1e-10
 BMO_QUANTILE = 0.005          # the BMO surface is maximised between the level's
 BMO_EVAL_POINTS = 41          # q and 1 - q quantiles, on this many points
+_BMO_QUANTILES = (BMO_QUANTILE, 1.0 - BMO_QUANTILE)
 SCHEME_THETA = 0.5            # the sweep's theta-step: the trapezoid rule
 
 
@@ -117,6 +118,8 @@ class SchemeConfig:
     bundle: Optional[PathBundle] = None
     basis: Optional[RegressionBasis] = None
     clamp_margin: float = 1e-3
+    workers: int = 1                 # threads of the Monte Carlo sweep; the
+                                     # report does not depend on them
 
 
 def run_scheme(problem: BsdeProblem, grid: TimeGrid, schedule: Sequence[float],
@@ -164,9 +167,11 @@ def run_scheme(problem: BsdeProblem, grid: TimeGrid, schedule: Sequence[float],
     bundle = config.bundle if config.mode == "mc" else None
     if config.mode == "mc" and bundle is None:
         raise ValueError("mc mode needs a path bundle")
+    # in Monte Carlo mode the sweep's fits carry the BMO fold's quantile range
     sweep = NodeSweep(problem, grid, schedule, bundle=bundle, basis=config.basis,
                       driver_override=clipped, clamp_margin=config.clamp_margin,
-                      theta=SCHEME_THETA)
+                      theta=SCHEME_THETA, workers=config.workers,
+                      level_quantiles=_BMO_QUANTILES if bundle is not None else ())
 
     mc, dts = sweep.mc, grid.gaps
     n_pts, n_levels, m_paths = len(grid.points), len(schedule), sweep.m_paths
@@ -232,9 +237,12 @@ def _extrapolated_final(solutions, schedule, sup) -> SolutionEstimate:
     """Richardson step on the last pair: the level error decays like 1/n."""
     last, prev = solutions[-1], solutions[-2]
     r = schedule[-1] / schedule[-2]
-    y = (r * last.y - prev.y) / (r - 1.0)
+    # one (M, N) array, clipped in place: a Monte Carlo run peaks in memory here
+    y = np.multiply(r, last.y)
+    np.subtract(y, prev.y, out=y)
+    np.divide(y, r - 1.0, out=y)
     lower = -(last.grid.horizon - last.grid.points) * sup
-    y = np.clip(y, lower, 0.0)
+    np.clip(y, lower, 0.0, out=y)
     return SolutionEstimate(
         grid=last.grid, y=y, z=last.z, mode=last.mode, problem=last.problem,
         lambda_cap=last.lambda_cap, driver_used=last.driver_used,
@@ -268,15 +276,17 @@ class _BmoFold:
 
     def add(self, w, z, dt, fit=None, node_index: int = -1) -> None:
         """Fold in the node with Brownian level ``w`` and Z values ``z`` over a step
-        ``dt``; ``fit`` is the node's factored design on ``w`` when a sweep built it."""
+        ``dt``; ``fit`` is the node's factored design on ``w`` when a sweep built
+        it, carrying the level's quantiles at ``BMO_QUANTILE`` and its complement."""
         self.tail = self.tail + z ** 2 * dt
         target = self.tail.reshape(-1, 1)
         if fit is None:
             coef, fit = fit_coefficients(self.basis, w, target, node_index=node_index)
+            lo, hi = np.quantile(w, _BMO_QUANTILES)
         else:
             coef = fit.solve(target)
+            lo, hi = fit.quantiles
         coef = coef[:, 0]
-        lo, hi = np.quantile(w, [BMO_QUANTILE, 1.0 - BMO_QUANTILE])
         # C order: BLAS sums a matrix-vector product in an order set by the
         # layout, and the estimates are pinned to the row-major one
         x_eval = np.ascontiguousarray(self.basis.design(np.linspace(lo, hi, BMO_EVAL_POINTS)))

@@ -328,6 +328,23 @@ class TestBadParameters:
         assert error in report
         assert report.endswith("status: failed\nexit_code: 1\n")
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exits_1_with_report(self, tmp_path, source, threads):
+        out = tmp_path / "threads"
+        args = ["run", "nonlinear_exp", "--mode", "mc", "--m-paths", "50", "--n-grid", "9"]
+        if source == "flag":
+            args += ["--threads", threads]
+        else:
+            cfg = tmp_path / "threads.ini"
+            cfg.write_text(f"[run]\nthreads = {threads}\n")
+            args += ["--config", str(cfg)]
+        assert run(args + ["--out", str(out)]) == 1
+        report = (out / "report.txt").read_text()
+        assert f"  threads = {threads}\n" in report
+        assert f"error: threads must be at least 1, got {threads}" in report
+        assert report.endswith("status: failed\nexit_code: 1\n")
+
 
 class TestBoxExcursion:
     def test_mc_report_prints_raw_excursion(self, tmp_path):
