@@ -448,6 +448,8 @@ def run_scenario(name: str, overrides: dict, out_dir, seed: int = 1,
     try:
         if threads < 1:
             raise ValueError(f"threads must be at least 1, got {threads}")
+        if not 0 <= seed < 2 ** 64:
+            raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
         return info.run(cfg)
     except (LabError, ValueError) as exc:
         cfg.say(f"error: {exc}")

@@ -45,15 +45,17 @@ class IntensityModel:
     @classmethod
     def power_gap(cls, p: float, horizon: float) -> "IntensityModel":
         """lam(t) = p / (T - t); cumulative mass p * ln(T / (T - t))."""
-        if not (p > 0 and horizon > 0):
-            raise ValueError("power_gap requires p > 0 and horizon > 0")
+        if not (0 < p < math.inf and 0 < horizon < math.inf):
+            raise ValueError(f"power_gap requires p > 0 and horizon > 0, both finite, "
+                             f"got p = {p}, horizon = {horizon}")
         return cls(kind=POWER_GAP, horizon=horizon, p=p)
 
     @classmethod
     def exp_gap(cls, gamma: float, horizon: float) -> "IntensityModel":
         """lam(t) = gamma / (exp(gamma (T - t)) - 1)."""
-        if not (gamma > 0 and horizon > 0):
-            raise ValueError("exp_gap requires gamma > 0 and horizon > 0")
+        if not (0 < gamma < math.inf and 0 < horizon < math.inf):
+            raise ValueError(f"exp_gap requires gamma > 0 and horizon > 0, both finite, "
+                             f"got gamma = {gamma}, horizon = {horizon}")
         return cls(kind=EXP_GAP, horizon=horizon, gamma=gamma)
 
     @classmethod
@@ -191,6 +193,8 @@ class CoefficientProcess:
 
     @classmethod
     def constant(cls, v: float, horizon: float) -> "CoefficientProcess":
+        if math.isinf(v):
+            raise ValueError(f"coefficient value phi must not be infinite, got {v}")
         return cls(kind="constant", horizon=horizon, value_const=float(v),
                    sup_norm=abs(float(v)), nonnegative=v >= 0)
 
@@ -292,8 +296,8 @@ class DriverSpec:
         The joint form takes both from one ``expm1``: f' = 1 + expm1(-alpha x),
         within an ulp of ``exp``, and f keeps the ``expm1`` accuracy near 0.
         """
-        if not alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {alpha}")
 
         def joint(x, out=None):
             if out is None:
@@ -425,8 +429,8 @@ def make_grid(model: IntensityModel, n: int, scheme: str = INTENSITY_MASS, *,
         pts = np.linspace(0.0, T, n)
         return TimeGrid(points=pts, cap_index=max(0, n - 2))
     if scheme == INTENSITY_MASS:
-        if not mass_cap > 0:
-            raise ValueError("mass_cap must be positive")
+        if not 0 < mass_cap < math.inf:
+            raise ValueError(f"mass_cap must be positive and finite, got {mass_cap}")
         if not model.is_singular and model.total_mass() < mass_cap:
             raise InfeasibleGrid(
                 f"cumulative mass tops out at {model.total_mass():.6g} < {mass_cap:.6g}")

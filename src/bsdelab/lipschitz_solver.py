@@ -22,7 +22,6 @@ from functools import reduce
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, solve_triangular
 
 from .coefficients import BsdeProblem, DriverSpec, TimeGrid
 from .errors import BasisDegenerate, NumericsError
@@ -89,7 +88,17 @@ class NodeFit:
             coef = np.zeros((self.design.shape[1], target.shape[1]))
             coef[0] = target.mean(axis=0)
             return coef
+        from scipy.linalg import solve_triangular      # loaded by _qr_routines
         return solve_triangular(self.r, self.q.T @ target)
+
+
+def _qr_routines(a: np.ndarray) -> tuple:
+    """LAPACK's ``geqrf`` and ``orgqr`` for arrays like ``a``.  scipy.linalg is
+    imported here, at a regression's first factorisation, not with the module:
+    it is most of the package's import time, and runs without a regression
+    never load it."""
+    from scipy.linalg import get_lapack_funcs
+    return get_lapack_funcs(("geqrf", "orgqr"), (a,))
 
 
 def _in_place(routine, *args):
@@ -103,9 +112,10 @@ def _in_place(routine, *args):
 
 
 def _factor(basis: RegressionBasis, w: np.ndarray, node_index: int,
-            qr: np.ndarray) -> tuple:
+            qr: np.ndarray, routines: tuple) -> tuple:
     """Economic QR of the design on the level ``w``, in place in ``qr``, an
-    (M, K) buffer in Fortran order.
+    (M, K) buffer in Fortran order, by the LAPACK ``routines`` of
+    ``_qr_routines(qr)``.
 
     Returns ``(q, r, cond)``: ``q`` is Q in Fortran order, in ``qr``, and
     ``cond`` the ratio of the singular values of R that the condition-number
@@ -120,7 +130,7 @@ def _factor(basis: RegressionBasis, w: np.ndarray, node_index: int,
     # the Fortran-ordered design reaches LAPACK without a copy; no finiteness
     # scan: a NaN in the design propagates into R and its SVD
     basis.design(w, out=qr)
-    geqrf, orgqr = get_lapack_funcs(("geqrf", "orgqr"), (qr,))
+    geqrf, orgqr = routines
     factored, tau = _in_place(geqrf, qr)
     r = np.triu(factored[:qr.shape[1]])
     q, = _in_place(orgqr, factored, tau)
@@ -140,7 +150,8 @@ def fit_coefficients(basis: RegressionBasis, w: np.ndarray, target: np.ndarray,
     ``fit.solve`` fits further targets on the same factorisation.
     """
     design = basis.design(w)
-    q, r, cond = _factor(basis, w, node_index, np.empty_like(design))
+    qr = np.empty_like(design)
+    q, r, cond = _factor(basis, w, node_index, qr, _qr_routines(qr))
     # Q in C order: BLAS sums ``q.T @ target`` in an order set by the layout,
     # and this one matches the C-ordered factor of np.linalg.qr bit for bit
     fit = NodeFit(design, None if q is None else np.ascontiguousarray(q), r, cond)
@@ -154,13 +165,15 @@ class _NodeFactors:
 
     ``factor`` works in the QR buffer alone, so it can run for the next node
     while the current node, whose design and Q ``fill_rows`` put in their
-    buffers, is stepped."""
+    buffers, is stepped.  The LAPACK routines are looked up, and scipy.linalg
+    imported, when the buffers are made, in the thread that makes them."""
 
     def __init__(self, basis: RegressionBasis, n_paths: int, quantiles: Sequence = ()):
         shape = (n_paths, basis.degree + 1)
         self.basis, self.quantiles = basis, quantiles
         self.design, self.qr = np.empty(shape, order="F"), np.empty(shape, order="F")
         self.q = np.empty(shape)
+        self._routines = _qr_routines(self.qr)
         self._sorted = np.empty(n_paths) if quantiles else None
         self._factored = None       # the last factored node's Q, in Fortran order
 
@@ -168,7 +181,8 @@ class _NodeFactors:
         """Node ``node_index``'s fit on the level ``w``, with the level's
         ``quantiles``; its design and Q are valid once ``fill_rows`` has filled
         every row, until the next node's."""
-        self._factored, r, cond = _factor(self.basis, w, node_index, self.qr)
+        self._factored, r, cond = _factor(self.basis, w, node_index, self.qr,
+                                          self._routines)
         quantiles = None
         if self.quantiles:
             np.copyto(self._sorted, w)

@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .coefficients import TimeGrid
 from .errors import ResourceLimit
@@ -110,6 +109,11 @@ def simulate_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int,
         raise ResourceLimit(
             f"bundle of {n_paths}x{grid.n_points}x{dim} exceeds the memory cap"
         )
+    # imported here, not with the module: scipy.special is most of the
+    # package's import time, and only simulation needs it; the import runs in
+    # this thread, before the pool below gets a block
+    from scipy.special import ndtri
+
     # node-major memory; ``rows`` is its per-path (M, (N-1) d) view
     node_major = np.empty((n_steps, dim, n_paths), dtype=np.float64)
     count = n_steps * dim

@@ -66,7 +66,10 @@ def truncate(driver: DriverSpec, coefficient_bound: float, horizon: float) -> Dr
         if out is None:
             fx, dfx = driver.f_fprime(np.maximum(x, clip))
             return fx, np.where(x >= clip, dfx, 0.0)
-        outside = np.logical_not(x >= clip)
+        # one mask, negated in place, formed before ``x`` (which may be
+        # ``out[0]``) is overwritten; NaN >= clip is False, so NaN is outside
+        outside = np.greater_equal(x, clip)
+        np.logical_not(outside, out=outside)
         driver.f_fprime(np.maximum(x, clip, out=out[0]), out=out)
         np.copyto(out[1], 0.0, where=outside)
         return out

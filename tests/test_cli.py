@@ -397,6 +397,46 @@ class TestSeedDomain:
         assert "seed must lie in [0, 2^64)" in report
 
 
+def _run_fresh(args, out):
+    """``bsdelab run`` in a new interpreter: its exit code, report and stderr."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "bsdelab.cli", "run", *args,
+                           "--out", str(out)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    return proc.returncode, (out / "report.txt").read_text(), proc.stderr
+
+
+class TestRejectedBeforeTheNumerics:
+    # each used to reach the numerics: RuntimeWarnings on stderr and an error
+    # about colliding grid nodes, failed flag samples or a nan bound
+    @pytest.mark.parametrize("args,named", [
+        (["affine_plus", "--mass-cap", "inf"], "mass_cap must be positive and finite"),
+        (["nonlinear_exp", "--p", "inf"], "power_gap requires p > 0 and horizon > 0, both finite"),
+        (["ek_red", "--gamma", "inf"], "exp_gap requires gamma > 0 and horizon > 0, both finite"),
+        (["nonlinear_exp", "--alpha", "inf"], "alpha must be positive and finite"),
+        (["nonlinear_exp", "--phi-value", "inf"], "coefficient value phi must not be infinite"),
+        (["affine_plus", "--phi-value", "inf"], "coefficient value phi must not be infinite"),
+        (["affine_plus", "--phi-value=-inf"], "coefficient value phi must not be infinite"),
+    ])
+    def test_infinite_parameter_exits_1_quietly(self, tmp_path, args, named):
+        code, report, err = _run_fresh(args, tmp_path / "inf")
+        assert code == 1
+        assert f"error: {named}" in report
+        assert report.endswith("status: failed\nexit_code: 1\n")
+        assert err == ""
+
+    @pytest.mark.parametrize("args", [["ek_red", "--seed", "-1"],
+                                      ["nonlinear_exp", "--seed", "-1"],
+                                      ["affine_plus", "--seed", str(2**64)]])
+    def test_out_of_range_seed_exits_1_in_every_scenario(self, tmp_path, args):
+        code, report, err = _run_fresh(args, tmp_path / "seed")
+        assert code == 1
+        assert f"error: seed must lie in [0, 2^64), got {args[-1]}" in report
+        assert report.endswith("status: failed\nexit_code: 1\n")
+        assert err == ""
+
+
 class TestCliNeverCrashes:
     @settings(max_examples=40, deadline=None)
     @given(scenario=st.sampled_from(sorted(cli.SCENARIOS)),

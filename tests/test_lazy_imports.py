@@ -1,0 +1,99 @@
+"""Where the package loads scipy, checked in fresh interpreters.
+
+``scipy.special`` (the inverse normal CDF of path simulation) and
+``scipy.linalg`` (the LAPACK QR of the regressions) are imported at first use,
+as ``scipy.integrate`` (quadrature) is: commands that never simulate paths,
+regress or integrate load none of them.  The test session itself has imported
+them long before these tests run, so every check starts a new interpreter.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import bsdelab
+
+SRC = str(Path(bsdelab.__file__).resolve().parents[1])
+LAZY = ("scipy.special", "scipy.linalg", "scipy.integrate")
+
+# Runs the CLI with the given argv and prints its exit code, which of LAZY it
+# left loaded, and for each of LAZY whether its first import ran on the main
+# thread (a finder that declines every module records the thread).
+PROBE = """
+import json, sys, threading
+LAZY = {lazy!r}
+first = {{}}
+
+class Recorder:
+    def find_spec(self, name, path=None, target=None):
+        if name in LAZY and name not in first:
+            first[name] = threading.current_thread() is threading.main_thread()
+        return None
+
+sys.meta_path.insert(0, Recorder())
+from bsdelab import cli
+code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else None
+print(json.dumps({{"code": code, "loaded": [m for m in LAZY if m in sys.modules],
+                  "main_thread": first}}))
+"""
+
+
+def _probe(*argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", PROBE.format(lazy=LAZY), *argv],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_import_loads_no_lazy_subpackage():
+    result = _probe()
+    assert result["loaded"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["list"],
+    ["run", "ek_red"],
+    ["run", "affine_minus_family", "--n-grid", "33"],
+    ["run", "affine_plus", "--terminal", "1", "--n-grid", "33"],
+    ["run", "nonlinear_exp", "--n-grid", "21", "--schedule", "2,4", "--tol", "0.5"],
+], ids=["list", "ek_red", "affine_minus_family", "affine_plus_terminal_1",
+        "nonlinear_exp_ode"])
+def test_deterministic_commands_load_no_lazy_subpackage(tmp_path, argv):
+    if argv[0] == "run":
+        argv = argv + ["--out", str(tmp_path / "out")]
+    result = _probe(*argv)
+    assert result["code"] == 0
+    assert result["loaded"] == []
+
+
+def test_monte_carlo_loads_special_and_linalg_on_the_main_thread(tmp_path):
+    # 20000 paths on 9 nodes are three simulation blocks of 8192 paths
+    result = _probe("run", "nonlinear_exp", "--mode", "mc", "--m-paths", "20000",
+                    "--n-grid", "9", "--schedule", "2,4", "--tol", "0.5",
+                    "--threads", "2", "--out", str(tmp_path / "mc"))
+    assert result["code"] == 0
+    assert {"scipy.special", "scipy.linalg"} <= set(result["loaded"])
+    assert result["main_thread"]["scipy.special"] is True
+    assert result["main_thread"]["scipy.linalg"] is True
+
+
+def test_threaded_first_run_matches_one_thread_bytes(tmp_path):
+    # 40000 paths are two path blocks of the sweep (SWEEP_BLOCK = 2^14) and
+    # several blocks of the simulation: at --threads 2 both pools run, in a
+    # process whose first simulation and first regression import scipy
+    outputs = {}
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        result = _probe("run", "nonlinear_exp", "--mode", "mc", "--m-paths", "40000",
+                        "--n-grid", "21", "--schedule", "2,4", "--tol", "0.1",
+                        "--threads", str(threads), "--out", str(out))
+        assert result["code"] == 0
+        assert all(result["main_thread"].get(m) for m in ("scipy.special", "scipy.linalg"))
+        outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+    assert sorted(outputs[1]) == ["scheme.csv", "solution.csv"]
+    assert outputs[1] == outputs[2]

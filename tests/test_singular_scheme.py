@@ -65,6 +65,29 @@ class TestTruncate:
                 assert np.asarray(g).tobytes() == w.tobytes()
         assert np.all(want_joint[1][~inside] == 0.0)
 
+    @pytest.mark.parametrize("driver", [bl.DriverSpec.identity(),
+                                        bl.DriverSpec.exp_utility(1.5)])
+    @pytest.mark.parametrize("aliased", [False, True], ids=["out", "x_is_out0"])
+    def test_joint_into_out_matches_f_and_fprime_on_nan(self, driver, aliased):
+        # below, at and above L = -2, and NaN, whose f' is 0 like a value below L
+        clip = -2.0
+        tr = bl.truncate(driver, 2.0, 1.0)
+        xs = np.array([[-50.0, -2.0 - 1e-12, -2.0, np.nan],
+                       [np.nan, -2.0 + 1e-12, -1.0, 0.5]])
+        want_f, want_fprime = tr.f(xs), tr.fprime(xs)
+        out = (xs.copy() if aliased else np.empty_like(xs), np.empty_like(xs))
+        assert tr.f_fprime(out[0] if aliased else xs, out=out) is out
+        # bit for bit the joint form without ``out``, up to the sign of a NaN
+        for got, want in zip(out, tr.f_fprime(xs)):
+            assert np.isnan(got).tolist() == np.isnan(want).tolist()
+            assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes()
+        # exp_utility's joint f' is 1 + expm1, within an ulp of fprime's exp
+        np.testing.assert_allclose(out[0], want_f, rtol=4e-16, atol=0.0)
+        np.testing.assert_allclose(out[1], want_fprime, rtol=4e-16, atol=0.0)
+        outside = ~(xs >= clip)
+        assert out[1][outside].tobytes() == np.zeros(outside.sum()).tobytes()
+        assert np.isnan(out[0]).tolist() == np.isnan(xs).tolist()
+
 
 class TestRunScheme:
     def test_zero_coefficient_gives_zero(self, power1):
