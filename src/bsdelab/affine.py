@@ -2,15 +2,16 @@
 
 All singular-horizon integrals are computed after the change of variable
 u = Lam(s): the weight exp(-(Lam(s) - Lam(t))) becomes exp(-u) and the
-integrand phi(s)/lam(s) stays regular up to the horizon, so ordinary adaptive
-quadrature applies.  Beyond a finite u-span the exp(-u) tail is dropped; with
-the default span of 45 the neglected mass is below 3e-20 times the bound.
+integrand phi(s)/lam(s) stays regular up to the horizon.  Each integral is a
+recursion over the grid's mass intervals, every interval integrated once by
+one vectorized Gauss-Kronrod kernel (``quad``).  Beyond a finite u-span the
+exp(-u) tail is dropped; with the default span of 45 the neglected mass is
+below 3e-20 times the bound.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -27,29 +28,99 @@ from .errors import LabError, NoSolution, NumericsError
 from .paths import PathBundle
 
 U_SPAN = 45.0                 # exp(-45) ~ 2.9e-20: below every tolerance in use
-_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=400)
 _QUAD_ERR_CAP = 1e-9          # backstop: anything above this is a real breakdown
+_ABS_TOL, _REL_TOL = 1e-15, 1e-12     # a part splits while |K - G| exceeds both
+_MAX_DEPTH = 50               # bisections of a segment; a jump needs about 45
+_MAX_SPLITS = 4096            # parts split in one pass; more accept their estimates
+
+# Gauss-Kronrod 21/10 on [-1, 1] (QUADPACK's qk21): the nonnegative Kronrod
+# abscissae, decreasing, and their weights; the Gauss weights belong to the
+# abscissae 1, 3, ..., 9, the 10-point Gauss nodes
+_GK_NODES = (0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+             0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+             0.2943928627014602, 0.14887433898163122, 0.0)
+_GK_WEIGHTS = (0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
+               0.07503967481091996, 0.0931254545836976, 0.10938715880229764,
+               0.12349197626206584, 0.13470921731147334, 0.14277593857706009,
+               0.14773910490133849, 0.1494455540029169)
+_GAUSS_WEIGHTS = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
+                  0.26926671930999635, 0.29552422471475287)
 
 
-def quad(*args, **kwargs):
-    """``scipy.integrate.quad``, imported at its first call: the import takes
-    most of a second, and runs that integrate nothing never pay it."""
-    from scipy.integrate import quad as scipy_quad
-    return scipy_quad(*args, **kwargs)
+def quad(fn, lo, hi):
+    """Integrals of ``fn`` over the segments [lo[k], hi[k]] and their error estimates.
+
+    ``fn(v, k)`` receives the rule's nodes ``v`` of shape (m, 21) and the
+    segment index ``k`` of each row, shape (m, 1), so one call evaluates every
+    part.  A part's estimate is |K - G| of its Kronrod and Gauss sums, for a
+    half at least half the change of value from its parent; parts above
+    max(_ABS_TOL, _REL_TOL |K|, 50 eps int|fn|) are bisected together, at most
+    _MAX_DEPTH times, and a segment's value and estimate are the sums over its
+    accepted parts.  NaN estimates are accepted.  Empty segments give 0.
+    """
+    half = np.array(_GK_NODES)
+    nodes = np.concatenate((-half, half[-2::-1]))
+    kronrod = np.array(_GK_WEIGHTS + _GK_WEIGHTS[-2::-1])
+    gauss = np.array(_GAUSS_WEIGHTS + _GAUSS_WEIGHTS[::-1])     # at nodes[1::2]
+
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    values, errors = np.zeros(lo.size), np.zeros(lo.size)
+    owner = np.flatnonzero(hi > lo)
+    a, b = lo[owner], hi[owner]
+    for depth in range(_MAX_DEPTH + 1):
+        if not owner.size:
+            break
+        mid, rad = 0.5 * (a + b), 0.5 * (b - a)
+        f = fn(mid[:, None] + rad[:, None] * nodes, owner[:, None])
+        with np.errstate(invalid="ignore", over="ignore"):   # inf and NaN pass through
+            k_sum = rad * (f @ kronrod)
+            est = np.abs(k_sum - rad * (f[:, 1::2] @ gauss))
+            stuck = np.zeros(est.shape, dtype=bool)
+            if depth:       # rows [:n] and [n:] are the halves of the parts split last
+                n = parent_k.size
+                delta = np.abs(k_sum[:n] + k_sum[n:] - parent_k)
+                # halves that lower neither the estimate nor, beyond 1e-5, the
+                # value of their parent show the noise of fn (QUADPACK's
+                # roundoff test): keep the parent
+                stuck = np.tile((est[:n] + est[n:] >= 0.99 * parent_est)
+                                & (delta <= 1e-5 * np.abs(parent_k)), 2)
+                # a jump just inside an end of a half escapes all 21 nodes, but
+                # not the change of value from the parent
+                est = np.where(stuck, np.append(parent_est, np.zeros(n)),
+                               np.maximum(est, 0.5 * np.tile(delta, 2)))
+                k_sum = np.where(stuck, np.append(parent_k, np.zeros(n)), k_sum)
+            floor = np.maximum(_REL_TOL * np.abs(k_sum), 50 * np.finfo(float).eps
+                               * rad * (np.abs(f) @ kronrod))
+            split = (est > np.maximum(floor, _ABS_TOL)) & ~stuck
+            if depth == _MAX_DEPTH or np.count_nonzero(split) > _MAX_SPLITS:
+                split[:] = False
+            done = ~split
+            values += np.bincount(owner[done], k_sum[done], minlength=lo.size)
+            errors += np.bincount(owner[done], est[done], minlength=lo.size)
+        parent_k, parent_est = k_sum[split], est[split]
+        owner = np.concatenate((owner[split], owner[split]))
+        a, b = np.concatenate((a[split], mid[split])), np.concatenate((mid[split], b[split]))
+    return values, errors
 
 
-def _gated_quad(fn, lo, hi, err_cap=None) -> float:
-    """quad with quadpack's roundoff chatter silenced but its error estimate enforced."""
-    from scipy.integrate import IntegrationWarning
+def _gated(values, errors, nodes, err_cap=_QUAD_ERR_CAP):
+    """``values``, once every error estimate is within max(err_cap, 1e-9 |value|);
+    a NaN estimate or value passes, for the caller to judge the value."""
+    over = errors > np.fmax(err_cap, 1e-9 * np.abs(values))
+    if over.any():
+        k = int(np.argmax(over))
+        raise NumericsError(f"quadrature error estimate {errors[k]:.3e} too large for "
+                            f"value {values[k]:.6e} at t = {nodes[k]:.6g}")
+    return values
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(fn, lo, hi, **_QUAD_OPTS)
-    cap = _QUAD_ERR_CAP if err_cap is None else err_cap
-    if err > max(cap, 1e-9 * abs(val)):
-        raise NumericsError(
-            f"quadrature error estimate {err:.3e} too large for value {val:.6e}")
-    return val
+
+def _decayed_sums(parts, decay):
+    """s_0 = parts_0 and s_k = parts_k + decay_k s_(k-1): the recursion that
+    chains the segment integrals into the integrals up to (or from) each node."""
+    out, decay = parts.tolist(), decay.tolist()
+    for k in range(1, len(out)):
+        out[k] += decay[k] * out[k - 1]
+    return np.array(out)
 
 
 REPRESENTATION = "representation_formula"
@@ -84,7 +155,7 @@ def _coefficient_fn(coefficient) -> Callable:
 
 
 def _mass_factor(model: IntensityModel, coefficient) -> Callable:
-    """g(u) = phi(s(u)) / lam(s(u)) as a function of the mass coordinate.
+    """g(u) = phi(s(u)) / lam(s(u)) as a function of the mass coordinate, on arrays.
 
     A constant multiple of the intensity evaluates exactly for arbitrarily
     large u, where the time coordinate s(u) is no longer resolvable in floating
@@ -95,40 +166,56 @@ def _mass_factor(model: IntensityModel, coefficient) -> Callable:
         factor = coefficient.value_const
         return lambda u: factor
     fn = _coefficient_fn(coefficient)
-
-    def g(u):
-        rate = model.inverse_rate_at_mass(u)
-        if rate <= 0.0:
-            return 0.0
-        return float(fn(model.mass_inverse(u))) * rate
-
-    return g
+    return lambda u: fn(model.mass_inverse(u)) * model.inverse_rate_at_mass(u)
 
 
-def _decaying_tail_integral(model: IntensityModel, t: float, coefficient,
-                            y_slope: float = 0.0) -> float:
-    """int_t^T exp(-(Lam(s) - Lam(t)) - b (s - t)) phi(s) ds via u = Lam(s) - Lam(t).
+def _mass_segments(model: IntensityModel, nodes: np.ndarray):
+    """The mass coordinates u_i of ``nodes`` and the ends of their segments:
+    u_(i+1), and for the last node a tail of U_SPAN (up to the total mass of a
+    bounded kind)."""
+    u = np.asarray(model.cumulative(nodes), dtype=float)
+    top = u[-1] + U_SPAN if model.is_singular else model.total_mass()
+    return u, np.append(u[1:], top)
+
+
+def _tail_integrals(model: IntensityModel, grid: TimeGrid, coefficient,
+                    y_slope: float = 0.0) -> np.ndarray:
+    """I_i = int_(t_i)^T exp(-(Lam(s) - Lam(t_i)) - b (s - t_i)) phi(s) ds at the
+    regular nodes, by the backward recursion over their mass segments
+
+        I_i = int_(u_i)^(u_(i+1)) exp(-(v - u_i) - b (s(v) - t_i)) g(v) dv
+              + exp(-(u_(i+1) - u_i) - b (t_(i+1) - t_i)) I_(i+1).
 
     A y-slope b acts as a constant addition to the intensity, so it joins the
-    damping with a minus sign.
+    damping with a minus sign.  The error estimates follow the same recursion
+    and are gated per node.
     """
-    base = float(model.cumulative(t)) if t > 0 else 0.0
+    cap = grid.cap_index
+    t, t_next = grid.points[:cap + 1], grid.points[1:cap + 2]
+    u, ends = _mass_segments(model, t)
     g = _mass_factor(model, coefficient)
 
-    def integrand(u):
-        drift = math.exp(-y_slope * (model.mass_inverse(base + u) - t)) if y_slope else 1.0
-        return math.exp(-u) * drift * g(base + u)
+    def integrand(v, k):
+        out = np.exp(u[k] - v) * g(v)
+        if y_slope:
+            out *= np.exp(-y_slope * (model.mass_inverse(v) - t[k]))
+        return out
 
-    if model.is_singular:
-        hi = U_SPAN
-    else:
-        hi = model.total_mass() - base
-        if hi <= 0:
-            return 0.0
-    val = _gated_quad(integrand, 0.0, min(hi, U_SPAN))
-    if not model.is_singular and hi > U_SPAN:
-        val += _gated_quad(integrand, U_SPAN, hi)
-    return val
+    parts, errors = quad(integrand, u, ends)
+    decay = np.exp(u - ends - y_slope * (t_next - t))[::-1]
+    values = _decayed_sums(parts[::-1], decay)[::-1]
+    return _gated(values, _decayed_sums(errors[::-1], decay)[::-1], t)
+
+
+def _interval_weights(model: IntensityModel, grid: TimeGrid) -> np.ndarray:
+    """E_j = int_(t_j)^(t_(j+1)) exp(-Lam(s)) ds at the regular nodes, the last
+    one up to T: exp(-u_j) times the integral of exp(-(v - u_j)) / lam over the
+    node's mass segment."""
+    nodes = grid.points[:grid.cap_index + 1]
+    u, ends = _mass_segments(model, nodes)
+    parts, errors = quad(lambda v, k: np.exp(u[k] - v) * model.inverse_rate_at_mass(v),
+                         u, ends)
+    return np.exp(-u) * _gated(parts, errors, nodes)
 
 
 def solve_affine_plus(problem: BsdeProblem, grid: TimeGrid,
@@ -153,9 +240,7 @@ def solve_affine_plus(problem: BsdeProblem, grid: TimeGrid,
 
     if not coeff.is_markovian:
         y = np.zeros(len(pts))
-        for i in range(cap + 1):
-            y[i] = -_decaying_tail_integral(model, float(pts[i]), coeff,
-                                            y_slope=problem.y_slope)
+        y[:cap + 1] = -_tail_integrals(model, grid, coeff, y_slope=problem.y_slope)
         margin = _bound_margin(grid, y, coeff.sup_norm) if problem.y_slope == 0 else None
         if margin is not None and not margin <= 1e-12:      # NaN fails too
             raise NumericsError(
@@ -186,18 +271,7 @@ def _solve_affine_plus_markovian(problem, grid, bundle, basis):
     pts, cap = grid.points, grid.cap_index
     n_pts = len(pts)
     mass = model.cumulative(pts[:cap + 1])
-
-    # interval weights E_j = int_{t_j}^{t_{j+1}} exp(-Lam(s)) ds, last one up to T
-    weights = np.empty(cap + 1)
-    for j in range(cap + 1):
-        lo = mass[j]
-        hi = mass[j + 1] if j < cap else (lo + U_SPAN if model.is_singular
-                                          else model.total_mass())
-
-        def integrand(u):
-            return math.exp(-u) * model.inverse_rate_at_mass(u)
-
-        weights[j] = _gated_quad(integrand, lo, min(hi, lo + U_SPAN))
+    weights = _interval_weights(model, grid)
 
     levels = bundle.levels[:, :, 0]
     m_paths = bundle.n_paths
@@ -284,17 +358,21 @@ class OdeClassification:
         return self.case == "converges"
 
 
-def _averaged_prefix(model: IntensityModel, t: float, coefficient,
-                     err_cap=None) -> float:
-    """m(t) = exp(-Lam(t)) int_0^t exp(Lam(s)) phi(s) ds, evaluated stably in u."""
-    u_hi = float(model.cumulative(t))
+def _prefix_means(model: IntensityModel, times: np.ndarray, coefficient,
+                  err_cap=_QUAD_ERR_CAP) -> np.ndarray:
+    """m(t_k) = exp(-Lam(t_k)) int_0^(t_k) exp(Lam(s)) phi(s) ds at increasing
+    times, evaluated stably in u by the forward recursion
+
+        m_k = int_(u_(k-1))^(u_k) exp(v - u_k) g(v) dv + exp(-(u_k - u_(k-1))) m_(k-1),
+
+    with u_(-1) = 0; the error estimates follow it and are gated per time."""
+    u = np.asarray(model.cumulative(times), dtype=float)
+    starts = np.append(0.0, u[:-1])
     g = _mass_factor(model, coefficient)
-
-    def integrand(u):
-        return math.exp(u - u_hi) * g(u)
-
-    lo = max(0.0, u_hi - U_SPAN)
-    return _gated_quad(integrand, lo, u_hi, err_cap=err_cap)
+    parts, errors = quad(lambda v, k: np.exp(v - u[k]) * g(v), starts, u)
+    decay = np.exp(starts - u)
+    return _gated(_decayed_sums(parts, decay), _decayed_sums(errors, decay), times,
+                  err_cap)
 
 
 def classify_ode(model: IntensityModel, coefficient, tolerance: float) -> OdeClassification:
@@ -306,22 +384,22 @@ def classify_ode(model: IntensityModel, coefficient, tolerance: float) -> OdeCla
         raise ValueError("the trichotomy concerns singular intensities")
     if not tolerance >= 0:
         raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
-    estimates = []
-    for e in np.geomspace(1e-1, 1e-10, 10):
-        t = float(model.horizon - e)
-        try:
-            m = _averaged_prefix(model, t, coefficient, err_cap=max(tolerance / 100, 1e-9))
-        except (LabError, ArithmeticError) as exc:      # quadrature breakdown
-            raise NumericsError(f"prefix integral failed at eps={e:g}: {exc}") from exc
+    eps = np.geomspace(1e-1, 1e-10, 10)
+    times = model.horizon - eps
+    try:
+        means = _prefix_means(model, times, coefficient, err_cap=max(tolerance / 100, 1e-9))
+    except (LabError, ArithmeticError) as exc:      # quadrature breakdown
+        raise NumericsError(f"prefix integral failed: {exc}") from exc
+    for e, m in zip(eps, means.tolist()):
         if not math.isfinite(m):
             raise NumericsError(f"prefix integral is {m} at eps={e:g}")
-        estimates.append((t, m))
+    estimates = tuple(zip(times.tolist(), means.tolist()))
     tailvals = [v for _, v in estimates[-3:]]
     spread = max(tailvals) - min(tailvals)
     if spread <= tolerance:
         return OdeClassification(case="converges", limit=estimates[-1][1],
-                                 estimates=tuple(estimates))
-    return OdeClassification(case="diverges", limit=None, estimates=tuple(estimates))
+                                 estimates=estimates)
+    return OdeClassification(case="diverges", limit=None, estimates=estimates)
 
 
 def ode_family_member(model: IntensityModel, coefficient, y0: float,
@@ -340,9 +418,7 @@ def ode_family_member(model: IntensityModel, coefficient, y0: float,
     pts, cap = grid.points, grid.cap_index
     damp = np.asarray(model.exp_minus_cumulative(pts), dtype=float)
     y = np.zeros(len(pts))
-    for i in range(cap + 1):
-        t = float(pts[i])
-        y[i] = damp[i] * y0 + (_averaged_prefix(model, t, coefficient) if t > 0 else 0.0)
+    y[:cap + 1] = damp[:cap + 1] * y0 + _prefix_means(model, pts[:cap + 1], coefficient)
     y[-1] = classification.limit
     if cap + 1 < len(pts) - 1:
         y[cap + 1:-1] = classification.limit   # nodes past the cap collapse to the limit

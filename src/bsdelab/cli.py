@@ -473,6 +473,19 @@ def main(argv=None) -> int:
         return EXIT_OK
 
 
+def _attach_dash_values(argv) -> list:
+    """``--flag -1e-300`` as ``--flag=-1e-300``: argparse takes a token that
+    starts with '-' and is not a plain decimal (-1e-300, -inf) for an option."""
+    flags = {f"--{name.replace('_', '-')}" for name in PARAMS}
+    out = []
+    for arg in argv:
+        if out and out[-1] in flags and arg[:1] == "-" and arg[:2] != "--" and arg != "-h":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _dispatch(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="bsdelab",
@@ -490,7 +503,7 @@ def _dispatch(argv) -> int:
         p_run.add_argument(f"--{name.replace('_', '-')}", type=spec.type, default=None)
 
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         if exc.code:             # a usage error; --help exits 0 as usual
             return EXIT_USAGE

@@ -138,32 +138,38 @@ class IntensityModel:
             out = np.exp(-self.level * t)
         return float(out[0]) if scalar else out
 
-    def mass_inverse(self, target: float) -> float:
+    def mass_inverse(self, target):
         """The inverse of Lam: the time where the cumulative mass reaches
         ``target``, in closed form and clamped to [0, T].  A zero bounded
-        level reaches no positive mass: such a target gives T."""
+        level reaches no positive mass: such a target gives T.
+
+        An array evaluates with numpy, a scalar with ``math``: the two can
+        differ in the last bit, and grids are built from scalars."""
+        xp = np if np.ndim(target) else math
         T = self.horizon
         if self.kind == POWER_GAP:
-            t = T * (1.0 - math.exp(-target / self.p))
+            t = T * (1.0 - xp.exp(-target / self.p))
         elif self.kind == EXP_GAP:
             g = self.gamma
-            t = T + math.log1p(math.expm1(-g * T) * math.exp(-target)) / g
+            t = T + xp.log1p(math.expm1(-g * T) * xp.exp(-target)) / g
         else:
             t = target / self.level if self.level > 0 else T * (target > 0)
-        return min(max(t, 0.0), T)
+        return np.clip(t, 0.0, T) if xp is np else min(max(t, 0.0), T)
 
-    def inverse_rate_at_mass(self, u: float) -> float:
-        """1 / lam(t) evaluated at the time where Lam(t) = u.
+    def inverse_rate_at_mass(self, u):
+        """1 / lam(t) evaluated at the time where Lam(t) = u (arrays with numpy,
+        scalars with ``math``).
 
         Closed forms avoid the cancellation of forming T - t once the gap drops
         below one ulp; this is what keeps exploding-weight integrals exact for
         arbitrarily large mass coordinates.
         """
+        xp = np if np.ndim(u) else math
         if self.kind == POWER_GAP:
-            return (self.horizon / self.p) * math.exp(-u / self.p)
+            return (self.horizon / self.p) * xp.exp(-u / self.p)
         if self.kind == EXP_GAP:
             g = self.gamma
-            w = -math.expm1(-g * self.horizon) * math.exp(-u)   # exp(-gamma gap) deficit
+            w = -math.expm1(-g * self.horizon) * xp.exp(-u)   # exp(-gamma gap) deficit
             return w / (g * (1.0 - w))
         return 1.0 / self.level if self.level > 0 else math.inf
 

@@ -202,6 +202,11 @@ class EkRed:
     horizon: float = 1.0
     tol: float = 1e-6
 
+    def __post_init__(self):
+        if not (math.isfinite(self.r) and math.isfinite(self.sigma)):
+            raise ValueError(f"ek_red slopes must be finite, got r = {self.r}, "
+                             f"sigma = {self.sigma}")
+
 
 def certify_nonuniqueness(scenario, grid: TimeGrid,
                           scenario_id: Optional[str] = None) -> PathologyCertificate:

@@ -54,7 +54,8 @@ def solve_level(problem, driver, n: float, times) -> np.ndarray:
                         rtol=RTOL, atol=ATOL, dense_output=True)
         if not sol.success:
             raise RuntimeError(f"Radau failed on level {n}: {sol.message}")
-        out[inside] = sol.y[0][::-1]
+        if inside.any():        # lam may cross n past the last of ``times``
+            out[inside] = sol.y[0][::-1]
         y_start = sol.sol(lo)
     return out
 

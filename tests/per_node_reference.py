@@ -5,8 +5,10 @@ These are ``residual_check``, the CLI's ``_solution_rows``, the driver-mass
 loop of ``estimate_lambda_f_integral`` and the Markovian representation
 solve as they were when each ran one Python iteration per grid node, with
 separate branches for deterministic ``(N,)`` and pathwise ``(M, N)``
-solutions.  The differential tests compare the array path against them bit
-for bit; only the integrability estimate, a sequential sum here and one
+solutions.  The Markovian solve takes its interval weights from the
+library's quadrature, so that the comparison covers its regression loop
+alone.  The differential tests compare the array path against them bit for
+bit; only the integrability estimate, a sequential sum here and one
 ``np.sum`` there, is compared within a relative 1e-14.
 """
 
@@ -14,7 +16,7 @@ import math
 
 import numpy as np
 
-from bsdelab.affine import U_SPAN, AffineSolution, REPRESENTATION, _gated_quad
+from bsdelab.affine import AffineSolution, REPRESENTATION, _interval_weights
 from bsdelab.diagnostics import ResidualReport
 from bsdelab.lipschitz_solver import RegressionBasis, fit_coefficients
 from bsdelab.singular_scheme import _lambda_f_integrals, _mean_abs
@@ -101,16 +103,7 @@ def solve_affine_plus_markovian(problem, grid, bundle, basis=None):
     n_pts = len(pts)
     mass = np.array([model.cumulative(float(t)) for t in pts[:cap + 1]])
 
-    weights = np.empty(cap + 1)
-    for j in range(cap + 1):
-        lo = mass[j]
-        hi = mass[j + 1] if j < cap else (lo + U_SPAN if model.is_singular
-                                          else model.total_mass())
-
-        def integrand(u):
-            return math.exp(-u) * model.inverse_rate_at_mass(u)
-
-        weights[j] = _gated_quad(integrand, lo, min(hi, lo + U_SPAN))
+    weights = _interval_weights(model, grid)
 
     levels = bundle.levels[:, :, 0]
     m_paths = bundle.n_paths

@@ -54,7 +54,7 @@ class TestList:
 
 
 def test_import_leaves_quadrature_unloaded():
-    # scipy.integrate takes most of the import time; only quadrature loads it
+    # scipy.integrate takes most of the import time; the package never loads it
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, bsdelab.cli; "
@@ -418,6 +418,11 @@ class TestRejectedBeforeTheNumerics:
         (["nonlinear_exp", "--phi-value", "inf"], "coefficient value phi must not be infinite"),
         (["affine_plus", "--phi-value", "inf"], "coefficient value phi must not be infinite"),
         (["affine_plus", "--phi-value=-inf"], "coefficient value phi must not be infinite"),
+        (["affine_plus", "--phi-value", "-inf"], "coefficient value phi must not be infinite"),
+        (["ek_red", "--r", "inf"], "ek_red slopes must be finite, got r = inf, sigma = 0.2"),
+        (["ek_red", "--sigma", "-inf"],
+         "ek_red slopes must be finite, got r = 0.05, sigma = -inf"),
+        (["ek_red", "--r", "nan"], "ek_red slopes must be finite, got r = nan"),
     ])
     def test_infinite_parameter_exits_1_quietly(self, tmp_path, args, named):
         code, report, err = _run_fresh(args, tmp_path / "inf")
@@ -425,6 +430,16 @@ class TestRejectedBeforeTheNumerics:
         assert f"error: {named}" in report
         assert report.endswith("status: failed\nexit_code: 1\n")
         assert err == ""
+
+    @pytest.mark.parametrize("flag,value", [("--terminal", "-1e-300"), ("--phi-value", "-inf"),
+                                            ("--mass-cap", "-1e3")])
+    def test_dash_value_reaches_the_checks_in_both_spellings(self, tmp_path, flag, value):
+        # argparse reads "-1e-300" or "-inf" after a flag as an option of its own
+        spaced = _run_fresh(["affine_plus", flag, value], tmp_path / "spaced")
+        joined = _run_fresh(["affine_plus", f"{flag}={value}"], tmp_path / "joined")
+        assert spaced == joined
+        assert f"  {flag[2:].replace('-', '_')} = {float(value)!r}\n" in spaced[1]
+        assert spaced[2] == ""
 
     @pytest.mark.parametrize("args", [["ek_red", "--seed", "-1"],
                                       ["nonlinear_exp", "--seed", "-1"],

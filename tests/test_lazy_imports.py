@@ -2,9 +2,10 @@
 
 ``scipy.special`` (the inverse normal CDF of path simulation) and
 ``scipy.linalg`` (the LAPACK QR of the regressions) are imported at first use,
-as ``scipy.integrate`` (quadrature) is: commands that never simulate paths,
-regress or integrate load none of them.  The test session itself has imported
-them long before these tests run, so every check starts a new interpreter.
+and ``scipy.integrate`` never (the affine quadrature is numpy's): commands that
+never simulate paths or regress load none of them.  The test session itself
+has imported them long before these tests run, so every check starts a new
+interpreter.
 """
 
 import json
@@ -61,8 +62,10 @@ def test_import_loads_no_lazy_subpackage():
     ["run", "affine_minus_family", "--n-grid", "33"],
     ["run", "affine_plus", "--terminal", "1", "--n-grid", "33"],
     ["run", "nonlinear_exp", "--n-grid", "21", "--schedule", "2,4", "--tol", "0.5"],
+    ["run", "affine_plus"],
+    ["run", "ode_trichotomy"],
 ], ids=["list", "ek_red", "affine_minus_family", "affine_plus_terminal_1",
-        "nonlinear_exp_ode"])
+        "nonlinear_exp_ode", "affine_plus", "ode_trichotomy"])
 def test_deterministic_commands_load_no_lazy_subpackage(tmp_path, argv):
     if argv[0] == "run":
         argv = argv + ["--out", str(tmp_path / "out")]

@@ -57,6 +57,17 @@ def test_implicit_euler_on_the_default_grid_fails_that_bound(power1):
     assert cref.top_level_gap(top, prob) > 1e-4
 
 
+@pytest.mark.parametrize("p", [3.0, 4.0])
+def test_reference_solves_a_level_crossing_inside_the_tail(p):
+    # lam(t_cap) = p exp(12 / p) is 164 at p = 3 and 80 at p = 4: lam reaches the
+    # top level 256 inside the tail segment, past every node the gap reads
+    model = bl.IntensityModel.power_gap(p, 1.0)
+    report, prob = _ode_report(model, DEFAULT_GRID)
+    top = report.solutions[-1]
+    assert cref.split_time(model, top.lambda_cap) > top.grid.t_cap
+    assert cref.top_level_gap(top, prob) < 1e-3
+
+
 @pytest.mark.parametrize("alpha", [1.0, 3.0])
 @pytest.mark.parametrize("n_grid", [21, 31])
 def test_levels_stay_exactly_monotone(power1, alpha, n_grid):
