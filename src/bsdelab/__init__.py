@@ -12,6 +12,7 @@ from .coefficients import (
     IntensityModel,
     TerminalSpec,
     TimeGrid,
+    level_grid,
     make_grid,
 )
 from .paths import PathBundle, simulate_paths
@@ -58,7 +59,7 @@ __all__ = [
     "SchemeReport", "SolutionEstimate", "TerminalSpec", "TimeGrid",
     "backward_sweep", "certify_nonexistence", "certify_nonuniqueness",
     "classify_ode", "comparison_check", "errors", "estimate_bmo",
-    "estimate_lambda_f_integral", "fundamental_family", "make_grid",
+    "estimate_lambda_f_integral", "fundamental_family", "level_grid", "make_grid",
     "ode_family_member", "residual_check", "run_scheme", "simulate_paths",
     "solve_affine_plus", "solve_ode_mode", "solve_regression_mc", "truncate",
 ]

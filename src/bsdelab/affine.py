@@ -241,7 +241,9 @@ def solve_affine_plus(problem: BsdeProblem, grid: TimeGrid,
     if not coeff.is_markovian:
         y = np.zeros(len(pts))
         y[:cap + 1] = -_tail_integrals(model, grid, coeff, y_slope=problem.y_slope)
-        margin = _bound_margin(grid, y, coeff.sup_norm) if problem.y_slope == 0 else None
+        # no a-priori bound sup|phi| (T - t) with a slope or an unbounded phi
+        bounded = problem.y_slope == 0 and not math.isinf(coeff.sup_norm)
+        margin = _bound_margin(grid, y, coeff.sup_norm) if bounded else None
         if margin is not None and not margin <= 1e-12:      # NaN fails too
             raise NumericsError(
                 f"representation values exceed the a-priori bound by {margin:.3e}")

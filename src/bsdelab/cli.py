@@ -30,6 +30,7 @@ from .coefficients import (
     DriverSpec,
     IntensityModel,
     TerminalSpec,
+    level_grid,
     make_grid,
 )
 from .diagnostics import (
@@ -244,13 +245,13 @@ def _run_ode_trichotomy(cfg: ScenarioConfig) -> int:
 def _run_nonlinear_exp(cfg: ScenarioConfig) -> int:
     p = cfg.params
     model = IntensityModel.power_gap(p["p"], 1.0)
-    grid = make_grid(model, int(p["n_grid"]), mass_cap=p["mass_cap"])
+    schedule = _parse_schedule(p["schedule"])
+    grid = level_grid(model, int(p["n_grid"]), schedule[-1])
     coeff = CoefficientProcess.constant(p["phi_value"], 1.0)
     driver = DriverSpec.exp_utility(p["alpha"])
     terminal = TerminalSpec.constant(p["terminal"])
     problem = BsdeProblem(intensity=model, coefficient=coeff,
                           sign="nonlinear_plus", driver=driver, terminal=terminal)
-    schedule = _parse_schedule(p["schedule"])
     mode = str(p["mode"])
     bundle = None
     if mode == "mc":
@@ -291,8 +292,6 @@ def _run_nonlinear_exp(cfg: ScenarioConfig) -> int:
     cfg.say(f"  bmo_estimate = {_fmt(report.bmo_estimate)} "
             f"(bound {_fmt(2.0 * grid.horizon ** 2 * coeff.sup_norm ** 2)})")
     cfg.say(f"  lambda_f_integrals = {','.join(_fmt(v) for v in report.lambda_f_integrals)}")
-    cfg.say(f"  t_cap = {_fmt(report.t_cap)}")
-    cfg.say(f"  envelope = [-(T-t)*{_fmt(report.envelope_bound)}, 0] on (t_cap, T]")
     if not report.converged:
         return _finish(cfg, "not_converged", EXIT_NOT_CONVERGED)
     return _finish(cfg, "converged", EXIT_OK)
@@ -331,9 +330,8 @@ SCENARIOS = {
         claim="monotone exponential driver: truncation levels increase to the "
               "unique bounded solution inside the analytic box",
         defaults={"alpha": 1.0, "p": 1.0, "phi_value": 1.0, "terminal": 0.0,
-                  "n_grid": 31, "mass_cap": 12.0,
-                  "schedule": DEFAULT_SCHEDULE, "tol": 1e-3, "mode": "ode",
-                  "m_paths": 20000, "basis_degree": 3},
+                  "n_grid": 31, "schedule": DEFAULT_SCHEDULE, "tol": 1e-3,
+                  "mode": "ode", "m_paths": 20000, "basis_degree": 3},
         run=_run_nonlinear_exp,
     ),
 }
@@ -432,13 +430,9 @@ def run_scenario(name: str, overrides: dict, out_dir, seed: int = 1,
         return EXIT_USAGE
     info = SCENARIOS[name]
     params = dict(info.defaults)
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key not in params and key not in ("seed", "threads"):
-            sys.stderr.write(f"scenario {name!r} does not take parameter {key!r}\n")
-            return EXIT_USAGE
-        params[key] = value
+    params.update((key, value) for key, value in overrides.items() if value is not None)
+    unknown = [key for key in params if key not in info.defaults
+               and key not in ("seed", "threads")]
     seed = int(params.pop("seed", seed))
     threads = int(params.pop("threads", threads))
     out = Path(out_dir)
@@ -446,6 +440,8 @@ def run_scenario(name: str, overrides: dict, out_dir, seed: int = 1,
     cfg = ScenarioConfig(params=params, out_dir=out, seed=seed, threads=threads)
     _report_header(cfg, name, info)
     try:
+        if unknown:
+            raise ValueError(f"scenario {name!r} does not take parameter {unknown[0]!r}")
         if threads < 1:
             raise ValueError(f"threads must be at least 1, got {threads}")
         if not 0 <= seed < 2 ** 64:

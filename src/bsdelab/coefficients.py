@@ -156,6 +156,17 @@ class IntensityModel:
             t = target / self.level if self.level > 0 else T * (target > 0)
         return np.clip(t, 0.0, T) if xp is np else min(max(t, 0.0), T)
 
+    def level_time(self, level: float) -> float:
+        """The time t_N in [0, T] where lam reaches the level N: min(lam, N) is lam
+        before t_N and N after it (a bounded kind: 0 at or above N, else T)."""
+        if self.kind == POWER_GAP:
+            gap = self.p / level
+        elif self.kind == EXP_GAP:
+            gap = math.log1p(self.gamma / level) / self.gamma
+        else:
+            gap = self.horizon if self.level >= level else 0.0
+        return max(self.horizon - gap, 0.0)
+
     def inverse_rate_at_mass(self, u):
         """1 / lam(t) evaluated at the time where Lam(t) = u (arrays with numpy,
         scalars with ``math``).
@@ -446,6 +457,24 @@ def make_grid(model: IntensityModel, n: int, scheme: str = INTENSITY_MASS, *,
             raise InfeasibleGrid("mass-equidistributed nodes collide near the horizon")
         return TimeGrid(points=pts, cap_index=n - 1)
     raise ValueError(f"unknown grid scheme {scheme!r}")
+
+
+def level_grid(model: IntensityModel, n: int, level: float) -> TimeGrid:
+    """n nodes from 0 to T at equal steps of the truncated mass
+    Lam_N(t) = int_0^t min(lam, N) ds of the level N = ``level``, which is
+    finite at T: the last node is T and the ``cap_index``, so no segment is
+    left unresolved.  Below t_N = ``model.level_time(N)`` a node is
+    ``mass_inverse`` of its mass; above it the nodes are equally spaced."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    if not 0 < level < math.inf:                # NaN fails too
+        raise ValueError("truncation levels must be finite and positive")
+    t_level = model.level_time(level)
+    u_level = model.cumulative(t_level)
+    masses = np.linspace(0.0, u_level + level * (model.horizon - t_level), n)
+    inner = [model.mass_inverse(u) if u <= u_level else t_level + (u - u_level) / level
+             for u in map(float, masses[1:-1])]
+    return TimeGrid(points=np.array([0.0, *inner, model.horizon]), cap_index=n - 1)
 
 
 # ---------------------------------------------------------------------------

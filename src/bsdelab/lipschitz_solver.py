@@ -533,7 +533,8 @@ class NodeSweep:
     1 - (1 - theta) dt max(lam_{i+1} f'(y_{i+1}) + b) < 0 (or NaN), the segment
     runs at theta = 1; ``theta_fallback_segments`` counts such segments.  The
     tail from ``t_cap`` to T always runs at theta = 1 and is not counted: lam_n
-    rises from lam(t_cap) to n inside it, which the grid does not resolve.
+    rises from lam(t_cap) to n inside it, which the grid does not resolve.  A
+    ``level_grid`` has no tail.
 
     ``workers`` > 1 threads a Monte Carlo sweep of at least two
     ``SWEEP_BLOCK``-path blocks: the per-path work (the regression targets,

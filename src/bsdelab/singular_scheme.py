@@ -3,7 +3,7 @@
 Cap the intensity at a level n, clip the driver map to a Lipschitz surrogate,
 solve the classical equation for every level in one backward sweep, and
 certify along the way: the levels must increase monotonically, stay inside the
-analytic box, have decaying sup-norm gaps on [0, t0], keep a uniformly bounded
+analytic box, have decaying sup-norm gaps on [0, t_cap], keep a uniformly bounded
 driver mass, and (in Monte Carlo mode) a bounded conditional tail of the Z
 quadratic variation.
 """
@@ -88,21 +88,17 @@ def truncate(driver: DriverSpec, coefficient_bound: float, horizon: float) -> Dr
 @dataclass(frozen=True)
 class SchemeReport:
     schedule: tuple
-    solutions: tuple                 # SolutionEstimate of the last two levels; the
-                                     # second-to-last keeps Y only (z is None)
-    t0: float
-    cauchy_gaps: tuple               # sup-norm gaps on [0, t0] between consecutive levels
+    solutions: tuple                 # SolutionEstimate of the top level
+    cauchy_gaps: tuple               # sup-norm gaps on [0, t_cap] between consecutive levels
     monotone_violation: float        # worst ordering violation across consecutive levels
     bounds_ok: bool
     box_violation: float
-    final: SolutionEstimate          # extrapolated last pair, clamped into the box
+    final: SolutionEstimate          # the top level
     converged: bool
     tolerance: float
     bmo_estimate: float
     bmo_stderr: float
     lambda_f_integrals: tuple
-    envelope_bound: float            # sup|phi|: on (t_cap, T] the solution sits in
-    t_cap: float                     # [-(T-t) * envelope_bound, 0]
     y0: tuple                        # per level: mean of Y at t = 0
     residual_max: tuple              # per level: worst implicit-step residual
     box_excursion_raw: tuple         # per level: excursion from the box before the clamp
@@ -126,20 +122,20 @@ class SchemeConfig:
 
 
 def run_scheme(problem: BsdeProblem, grid: TimeGrid, schedule: Sequence[float],
-               t0: Optional[float] = None,
                config: Optional[SchemeConfig] = None) -> SchemeReport:
     """Run the full truncation program over an increasing level schedule.
 
     The certificates are folded into the backward sweep node by node: the
-    ordering of consecutive levels, their sup gaps on [0, t0], the driver mass
+    ordering of consecutive levels, their sup gaps on [0, t_cap], the driver mass
     integrands, and in Monte Carlo mode the BMO tail of the top level, fitted
     on the regression the sweep factored at each node.  Full (M, N) arrays are
-    kept only for the last two levels, which the final estimate needs.  The
+    kept for the top level only: it is the report's ``final`` answer.  The
     sweep runs the theta-step at ``SCHEME_THETA``, which needs ``z_slope`` = 0.
 
     A nonzero terminal value is a certified failure (``NoSolution``); schedule
     exhaustion above the tolerance is an informative ``not_converged`` report,
-    not an exception.
+    not an exception; so is a grid on which lam exceeds the second-highest level
+    at no node before T: the top two levels are one array there.
     """
     config = config or SchemeConfig()
     if problem.sign != NONLINEAR_PLUS:
@@ -154,16 +150,7 @@ def run_scheme(problem: BsdeProblem, grid: TimeGrid, schedule: Sequence[float],
         raise ValueError("schedule must be increasing with at least two levels")
     if not config.tol >= 0:                   # NaN fails too
         raise ValueError(f"tolerance must be nonnegative, got {config.tol}")
-    t_cap = grid.t_cap
-    if t0 is None:
-        t0 = t_cap
-    if not (0 < t0 <= t_cap):
-        raise ValueError("t0 must lie in (0, t_cap]")
-    upto = int(np.searchsorted(grid.points, t0 + 1e-15) - 1)
-    upto = max(upto, 0)
-
-    sup = problem.coefficient.sup_norm
-    clipped = truncate(problem.driver, sup, problem.horizon)
+    clipped = truncate(problem.driver, problem.coefficient.sup_norm, problem.horizon)
 
     if config.mode not in ("ode", "mc"):
         raise ValueError(f"unknown scheme mode {config.mode!r}")
@@ -179,10 +166,10 @@ def run_scheme(problem: BsdeProblem, grid: TimeGrid, schedule: Sequence[float],
     mc, dts = sweep.mc, grid.gaps
     n_pts, n_levels, m_paths = len(grid.points), len(schedule), sweep.m_paths
     excess = np.full(n_levels - 1, -np.inf)    # worst ordering excess per level pair
-    gap = np.zeros((n_levels - 1, m_paths))    # per-path sup |Y^k - Y^(k+1)| on [0, t0]
+    gap = np.zeros((n_levels - 1, m_paths))    # per-path sup |Y^k - Y^(k+1)| on [0, t_cap]
     mean_abs_f = np.empty((n_pts, n_levels))
-    y_top = np.empty((n_pts, 2, m_paths))      # the last two levels
-    z_top = np.zeros((n_pts - 1, m_paths))     # the last level
+    y_top = np.empty((n_pts, m_paths))         # the top level
+    z_top = np.zeros((n_pts - 1, m_paths))
     bmo = _BmoFold(sweep.basis)               # stays at 0 in ODE mode
     # per-sweep scratch: the paired level differences, then |f|
     scratch = np.empty((n_levels, m_paths))
@@ -195,10 +182,10 @@ def run_scheme(problem: BsdeProblem, grid: TimeGrid, schedule: Sequence[float],
             np.maximum(excess, mean - 3.0 * stderr, out=excess)
         else:
             np.maximum(excess, diff[:, 0], out=excess)
-        if i <= upto:
+        if i <= grid.cap_index:
             np.maximum(gap, np.abs(diff, out=diff), out=gap)
         mean_abs_f[i] = _mean_abs(node.f, out=scratch)
-        y_top[i] = node.y[-2:]
+        y_top[i] = node.y[-1]
         if node.z is not None:
             z_top[i] = node.z[-1]
             if mc:
@@ -206,11 +193,10 @@ def run_scheme(problem: BsdeProblem, grid: TimeGrid, schedule: Sequence[float],
 
     # RMS over the paths; with one path sqrt(g^2) is g exactly
     gaps = tuple(float(math.sqrt(np.mean(g ** 2))) for g in gap)
-    ys, zs = y_top.transpose(1, 2, 0), z_top.T    # (2, M, N) and (M, N - 1)
+    ys, zs = y_top.T, z_top.T                     # (M, N) and (M, N - 1)
     if not mc:
-        ys, zs = ys[:, 0], zs[0]
-    solutions = (sweep.solution(n_levels - 2, ys[0], None),
-                 sweep.solution(n_levels - 1, ys[1], zs))
+        ys, zs = ys[0], zs[0]
+    final = sweep.solution(n_levels - 1, ys, zs)
     bmo_value, bmo_stderr = bmo.value, bmo.stderr
     mono = max(float(np.max(excess)), 0.0)
     box_slack = BOX_SLACK_ODE if config.mode == "ode" else config.clamp_margin + 1e-12
@@ -218,38 +204,22 @@ def run_scheme(problem: BsdeProblem, grid: TimeGrid, schedule: Sequence[float],
     box_viol = float(np.max(sweep.box_excursion_raw))
     bounds_ok = box_viol <= box_slack
 
-    final = _extrapolated_final(solutions, schedule, sup)
     masses = _lambda_f_integrals(problem, grid, schedule, mean_abs_f)
-    converged = gaps[-1] < config.tol
+    resolved = float(np.max(problem.intensity.value(grid.points[:-1]))) > schedule[-2]
+    converged = resolved and gaps[-1] < config.tol
 
     def per_level(values):
         return tuple(float(v) for v in values)
 
     return SchemeReport(
-        schedule=tuple(schedule), solutions=solutions, t0=float(t0),
+        schedule=tuple(schedule), solutions=(final,),
         cauchy_gaps=gaps, monotone_violation=mono, bounds_ok=bounds_ok,
         box_violation=box_viol, final=final, converged=converged,
         tolerance=config.tol, bmo_estimate=bmo_value, bmo_stderr=bmo_stderr,
-        lambda_f_integrals=masses, envelope_bound=sup, t_cap=t_cap,
+        lambda_f_integrals=masses,
         y0=per_level(sweep.y0_mean), residual_max=per_level(sweep.residual_max),
         box_excursion_raw=per_level(sweep.box_excursion_raw),
         y_min=per_level(sweep.y_min), y_max=per_level(sweep.y_max))
-
-
-def _extrapolated_final(solutions, schedule, sup) -> SolutionEstimate:
-    """Richardson step on the last pair: the level error decays like 1/n."""
-    last, prev = solutions[-1], solutions[-2]
-    r = schedule[-1] / schedule[-2]
-    # one (M, N) array, clipped in place: a Monte Carlo run peaks in memory here
-    y = np.multiply(r, last.y)
-    np.subtract(y, prev.y, out=y)
-    np.divide(y, r - 1.0, out=y)
-    lower = -(last.grid.horizon - last.grid.points) * sup
-    np.clip(y, lower, 0.0, out=y)
-    return SolutionEstimate(
-        grid=last.grid, y=y, z=last.z, mode=last.mode, problem=last.problem,
-        lambda_cap=last.lambda_cap, driver_used=last.driver_used,
-        diagnostics=dict(last.diagnostics, extrapolated_from=(schedule[-2], schedule[-1])))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from bsdelab.singular_scheme import (
     BOX_SLACK_ODE,
     SCHEME_THETA,
     SchemeConfig,
-    _extrapolated_final,
     truncate,
 )
 
@@ -109,7 +108,6 @@ def run_scheme(problem, grid, schedule, t0=None, config=None):
     mono = max(max(monotone_violation(a, b) for a, b in zip(solutions, solutions[1:])), 0.0)
     box_slack = BOX_SLACK_ODE if config.mode == "ode" else config.clamp_margin + 1e-12
     box_viol = max(s.diagnostics["box_excursion_raw"] for s in solutions)
-    final = _extrapolated_final(solutions, schedule, sup)
     if config.mode == "mc":
         bmo_value, bmo_stderr = estimate_bmo(
             solutions[-1], bundle, config.basis or RegressionBasis.polynomial(3))
@@ -118,15 +116,12 @@ def run_scheme(problem, grid, schedule, t0=None, config=None):
     return dict(
         schedule=tuple(schedule), solutions=tuple(solutions), t0=float(t0),
         cauchy_gaps=gaps, monotone_violation=mono, bounds_ok=box_viol <= box_slack,
-        box_violation=box_viol, final=final, converged=gaps[-1] < config.tol,
+        box_violation=box_viol, final=solutions[-1], converged=gaps[-1] < config.tol,
         tolerance=config.tol, bmo_estimate=bmo_value, bmo_stderr=bmo_stderr,
         lambda_f_integrals=tuple(estimate_lambda_f_integral(s) for s in solutions),
-        envelope_bound=sup, t_cap=grid.t_cap,
         y0=tuple(float(np.mean(np.atleast_2d(s.y)[:, 0])) for s in solutions),
         residual_max=tuple(s.diagnostics["residual_max"] for s in solutions),
         box_excursion_raw=tuple(s.diagnostics["box_excursion_raw"] for s in solutions),
         y_min=tuple(float(s.y.min()) for s in solutions),
         y_max=tuple(float(s.y.max()) for s in solutions),
-        notes={"mode": config.mode,
-               "envelope": "on (t_cap, T] the solution lies between "
-                           "-(T-t)*envelope_bound and 0"})
+        notes={"mode": config.mode})

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,17 @@ class TestSolveAffinePlus:
             lambda t: np.cos(7.0 * t), 1.0, sup_norm=1.0)
         sol = bl.solve_affine_plus(plus_problem(power1, coeff), grid129)
         assert sol.bound_margin is not None and sol.bound_margin <= 1e-12
+
+    def test_intensity_multiple_has_no_bound(self, power1):
+        # phi = c lam has no finite sup norm, hence no a-priori bound to check;
+        # Y = -c (1 - exp(-(Lam_T - Lam_t))) = -c before T
+        grid = bl.make_grid(power1, 33, mass_cap=12.0)
+        coeff = bl.CoefficientProcess.intensity_multiple(2.0, power1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = bl.solve_affine_plus(plus_problem(power1, coeff), grid)
+        assert sol.bound_margin is None
+        assert np.max(np.abs(sol.y[:grid.cap_index + 1] + 2.0)) <= 1e-15
 
     def test_discrete_residual(self, power1):
         # substitution residual of the quadrature values in the discrete equation

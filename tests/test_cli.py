@@ -157,7 +157,7 @@ class TestRunScenarios:
         rows = list(csv.DictReader(open(out / "scheme.csv")))
         assert [r["n"] for r in rows] == ["2.0", "4.0", "8.0", "16.0", "32.0", "64.0"]
 
-    @pytest.mark.parametrize("args,fallbacks", [([], 0), (["--alpha", "5", "--n-grid", "21"], 1)])
+    @pytest.mark.parametrize("args,fallbacks", [([], 0), (["--alpha", "5", "--n-grid", "15"], 1)])
     def test_nonlinear_exp_reports_theta_and_fallbacks(self, tmp_path, args, fallbacks):
         out = tmp_path / "nl"
         assert run(["run", "nonlinear_exp", *args, "--out", str(out)]) == 0
@@ -198,7 +198,7 @@ class TestConfigFile:
         cfg.write_text(
             "[scenario]\nname = nonlinear_exp\n"
             "[driver]\nalpha = 2.0\n"
-            "[grid]\nn = 61\nmass_cap = 10.0\n"
+            "[grid]\nn = 61\n"
             "[scheme]\nschedule = 2,4,8\ntol = 0.1\n")
         out = tmp_path / "from_cfg"
         assert run(["run", "nonlinear_exp", "--config", str(cfg),
@@ -371,7 +371,7 @@ class TestBmoBasis:
                       if " = " in line)
         reported = float(fields["bmo_estimate"].split()[0])
         model = bl.IntensityModel.power_gap(1.0, 1.0)
-        grid = bl.make_grid(model, 41, mass_cap=12.0)
+        grid = bl.level_grid(model, 41, 64.0)       # the CLI's grid for this schedule
         bundle = bl.simulate_paths(grid, 1, 4000, 11)
         prob = bl.BsdeProblem(intensity=model,
                               coefficient=bl.CoefficientProcess.constant(1.0, 1.0),
@@ -405,6 +405,20 @@ def _run_fresh(args, out):
                            "--out", str(out)], env=env, capture_output=True, text=True,
                           timeout=120)
     return proc.returncode, (out / "report.txt").read_text(), proc.stderr
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_parameter_not_taken_writes_a_failed_report(tmp_path, source):
+    args = ["nonlinear_exp", "--mass-cap", "12"]
+    if source == "config":
+        cfg = tmp_path / "grid.ini"
+        cfg.write_text("[grid]\nmass_cap = 12.0\n")
+        args = ["nonlinear_exp", "--config", str(cfg)]
+    code, report, err = _run_fresh(args, tmp_path / "not_taken")
+    assert code == 1
+    assert report.endswith("error: scenario 'nonlinear_exp' does not take parameter "
+                           "'mass_cap'\nstatus: failed\nexit_code: 1\n")
+    assert err == ""
 
 
 class TestRejectedBeforeTheNumerics:
