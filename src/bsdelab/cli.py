@@ -105,7 +105,10 @@ def _solution_rows(grid, y, z, last_column=None):
     if z is not None and np.size(z):     # nodes past the last Z column read that column
         z_mean = by_node(z).mean(axis=1)[np.minimum(np.arange(n), np.shape(z)[-1] - 1)]
     last = [""] * n if last_column is None else last_column
-    return list(zip(grid.points, y_nodes.mean(axis=1), y_nodes.std(axis=1), z_mean, last))
+    # blocks of nodes: bit for bit ``std(axis=1)``, without its (N, M) temporary
+    step = max(1, (1 << 16) // y_nodes.shape[1])
+    y_sd = np.concatenate([y_nodes[k:k + step].std(axis=1) for k in range(0, n, step)])
+    return list(zip(grid.points, y_nodes.mean(axis=1), y_sd, z_mean, last))
 
 
 def _write_family(cfg: ScenarioConfig, cert, count_label: str) -> None:

@@ -16,9 +16,10 @@ as the truncation level grows; an explicit step would need dt ~ 1/n.
 from __future__ import annotations
 
 import math
+import queue
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -29,7 +30,7 @@ from .paths import PathBundle
 
 NEWTON_TOL = 1e-12
 _COND_LIMIT = 1e10
-SWEEP_BLOCK = 1 << 14     # smallest path block a threaded Monte Carlo sweep steps
+SWEEP_BLOCK = 1 << 14     # the smallest path chunk of a Monte Carlo regression
 
 
 # ---------------------------------------------------------------------------
@@ -61,35 +62,72 @@ class RegressionBasis:
         return x
 
 
-def _degenerate_level(w: np.ndarray) -> bool:
-    """True when the level carries no information (e.g. W_0 = 0 on every path)."""
+def _degenerate_level(w: np.ndarray, width: int = 1, node_index: int = -1) -> bool:
+    """True when the level carries no information (e.g. W_0 = 0 on every path):
+    the sigma-algebra is trivial and the fit is the plain mean, held by the
+    intercept.  ``BasisDegenerate`` where there are fewer paths than the
+    ``width`` columns of the design."""
     w = np.asarray(w, dtype=float)
     hi, lo = w.max(), w.min()
     # max |w| without an |w| array
-    return bool(hi - lo < 1e-14 * (1.0 + np.maximum(hi, -lo)))
+    if hi - lo < 1e-14 * (1.0 + np.maximum(hi, -lo)):
+        return True
+    if len(w) < width:
+        raise BasisDegenerate(node_index, math.inf)
+    return False
+
+
+def _chunks(n_paths: int, width: int = 1) -> list:
+    """Row slices of ``max(1, n_paths // SWEEP_BLOCK)`` chunks of nearly equal
+    size: the paths' split depends on their count alone.  A chunk never has
+    fewer rows than ``width``, the columns of the design it is factored on."""
+    count = max(1, n_paths // max(SWEEP_BLOCK, width))
+    edges = [n_paths * k // count for k in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def _partial(q: Optional[np.ndarray], target: np.ndarray) -> np.ndarray:
+    """One chunk's share of a fit: Q_k^T target on the chunk's rows ``q`` of Q,
+    or the column sums of ``target`` on a level without information."""
+    return target.sum(axis=0) if q is None else q.T @ target
 
 
 @dataclass(frozen=True)
 class NodeFit:
-    """A node's design, its QR factors and the condition number of R; ``q`` and
-    ``cond`` are None on a level that carries no information, where every fit
-    is the plain mean.  ``quantiles`` are the level's quantiles a sweep was
-    asked for (None otherwise)."""
+    """A node's least-squares factorisation as a TSQR over the row ``chunks``
+    (Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34, 2012): the
+    rows of ``q`` hold each chunk's Q_k (C order), ``stack_q`` the Q of the
+    chunks' R factors stacked in chunk order (None with one chunk: Q and R
+    are then the design's economic QR), ``r`` the node's R and ``cond`` its
+    condition number.  ``q`` is None on a level that carries no information,
+    where every fit is the plain mean.  ``design`` is the whole design of
+    ``fit_coefficients`` (None in a sweep), ``quantiles`` the level's
+    quantiles a sweep was asked for."""
 
-    design: np.ndarray
+    chunks: tuple
+    width: int                              # K: the design's columns
     q: Optional[np.ndarray] = None
+    stack_q: Optional[np.ndarray] = None
     r: Optional[np.ndarray] = None
     cond: Optional[float] = None
+    design: Optional[np.ndarray] = None
     quantiles: Optional[np.ndarray] = None
+
+    def combine(self, partials: Sequence) -> np.ndarray:
+        """The coefficients from the chunks' ``_partial`` shares, in chunk order."""
+        if self.q is None:
+            coef = np.zeros((self.width,) + np.shape(partials[0]))
+            coef[0] = reduce(np.add, partials) / self.chunks[-1].stop
+            return coef
+        from scipy.linalg import solve_triangular      # loaded by _qr_routines
+        if self.stack_q is None:
+            return solve_triangular(self.r, partials[0])
+        return solve_triangular(self.r, self.stack_q.T @ np.concatenate(partials))
 
     def solve(self, target: np.ndarray) -> np.ndarray:
         """Least-squares coefficients of every column of ``target`` (M, T)."""
-        if self.q is None:
-            coef = np.zeros((self.design.shape[1], target.shape[1]))
-            coef[0] = target.mean(axis=0)
-            return coef
-        from scipy.linalg import solve_triangular      # loaded by _qr_routines
-        return solve_triangular(self.r, self.q.T @ target)
+        return self.combine([_partial(None if self.q is None else self.q[rows],
+                                      target[rows]) for rows in self.chunks])
 
 
 def _qr_routines(a: np.ndarray) -> tuple:
@@ -111,91 +149,55 @@ def _in_place(routine, *args):
     return out[:-1]
 
 
-def _factor(basis: RegressionBasis, w: np.ndarray, node_index: int,
-            qr: np.ndarray, routines: tuple) -> tuple:
-    """Economic QR of the design on the level ``w``, in place in ``qr``, an
-    (M, K) buffer in Fortran order, by the LAPACK ``routines`` of
-    ``_qr_routines(qr)``.
-
-    Returns ``(q, r, cond)``: ``q`` is Q in Fortran order, in ``qr``, and
-    ``cond`` the ratio of the singular values of R that the condition-number
-    guard reads.  On a level that carries no information the sigma-algebra is
-    trivial and the fit is the plain mean, held by the intercept:
-    ``(None, None, None)``.
-    """
-    if _degenerate_level(w):
-        return None, None, None
-    if qr.shape[0] < qr.shape[1]:
-        raise BasisDegenerate(node_index, math.inf)
-    # the Fortran-ordered design reaches LAPACK without a copy; no finiteness
-    # scan: a NaN in the design propagates into R and its SVD
-    basis.design(w, out=qr)
+def _factor(qr: np.ndarray, routines: tuple, q: np.ndarray) -> np.ndarray:
+    """Economic QR of the (rows, K) array in ``qr`` (Fortran order), in place,
+    by the LAPACK ``routines`` of ``_qr_routines(qr)``: returns R and copies Q
+    into ``q``.  The Fortran-ordered array reaches LAPACK without a copy; no
+    finiteness scan: a NaN propagates into R and its SVD."""
     geqrf, orgqr = routines
     factored, tau = _in_place(geqrf, qr)
     r = np.triu(factored[:qr.shape[1]])
-    q, = _in_place(orgqr, factored, tau)
+    np.copyto(q, _in_place(orgqr, factored, tau)[0])
+    return r
+
+
+def _merge(rs: Sequence, node_index: int, routines: tuple) -> tuple:
+    """The TSQR's last step: one QR of the chunks' R factors ``rs`` stacked in
+    chunk order.  Returns ``(stack_q, r, cond)`` (``stack_q`` None with one
+    chunk), ``cond`` the ratio of the singular values of R that the
+    condition-number guard reads (``BasisDegenerate`` past ``_COND_LIMIT``)."""
+    stack_q, r = None, rs[0]
+    if len(rs) > 1:
+        stack_q = np.empty((len(rs) * r.shape[0], r.shape[0]))
+        r = _factor(np.asfortranarray(np.vstack(rs)), routines, stack_q)
     svals = np.linalg.svd(r, compute_uv=False)
     if svals[-1] <= 0 or svals[0] / svals[-1] > _COND_LIMIT:
-        cond = math.inf if svals[-1] <= 0 else svals[0] / svals[-1]
-        raise BasisDegenerate(node_index, cond)
-    return q, r, float(svals[0] / svals[-1])
+        raise BasisDegenerate(node_index,
+                              math.inf if svals[-1] <= 0 else svals[0] / svals[-1])
+    return stack_q, r, float(svals[0] / svals[-1])
 
 
 def fit_coefficients(basis: RegressionBasis, w: np.ndarray, target: np.ndarray,
                      node_index: int = -1) -> tuple:
     """Least-squares fit of every column of ``target`` (M, T) on ``basis.design(w)``.
 
-    One economic QR factorisation (``_factor``) serves all columns.  Returns
-    ``(coef, fit)``: the fitted values are ``fit.design @ coef``, and
+    The TSQR of a sweep's nodes, chunk after chunk, serves all columns, or the
+    plain mean on a level without information (``_degenerate_level``).
+    Returns ``(coef, fit)``: the fitted values are ``fit.design @ coef``, and
     ``fit.solve`` fits further targets on the same factorisation.
     """
     design = basis.design(w)
-    qr = np.empty_like(design)
-    q, r, cond = _factor(basis, w, node_index, qr, _qr_routines(qr))
-    # Q in C order: BLAS sums ``q.T @ target`` in an order set by the layout,
-    # and this one matches the C-ordered factor of np.linalg.qr bit for bit
-    fit = NodeFit(design, None if q is None else np.ascontiguousarray(q), r, cond)
+    n_paths, width = design.shape
+    chunks = tuple(_chunks(n_paths, width))
+    fit = NodeFit(chunks, width, design=design)
+    if not _degenerate_level(w, width, node_index):
+        routines = _qr_routines(design)
+        # Q in C order: BLAS sums ``q.T @ target`` in an order set by the layout,
+        # and this one matches the C-ordered factor of np.linalg.qr bit for bit
+        q = np.empty((n_paths, width))
+        rs = [_factor(np.array(design[rows], order="F"), routines, q[rows]) for rows in chunks]
+        fit = NodeFit(chunks, width, q, *_merge(rs, node_index, routines), design=design)
     return fit.solve(target), fit
-
-
-class _NodeFactors:
-    """A sweep's buffers for its nodes' regressions, allocated once: the design
-    and the QR (Fortran order), Q (C order) and a copy of the level that the
-    quantiles partition.
-
-    ``factor`` works in the QR buffer alone, so it can run for the next node
-    while the current node, whose design and Q ``fill_rows`` put in their
-    buffers, is stepped.  The LAPACK routines are looked up, and scipy.linalg
-    imported, when the buffers are made, in the thread that makes them."""
-
-    def __init__(self, basis: RegressionBasis, n_paths: int, quantiles: Sequence = ()):
-        shape = (n_paths, basis.degree + 1)
-        self.basis, self.quantiles = basis, quantiles
-        self.design, self.qr = np.empty(shape, order="F"), np.empty(shape, order="F")
-        self.q = np.empty(shape)
-        self._routines = _qr_routines(self.qr)
-        self._sorted = np.empty(n_paths) if quantiles else None
-        self._factored = None       # the last factored node's Q, in Fortran order
-
-    def factor(self, w: np.ndarray, node_index: int) -> NodeFit:
-        """Node ``node_index``'s fit on the level ``w``, with the level's
-        ``quantiles``; its design and Q are valid once ``fill_rows`` has filled
-        every row, until the next node's."""
-        self._factored, r, cond = _factor(self.basis, w, node_index, self.qr,
-                                          self._routines)
-        quantiles = None
-        if self.quantiles:
-            np.copyto(self._sorted, w)
-            quantiles = np.quantile(self._sorted, self.quantiles, overwrite_input=True)
-        q = None if self._factored is None else self.q
-        return NodeFit(self.design, q, r, cond, quantiles)
-
-    def fill_rows(self, w: np.ndarray, rows: slice) -> None:
-        """The rows ``rows`` of the last factored node's design on ``w`` and of
-        its Q, copied in C order (see ``fit_coefficients``)."""
-        self.basis.design(w[rows], out=self.design[rows])
-        if self._factored is not None:
-            np.copyto(self.q[rows], self._factored[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -255,61 +257,40 @@ def _bracket_and_bisect(residual, start):
 
 
 class _NewtonWorkspace:
-    """The (L, M) buffers one sweep's implicit steps work in, allocated once.
+    """The buffers of one implicit step: the Newton residual, derivative,
+    scratch and mask, f and f' (left at the values) and the values ``y``, each
+    allocated at ``shape`` unless given as a view (``_ChunkScratch.work``)."""
 
-    ``f`` holds the driver at the latest Newton iterate; the step returns it
-    as the driver's values at the solution, valid until the next step.  The
-    values go into one of two buffers that alternate, so a step's values can
-    be the next step's ``y_next``; they are valid until the step after next."""
-
-    _BUFFERS = ("residual", "deriv", "scratch", "f", "fprime", "active")
-
-    def __init__(self, shape):
-        self.residual = np.empty(shape)
-        self.deriv = np.empty(shape)
-        self.scratch = np.empty(shape)
-        self.f = np.empty(shape)
-        self.fprime = np.empty(shape)
-        self.active = np.empty(shape, dtype=bool)
-        self._values = [np.empty(shape), np.empty(shape)]
-
-    def values(self) -> np.ndarray:
-        """The values buffer for the next step: the one the last step did not use."""
-        self._values.reverse()
-        return self._values[0]
-
-    def columns(self, cols: slice) -> "_NewtonWorkspace":
-        """The columns ``cols`` of these buffers, the values buffers excepted:
-        the workspace of ``_newton`` on a block of paths."""
-        view = object.__new__(_NewtonWorkspace)
-        for name in self._BUFFERS:
-            setattr(view, name, getattr(self, name)[:, cols])
-        return view
+    def __init__(self, shape=None, **views):
+        for name in ("residual", "deriv", "scratch", "f", "fprime", "y", "active"):
+            if name not in views:
+                views[name] = np.empty(shape, dtype=bool if name == "active" else float)
+        self.__dict__.update(views)
 
 
-class _NewtonRun(NamedTuple):
-    """What ``_newton`` reports on its block."""
+class _NotMonotone(NumericsError):
+    """A Newton pass met 1 + dt (lam f' + b) <= 0 (or NaN): its ``smallest``
+    value at pass ``newton_pass``."""
 
-    iterations: np.ndarray      # per row: the passes in which the row had an active entry
-    resid: np.ndarray           # per row: the largest |residual| (NaN in a row with a NaN)
-    smallest: list              # per pass: the smallest 1 + dt (lam f' + b); the
-                                # block stops at the first that is not > 0
-    final: Optional[float]      # the same at the converged iterate, when asked for
+    def __init__(self, smallest: float, dt: float, newton_pass: int):
+        super().__init__(f"implicit step not monotone: 1 + dt (lam f' + b) = "
+                         f"{smallest:.3g} <= 0 at dt = {dt:.3g}")
+        self.smallest, self.dt, self.newton_pass = smallest, dt, newton_pass
 
 
-def _newton(y, y_next, forcing, dt, lam, driver, b, work, check_final=False) -> _NewtonRun:
+def _newton(y, y_next, forcing, dt, lam, driver, b, work) -> tuple:
     """Newton iterations for y = y_next - dt (forcing + lam f(y) + b y) into ``y``.
 
     Starts from ``y_next``, with f and f' from one joint evaluation per
     iterate; an entry stops moving once its residual is below ``NEWTON_TOL``,
-    and the iterations stop when no entry moves, after 100 passes, or at a
-    pass where 1 + dt (lam f'(y) + b) > 0 fails somewhere.  Leaves the
-    residual in ``work.residual``, its absolute value in ``work.scratch`` and
-    f and f' at ``y`` in ``work.f`` and ``work.fprime``.  An entry's iterates
-    do not depend on the other entries, so column blocks of a state run the
-    passes of the whole state; ``check_final`` also reports the smallest
-    derivative at a converged block's last iterate, which the whole state
-    checks on the passes the block no longer runs.
+    and the iterations stop when no entry moves or after 100 passes.
+    1 + dt (lam f'(y) + b) > 0 is checked at every iterate, the last included,
+    else ``_NotMonotone``: entries never read each other, so the passes a
+    chunk of the state runs, and its errors, are those of the whole state.
+    Leaves the residual in ``work.residual``, its absolute value in
+    ``work.scratch`` and f and f' at ``y`` in ``work.f`` and ``work.fprime``.
+    Returns per row the passes in which the row had an active entry and the
+    largest |residual| (NaN in a row with a NaN).
     """
     np.copyto(y, y_next)
     F, deriv, tmp, fy, dfy, active = (work.residual, work.deriv, work.scratch,
@@ -326,51 +307,28 @@ def _newton(y, y_next, forcing, dt, lam, driver, b, work, check_final=False) -> 
         np.subtract(y, y_next, out=F)
         np.add(F, tmp, out=F)
 
-    def derivative():
+    iterations = np.zeros(y.shape[0], dtype=int)
+    driver.f_fprime(y, out=(fy, dfy))
+    residual()
+    for newton_pass in range(100):
+        np.greater_equal(np.abs(F, out=tmp), NEWTON_TOL, out=active)
+        rows = active.any(axis=1)
         # deriv = 1 + dt (lam f' + b); its smallest entry, NaN when any entry is
         np.multiply(lam, dfy, out=deriv)
         if b != 0.0:
             np.add(deriv, b, out=deriv)
         np.multiply(dt, deriv, out=deriv)
         np.add(1.0, deriv, out=deriv)
-        return float(np.min(deriv))
-
-    iterations = np.zeros(y.shape[0], dtype=int)
-    smallest, final = [], None
-    driver.f_fprime(y, out=(fy, dfy))
-    residual()
-    for _ in range(100):
-        np.greater_equal(np.abs(F, out=tmp), NEWTON_TOL, out=active)
-        rows = active.any(axis=1)
+        smallest = float(deriv.min())
+        if not smallest > 0:
+            raise _NotMonotone(smallest, dt, newton_pass)
         if not rows.any():
-            if check_final:
-                final = derivative()
             break
         iterations += rows
-        smallest.append(derivative())
-        if not smallest[-1] > 0:
-            break
         np.subtract(y, np.divide(F, deriv, out=tmp), out=y, where=active)
         driver.f_fprime(y, out=(fy, dfy))
         residual()
-    resid = np.abs(F, out=tmp).max(axis=1)
-    return _NewtonRun(iterations, resid, smallest, final)
-
-
-def _check_monotone(runs: Sequence, dt: float) -> None:
-    """Raise where the Newton passes of the blocks in ``runs``, taken as one
-    state, meet a derivative 1 + dt (lam f' + b) that is not > 0."""
-    # a block stops at its first failing pass: without one, nothing fails
-    if all((not run.smallest or run.smallest[-1] > 0)
-           and (run.final is None or run.final > 0) for run in runs):
-        return
-    for k in range(max(len(run.smallest) for run in runs)):
-        # a block that stopped earlier sits at its last iterate
-        smallest = np.min([run.smallest[k] if k < len(run.smallest) else run.final
-                           for run in runs])
-        if not smallest > 0:
-            raise NumericsError(f"implicit step not monotone: 1 + dt (lam f' + b) = "
-                                f"{float(smallest):.3g} <= 0 at dt = {dt:.3g}")
+    return iterations, np.abs(F, out=tmp).max(axis=1)
 
 
 def _bisect_failures(y, y_next, forcing, dt, lam, driver, b, work, resid) -> tuple:
@@ -397,38 +355,20 @@ def _bisect_failures(y, y_next, forcing, dt, lam, driver, b, work, resid) -> tup
     return resid, fallbacks
 
 
-def _implicit_step(y_next, forcing, dt, lam, driver, b, work, blocks=None):
+def _implicit_step(y_next, forcing, dt, lam, driver, b, work):
     """Solve y = y_next - dt (forcing + lam f(y) + b y) entrywise for a (L, M) state.
 
-    Newton from ``y_next`` (``_newton``).  Entries that leave the finite range
-    or do not converge fall back to a bracket and bisection; where
-    1 + dt (lam f'(y) + b) <= 0 at a Newton iterate the step is not monotone
-    in ``y_next``: ``NumericsError``.
-    Every Newton operation writes into ``work``, a ``_NewtonWorkspace`` of the
-    state's shape, and so do the values it returns; ``work.f`` and
-    ``work.fprime`` are left holding f and f' at the values.
+    Newton from ``y_next`` (``_newton``); entries that leave the finite range
+    or do not converge fall back to a bracket and bisection.  Every operation
+    writes into ``work``, a ``_NewtonWorkspace`` of the state's shape, and so
+    do the values; ``work.f`` and ``work.fprime`` are left at the values.
     Returns the values, f at the values, and per level (row) the worst
     residual, the Newton iterates and the entries that fell back to bisection.
-    With ``blocks``, a ``_PathBlocks``, the Newton passes run on column blocks
-    of the state and the counters are the largest over the blocks; the
-    monotonicity check and the bisection see the whole state, so the results
-    and errors are the same.
     """
-    y = work.values()
-    if blocks is None:
-        runs = [_newton(y, y_next, forcing, dt, lam, driver, b, work)]
-    else:
-        def block(k):
-            cols = blocks.cols[k]
-            return _newton(y[:, cols], y_next[:, cols], _columns(forcing, cols), dt, lam,
-                           driver, b, blocks.work[k], check_final=True)
-
-        runs = blocks.run(block)
-    _check_monotone(runs, dt)
-    # maxima over the blocks; np.maximum keeps a NaN residual
-    resid, fallbacks = _bisect_failures(y, y_next, forcing, dt, lam, driver, b, work,
-                                        reduce(np.maximum, [run.resid for run in runs]))
-    return y, work.f, resid, reduce(np.maximum, [run.iterations for run in runs]), fallbacks
+    y = work.y
+    iterations, resid = _newton(y, y_next, forcing, dt, lam, driver, b, work)
+    resid, fallbacks = _bisect_failures(y, y_next, forcing, dt, lam, driver, b, work, resid)
+    return y, work.f, resid, iterations, fallbacks
 
 
 def _columns(a, cols: slice):
@@ -436,52 +376,90 @@ def _columns(a, cols: slice):
     return a[..., cols] if np.ndim(a) else a
 
 
-def _block_columns(n_paths: int, workers: int) -> list:
-    """Column slices of ``min(workers, n_paths // SWEEP_BLOCK)`` blocks of
-    nearly equal width, at least one."""
-    count = max(1, min(workers, n_paths // SWEEP_BLOCK))
-    edges = [n_paths * k // count for k in range(count + 1)]
-    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+class _ChunkScratch:
+    """One worker's buffers for the chunks it steps, flat, so that each view a
+    chunk takes of them is contiguous.  ``whole`` holds the sweep's f, f' and
+    values."""
+
+    def __init__(self, n_levels: int, rows: int, width: int, whole: dict):
+        self.n_levels, self.width, self.whole, self._work = n_levels, width, whole, {}
+        self.flat = {name: np.empty(n_levels * rows, dtype=bool if name in ("active", "above")
+                                    else float)
+                     for name in ("residual", "deriv", "scratch", "forcing", "active", "above")}
+        self.flat["targets"] = np.empty(2 * n_levels * rows)    # Y and Z, then the fitted Y
+        self.flat["qr"] = np.empty(rows * width)        # the QR of the design, then the design
+
+    def work(self, rows: slice) -> _NewtonWorkspace:
+        """The workspace of the chunk ``rows``, made once: its columns of the
+        whole f, f' and values, and (L, n) views of this worker's buffers, with
+        2L rows of ``targets`` and an (n, K) ``design`` in Fortran order."""
+        if rows.start not in self._work:
+            n, heights = rows.stop - rows.start, {"targets": 2 * self.n_levels, "qr": self.width}
+            views = {name: buf[:heights.get(name, self.n_levels) * n].reshape(-1, n)
+                     for name, buf in self.flat.items()}
+            views["design"] = views.pop("qr").T
+            views.update((name, a[:, rows]) for name, a in self.whole.items())
+            self._work[rows.start] = _NewtonWorkspace(**views)
+        return self._work[rows.start]
 
 
-class _PathBlocks:
-    """Column blocks of a sweep's (L, M) state (``_block_columns``), stepped by
-    a thread pool.
+class _ChunkQueue:
+    """The path chunks of a sweep, whose jobs a pool of ``min(workers, chunks)``
+    threads pulls from one queue, each job holding one worker's scratch.  One
+    worker runs them in the calling thread and starts no pool."""
 
-    ``work`` holds each block's view of the sweep's ``_NewtonWorkspace``.  The
-    pool has one thread per block and exists only with two blocks or more;
-    ``close`` shuts it down."""
-
-    def __init__(self, n_paths: int, workers: int, work: _NewtonWorkspace):
-        self.cols = _block_columns(n_paths, workers)
-        self.work = [work.columns(cols) for cols in self.cols]
-        count = len(self.cols)
+    def __init__(self, chunks: list, workers: int, scratch):
+        self.chunks = chunks
+        count = min(workers, len(chunks))
         self.pool = ThreadPoolExecutor(max_workers=count) if count > 1 else None
+        self.scratches, self._free = [scratch() for _ in range(count)], queue.SimpleQueue()
+        for buffers in self.scratches:
+            self._free.put(buffers)
 
-    def run(self, fn) -> list:
-        """``fn(k)`` for every block k, in block order; this thread runs block 0
-        and the pool the others."""
-        if self.pool is None:
-            return [fn(0)]
-        futures = [self.pool.submit(fn, k) for k in range(1, len(self.cols))]
+    def _job(self, fn, rows):
+        scratch = self._free.get()
         try:
-            first = fn(0)
+            return fn(rows, scratch)
+        except Exception as exc:    # kept: the whole state's error needs every chunk's
+            return exc
         finally:
-            wait(futures)
-        return [first] + [future.result() for future in futures]
+            self._free.put(scratch)
+
+    def run(self, fn, first=None) -> list:
+        """``fn(rows, scratch)`` for every chunk, results in chunk order, after
+        ``first()`` where it is given, queued ahead of the chunks.  An error is
+        raised once every chunk has ended: the ``_NotMonotone`` of the earliest
+        Newton pass, else the first in chunk order."""
+        jobs = [first] if first else []
+        jobs += [partial(self._job, fn, rows) for rows in self.chunks]
+        results = [job() for job in jobs] if self.pool is None else \
+            [self.pool.submit(job) for job in jobs]
+        if self.pool is not None:
+            wait(results)
+            results = [future.result() for future in results]
+        results = results[1:] if first else results
+        errors = [r for r in results if isinstance(r, _NotMonotone)]
+        if errors:     # the whole state's: the earliest pass, its smallest value
+            earliest = min(err.newton_pass for err in errors)
+            smallest = np.min([err.smallest for err in errors if err.newton_pass == earliest])
+            raise _NotMonotone(float(smallest), errors[0].dt, earliest)
+        for r in results:
+            if isinstance(r, Exception):
+                raise r
+        return results
 
     def close(self) -> None:
         if self.pool is not None:
             self.pool.shutdown(cancel_futures=True)
 
 
-def _explicit_half(y_next, phi_next, lam_next, b, h, work, out):
+def _explicit_half(y_next, phi_next, lam_next, b, h, f_next, scratch, out):
     """The theta-step's explicit half y_next - h (phi_next + lam_next f + b y_next)
-    into ``out``, with f at ``y_next`` read from ``work.f``."""
-    np.multiply(lam_next, work.f, out=out)
+    into ``out``, with f at ``y_next`` read from ``f_next``."""
+    np.multiply(lam_next, f_next, out=out)
     np.add(phi_next, out, out=out)
     if b != 0.0:
-        np.add(out, np.multiply(b, y_next, out=work.scratch), out=out)
+        np.add(out, np.multiply(b, y_next, out=scratch), out=out)
     np.multiply(h, out, out=out)
     return np.subtract(y_next, out, out=out)
 
@@ -536,13 +514,14 @@ class NodeSweep:
     rises from lam(t_cap) to n inside it, which the grid does not resolve.  A
     ``level_grid`` has no tail.
 
-    ``workers`` > 1 threads a Monte Carlo sweep of at least two
-    ``SWEEP_BLOCK``-path blocks: the per-path work (the regression targets,
-    the fitted values, the Newton passes, the box excursion, the clamp and the
-    extremes) runs on column blocks of the state, one per worker, and each
-    node's factorisation runs while the node before it in the sweep is
-    stepped.  Every reduction over the paths runs on the whole state, so the
-    values and counters do not depend on ``workers``.
+    The paths are split into fixed chunks (``_chunks``, a function of M
+    alone) that ``min(workers, chunks)`` threads pull from one queue, in two
+    passes per node: the targets, a QR of each chunk's design and Q_k^T
+    targets, merged into the node's TSQR (``NodeFit``); then the fitted
+    values, the implicit step, the box excursion, the clamp and the extremes.
+    Reductions over the chunks are combined in chunk order, so nothing
+    depends on ``workers``.  Only f, f', the values, Z and Q are whole
+    arrays; the rest is per-worker chunk scratch (``_ChunkScratch``).
 
     ``nodes()`` yields one ``SweepNode`` per grid index, from T backward; only
     the current node is held, and its ``y``, ``f``, ``z`` and ``fit`` live in
@@ -608,142 +587,162 @@ class NodeSweep:
 
     def nodes(self):
         """Yield a ``SweepNode`` per grid index, from the terminal node backward."""
-        work = _NewtonWorkspace((len(self.caps), self.m_paths))
-        blocks = _PathBlocks(self.m_paths, self.workers if self.mc else 1, work)
+        width = self.basis.degree + 1 if self.mc else 1
+        chunks = _chunks(self.m_paths, width)
+        rows = -(-self.m_paths // len(chunks))             # the largest chunk
+        # f and f' at the right node stay in these buffers from step to step, and a
+        # node's values overwrite the right node's once the first pass read them
+        whole = {name: np.empty((len(self.caps), self.m_paths)) for name in ("y", "f", "fprime")}
+        tasks = _ChunkQueue(chunks, self.workers,
+                            lambda: _ChunkScratch(len(self.caps), rows, width, whole))
         try:
-            yield from self._sweep(work, blocks)
+            yield from self._sweep(tasks, **whole)
         finally:
-            blocks.close()
+            tasks.close()
 
-    def _sweep(self, work: _NewtonWorkspace, blocks: _PathBlocks):
+    def _sweep(self, tasks: _ChunkQueue, y, f, fprime):
         problem, grid, driver, theta = self.problem, self.grid, self.driver, self.theta
-        pts = grid.points
-        n_levels = len(self.caps)
-        sup = problem.coefficient.sup_norm
-        b, sigma = problem.y_slope, problem.z_slope
-        y_next = np.empty((n_levels, self.m_paths))
-        sigma_z = np.empty_like(y_next)             # per-sweep buffer for phi + sigma Z
-        phi = None          # phi at the right node until the node's own replaces it
-        if self.mc:
-            levels = self.bundle.levels[:, :, 0]
-            increments = self.bundle.increments[:, :, 0]
-            # the targets Y (or the explicit half) and Y dW / dt; each node's fit
-            # overwrites them with the fitted Y and Z
-            targets = np.empty((2 * n_levels, self.m_paths))
-            y_fit, z_i = targets[:n_levels], targets[n_levels:]
-            # the Monte Carlo clamp's masks
-            moved, above = np.empty(y_next.shape, bool), np.empty(y_next.shape, bool)
-            factors = _NodeFactors(self.basis, self.m_paths, self.level_quantiles)
-            ahead = None        # the next node's factorisation, running in the pool
-            y_next[:] = problem.terminal.values(levels[:, -1])
+        mc = self.mc
+        pts, n_levels, shape = grid.points, len(self.caps), (len(self.caps), self.m_paths)
+        sup, b, sigma = problem.coefficient.sup_norm, problem.y_slope, problem.z_slope
+        phi = None          # phi at the last node stepped, for the explicit half
+        if mc:
+            levels, increments = self.bundle.levels[:, :, 0], self.bundle.increments[:, :, 0]
+            basis, width = self.basis, self.basis.degree + 1
+            q = np.empty((self.m_paths, width))         # each chunk's Q_k, in C order
+            routines = _qr_routines(q)                  # scipy.linalg loads here
+            if self.level_quantiles:
+                level_copy, quantiles = np.empty(self.m_paths), np.empty(len(self.level_quantiles))
+            # with one chunk, Z is the Z half of its targets, which the fit overwrites
+            z = np.empty(shape) if len(tasks.chunks) > 1 else \
+                tasks.scratches[0].work(tasks.chunks[0]).targets[n_levels:]
+            y[:] = problem.terminal.values(levels[:, -1])
             if theta < 1:
-                phi = np.asarray(problem.coefficient.value(pts[-1], levels[:, -1]),
-                                 dtype=float)
+                phi = np.asarray(problem.coefficient.value(pts[-1], levels[:, -1]), dtype=float)
         else:
-            z_i = np.zeros_like(y_next)                 # Z vanishes on deterministic data
-            explicit = np.empty_like(y_next)            # per-sweep buffer, theta < 1
-            y_next[:] = float(problem.terminal.values())
+            z = np.zeros(shape)                         # Z vanishes on deterministic data
+            y[:] = float(problem.terminal.values())
             if theta < 1:
                 phi = float(problem.coefficient.value(pts[-1]))
-        self._extremes(y_next)
-        # f and f' at the right node stay in the workspace from step to step
-        driver.f_fprime(y_next, out=(work.f, work.fprime))
-        yield SweepNode(len(pts) - 1, y_next, work.f)
+
+        def finish(work, lam_c):
+            # the extremes, and the largest lam f' that the next explicit half reads
+            slope = None
+            if theta < 1:
+                slope = np.multiply(lam_c, work.fprime, out=work.scratch).max()
+            return work.y.min(axis=1), work.y.max(axis=1), slope
+
+        def terminal(rows, s):
+            work = s.work(rows)
+            driver.f_fprime(work.y, out=(work.f, work.fprime))
+            return finish(work, self._lam[:, -1, None])
+
+        def y_target(rows, work, out):
+            # Y at the right node, or the explicit half of the theta-step
+            if theta_i < 1:
+                _explicit_half(work.y, _columns(phi_next, rows), lam_next, b, h, work.f,
+                               work.scratch, out=out)
+            else:
+                np.copyto(out, work.y)
+
+        slope = self._merge_ends(*zip(*tasks.run(terminal)))
+        yield SweepNode(len(pts) - 1, y, f)
         for i in range(len(pts) - 2, -1, -1):
             t_i = float(pts[i])
             dt = float(pts[i + 1] - t_i)
-            lam_next = self._lam[:, i + 1, None]
+            lam_next, lam_i = self._lam[:, i + 1, None], self._lam[:, i, None]
             theta_i = theta if i < grid.cap_index else 1.0      # the tail: implicit Euler
-            if theta_i < 1:
-                slope = np.max(np.multiply(lam_next, work.fprime, out=work.scratch)) + b
-                if not 1.0 - (1.0 - theta) * dt * slope >= 0:      # NaN fails too
-                    theta_i = 1.0
-                    self.theta_fallback_segments += 1
-            fit = None
-            if self.mc:
+            if theta_i < 1 and not 1.0 - (1.0 - theta) * dt * (slope + b) >= 0:  # NaN fails
+                theta_i = 1.0
+                self.theta_fallback_segments += 1
+            h, phi_next, fit = (1.0 - theta_i) * dt, phi, None
+            if mc:
                 w_i = levels[:, i]
-                # a BasisDegenerate of a node factored ahead surfaces here, at its node
-                fit = ahead.result() if ahead is not None else factors.factor(w_i, i)
-                h = (1.0 - theta_i) * dt
+                degenerate = _degenerate_level(w_i, width, i)
 
-                def regression_targets(k):
-                    cols = blocks.cols[k]
-                    factors.fill_rows(w_i, cols)
-                    if theta_i < 1:
-                        _explicit_half(y_next[:, cols], _columns(phi, cols), lam_next, b, h,
-                                       blocks.work[k], out=y_fit[:, cols])
-                    else:
-                        np.copyto(y_fit[:, cols], y_next[:, cols])
-                    np.multiply(y_next[:, cols], increments[cols, i], out=z_i[:, cols])
-                    np.divide(z_i[:, cols], dt, out=z_i[:, cols])
+                def targets(rows, s):
+                    # Y (or the explicit half) and Y dW / dt; the chunk's QR and share
+                    work = s.work(rows)
+                    t = work.targets
+                    y_target(rows, work, t[:n_levels])
+                    np.multiply(work.y, increments[rows, i], out=t[n_levels:])
+                    np.divide(t[n_levels:], dt, out=t[n_levels:])
+                    if degenerate:
+                        return None, _partial(None, t.T)
+                    design = basis.design(w_i[rows], out=work.design)
+                    return _factor(design, routines, q[rows]), _partial(q[rows], t.T)
 
-                blocks.run(regression_targets)
-                # the QR buffer is free: factor the next node while this one is stepped
-                if blocks.pool is not None and i > 0:
-                    ahead = blocks.pool.submit(factors.factor, levels[:, i - 1], i - 1)
-                coef = fit.solve(targets.T)
+                def level_quantiles():
+                    np.copyto(level_copy, w_i)
+                    np.quantile(level_copy, self.level_quantiles, overwrite_input=True,
+                                out=quantiles)
 
-                def fitted_values(k):
-                    # (design @ coef).T, laid out level-major
-                    design = fit.design[blocks.cols[k]].T
-                    np.matmul(coef[:, :n_levels].T, design, out=y_fit[:, blocks.cols[k]])
-                    np.matmul(coef[:, n_levels:].T, design, out=z_i[:, blocks.cols[k]])
-
-                blocks.run(fitted_values)
+                r_parts, partials = zip(*tasks.run(
+                    targets, first=level_quantiles if self.level_quantiles else None))
+                factors = (None,) * 4 if degenerate else (q,) + _merge(r_parts, i, routines)
+                fit = NodeFit(tuple(tasks.chunks), width, *factors,
+                              quantiles=quantiles if self.level_quantiles else None)
+                coef = fit.combine(partials)
                 if fit.cond is not None:
-                    self.regression_cond_min = float(np.fmin(self.regression_cond_min,
-                                                             fit.cond))
-                    self.regression_cond_max = float(np.fmax(self.regression_cond_max,
-                                                             fit.cond))
+                    cond = (self.regression_cond_min, self.regression_cond_max)
+                    self.regression_cond_min = float(np.fmin(cond[0], fit.cond))
+                    self.regression_cond_max = float(np.fmax(cond[1], fit.cond))
                 phi = np.asarray(problem.coefficient.value(t_i, w_i), dtype=float)
             else:
-                y_fit = y_next
-                if theta_i < 1:
-                    y_fit = _explicit_half(y_next, phi, lam_next, b, (1.0 - theta_i) * dt,
-                                           work, out=explicit)
                 phi = np.asarray(problem.coefficient.value(t_i), dtype=float)
-            forcing = phi
-            if sigma != 0.0:        # skipped at 0, as the step skips b
-                forcing = np.add(phi, np.multiply(sigma, z_i, out=sigma_z), out=sigma_z)
-            step = (y_fit, forcing, theta_i * dt, self._lam[:, i, None], driver, b, work)
-            y_i, f_i, resid, iterations, fallbacks = (
-                _implicit_step(*step) if blocks.pool is None else _implicit_step(*step, blocks))
-            np.maximum(self.residual_max, resid, out=self.residual_max)
-            self.newton_iterations += iterations
-            np.maximum(self.newton_max_per_node, iterations, out=self.newton_max_per_node)
-            self.bisection_entries += fallbacks
             lower = -(grid.horizon - t_i) * sup
 
-            def box_and_extremes(k):
-                # the excursion from the box, the Monte Carlo clamp, then the extremes
-                cols = blocks.cols[k]
-                y, excursion = y_i[:, cols], None
+            def step(rows, s):
+                # the fitted values, the implicit step, the excursion from the
+                # box, the Monte Carlo clamp, then the extremes
+                work = s.work(rows)
+                y_c, y_fit = work.y, work.targets[:n_levels]
+                if mc:
+                    # (design @ coef).T, laid out level-major
+                    design = basis.design(w_i[rows], out=work.design).T
+                    np.matmul(coef[:, :n_levels].T, design, out=y_fit)
+                    np.matmul(coef[:, n_levels:].T, design, out=z[:, rows])
+                else:
+                    y_target(rows, work, y_fit)
+                forcing = _columns(phi, rows)
+                if sigma != 0.0:        # skipped at 0, as the step skips b
+                    out = work.forcing
+                    forcing = np.add(forcing, np.multiply(sigma, z[:, rows], out=out), out=out)
+                _, f_c, resid, iterations, fallbacks = _implicit_step(
+                    y_fit, forcing, theta_i * dt, lam_i, driver, b, work)
+                excursion = None
                 if self.box:
-                    excursion = np.maximum(y.max(axis=1), lower - y.min(axis=1))
-                    if self.mc:
+                    excursion = np.maximum(y_c.max(axis=1), lower - y_c.min(axis=1))
+                    if mc:
                         lo, hi = lower - self.clamp_margin, self.clamp_margin
-                        out = moved[:, cols]
-                        np.logical_or(np.less(y, lo, out=out),
-                                      np.greater(y, hi, out=above[:, cols]), out=out)
-                        np.clip(y, lo, hi, out=y)
-                        if out.any():
-                            f_i[:, cols][out], work.fprime[:, cols][out] = \
-                                driver.f_fprime(y[out])
-                return excursion, y.min(axis=1), y.max(axis=1)
+                        moved = work.active
+                        np.logical_or(np.less(y_c, lo, out=moved),
+                                      np.greater(y_c, hi, out=work.above), out=moved)
+                        np.clip(y_c, lo, hi, out=y_c)
+                        if moved.any():
+                            f_c[moved], work.fprime[moved] = driver.f_fprime(y_c[moved])
+                return (resid, iterations, fallbacks, excursion) + finish(work, lam_i)
 
-            excursions, mins, maxs = zip(*blocks.run(box_and_extremes))
+            resid, iterations, fallbacks, excursion, *ends = zip(*tasks.run(step))
+            # maxima over the chunks; np.maximum keeps a NaN residual
+            np.maximum(self.residual_max, reduce(np.maximum, resid), out=self.residual_max)
+            iterations = reduce(np.maximum, iterations)
+            self.newton_iterations += iterations
+            np.maximum(self.newton_max_per_node, iterations, out=self.newton_max_per_node)
+            self.bisection_entries += reduce(np.add, fallbacks)
             if self.box:
-                np.maximum(self.box_excursion_raw, reduce(np.maximum, excursions),
+                np.maximum(self.box_excursion_raw, reduce(np.maximum, excursion),
                            out=self.box_excursion_raw)
-            np.minimum(self.y_min, reduce(np.minimum, mins), out=self.y_min)
-            np.maximum(self.y_max, reduce(np.maximum, maxs), out=self.y_max)
-            yield SweepNode(i, y_i, f_i, z_i, fit)
-            y_next = y_i
-        self.y0_mean = y_next.mean(axis=1)
+            slope = self._merge_ends(*ends)
+            yield SweepNode(i, y, f, z, fit)
+        self.y0_mean = y.mean(axis=1)
 
-    def _extremes(self, y: np.ndarray) -> None:
-        np.minimum(self.y_min, y.min(axis=1), out=self.y_min)
-        np.maximum(self.y_max, y.max(axis=1), out=self.y_max)
+    def _merge_ends(self, mins, maxs, slopes):
+        """Folds the chunks' extremes into ``y_min`` and ``y_max``; returns the
+        largest of their ``slopes`` (None without)."""
+        np.minimum(self.y_min, reduce(np.minimum, mins), out=self.y_min)
+        np.maximum(self.y_max, reduce(np.maximum, maxs), out=self.y_max)
+        return None if slopes[0] is None else reduce(np.maximum, slopes)
 
     def solution(self, k: int, y: np.ndarray, z: Optional[np.ndarray]) -> SolutionEstimate:
         """Level ``k``'s ``SolutionEstimate`` around the given arrays, with its diagnostics."""

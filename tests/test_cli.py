@@ -542,3 +542,36 @@ class TestParamTable:
         out = tmp_path / "readme"
         assert run(["run", "from-config", "--config", str(cfg), "--out", str(out)]) == 0
         assert "status: converged" in (out / "report.txt").read_text()
+
+
+class TestSolutionSd:
+    """``Y_sd`` in solution.csv is formed node by node, not by ``std(axis=1)``
+    over an (N, M) temporary: the same bytes."""
+
+    @staticmethod
+    def _whole_array_rows(grid, y, z, last_column=None):
+        n = len(grid.points)
+        y_nodes = cli.by_node(y)
+        z_mean = np.zeros(n)
+        if z is not None and np.size(z):
+            z_mean = cli.by_node(z).mean(axis=1)[np.minimum(np.arange(n), np.shape(z)[-1] - 1)]
+        last = [""] * n if last_column is None else last_column
+        return list(zip(grid.points, y_nodes.mean(axis=1), y_nodes.std(axis=1), z_mean, last))
+
+    def test_mc_solution_csv_bytes_unchanged(self, tmp_path, monkeypatch):
+        args = ["run", "nonlinear_exp", "--mode", "mc", "--out"]
+        assert run(args + [str(tmp_path / "by_node")]) == 0
+        monkeypatch.setattr(cli, "_solution_rows", self._whole_array_rows)
+        assert run(args + [str(tmp_path / "whole")]) == 0
+        got = (tmp_path / "by_node" / "solution.csv").read_bytes()
+        assert got == (tmp_path / "whole" / "solution.csv").read_bytes()
+
+    @pytest.mark.parametrize("shape", [(21, 200_000), (31, 20_000)])
+    def test_node_sd_is_the_row_sd(self, shape):
+        # the (M, N) layout of a scheme's top level, whose nodes are contiguous rows
+        from bsdelab import IntensityModel, level_grid
+        y = np.ascontiguousarray(np.random.default_rng(3).normal(-0.4, 0.1, shape)).T
+        grid = level_grid(IntensityModel.power_gap(1.0, 1.0), shape[0], 64.0)
+        rows = cli._solution_rows(grid, y, None)
+        assert len(rows) == shape[0]
+        assert np.array([r[2] for r in rows]).tobytes() == cli.by_node(y).std(axis=1).tobytes()

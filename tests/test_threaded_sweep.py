@@ -1,12 +1,13 @@
 """The threaded Monte Carlo sweep against the one-worker sweep: the same
 ``SchemeReport``, the same bits at every node, the same errors, a pool capped at
-one thread per path block and shut down however the sweep ends, and the memory
-a warm node allocates."""
+one thread per path chunk and shut down however the sweep ends, chunks that
+other workers take while one is held, and the memory a sweep holds."""
 
 import sys
 import threading
 import tracemalloc
 from concurrent.futures import Future
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from bsdelab.errors import BasisDegenerate, NumericsError
 from test_backward_sweep import _arctan_problem
 from test_streaming_scheme import _markovian, _problem, assert_matches_stored
 
-BLOCK = 4096        # a 20000-path bundle spans four blocks of this size
+BLOCK = 4096        # a 20000-path bundle spans four chunks of this size
 WORKERS = (1, 2, 3)
 
 
@@ -39,8 +40,13 @@ def _fields(report):
     return stored
 
 
-def _blocks_of(sweep):
-    return lipschitz_solver._block_columns(sweep.m_paths, sweep.workers)
+def _chunks_of(sweep):
+    return lipschitz_solver._chunks(sweep.m_paths, sweep.basis.degree + 1)
+
+
+def _first_column(view):
+    """The column of its whole (L, M) array at which a chunk's view starts."""
+    return (view.ctypes.data - view.base.ctypes.data) // view.itemsize
 
 
 def _run_reports(prob, grid, bundle, schedule, **config):
@@ -95,7 +101,9 @@ def test_sweep_nodes_bit_identical_with_bisection_in_several_blocks(small_blocks
     bisect, columns = lipschitz_solver._bisect_failures, set()
 
     def recorded(y, y_next, forcing, dt, lam, driver, b, work, resid):
-        columns.update(np.nonzero(~(work.scratch < lipschitz_solver.NEWTON_TOL))[1])
+        # ``y`` is a chunk's view of the node's values: its columns start there
+        bad = np.nonzero(~(work.scratch < lipschitz_solver.NEWTON_TOL))[1]
+        columns.update(_first_column(y) + bad)
         return bisect(y, y_next, forcing, dt, lam, driver, b, work, resid)
 
     monkeypatch.setattr(lipschitz_solver, "_bisect_failures", recorded)
@@ -106,10 +114,10 @@ def test_sweep_nodes_bit_identical_with_bisection_in_several_blocks(small_blocks
         runs[workers] = _node_bits(sweep)
         assert sweep.bisection_entries.sum() > 0
         if workers == 3:
-            cols = _blocks_of(sweep)
-            assert len(cols) == 3
+            cols = _chunks_of(sweep)
+            assert len(cols) == 4
             hit = [c for c in cols if any(c.start <= m < c.stop for m in columns)]
-            assert len(hit) >= 2, "bisection no longer spans several blocks"
+            assert len(hit) >= 2, "bisection no longer spans several chunks"
     for workers in WORKERS[1:]:
         assert runs[workers] == runs[1]
 
@@ -166,8 +174,9 @@ def _non_monotone_driver():
 
 
 def test_converged_block_last_iterate_is_checked(small_blocks):
-    # block 0 converges in one pass onto f' = -5, where 1 + dt lam f' = -4;
-    # the whole state checks that iterate on the passes block 1 still runs
+    # chunk 0 converges in one pass onto f' = -5, where 1 + dt lam f' = -4;
+    # the whole state checks that iterate on the passes chunk 1 still runs,
+    # and each chunk checks its last iterate
     m = 2 * BLOCK
     y_next = np.where(np.arange(m) < BLOCK, 2.0, 10.0)[None, :]
     forcing = np.where(np.arange(m) < BLOCK, 2.0, 0.0)[None, :]
@@ -176,14 +185,19 @@ def test_converged_block_last_iterate_is_checked(small_blocks):
     with pytest.raises(NumericsError) as serial:
         lipschitz_solver._implicit_step(y_next, forcing, 1.0, lam, driver, 0.0, work)
     assert "= -4 <= 0" in str(serial.value)
-    blocks = lipschitz_solver._PathBlocks(m, 2, work)
+
+    def step(rows, scratch):
+        return lipschitz_solver._implicit_step(
+            y_next[:, rows], forcing[:, rows], 1.0, lam, driver, 0.0,
+            lipschitz_solver._NewtonWorkspace((1, rows.stop - rows.start)))
+
+    tasks = lipschitz_solver._ChunkQueue(lipschitz_solver._chunks(m), 2, lambda: None)
     try:
-        assert len(blocks.cols) == 2
+        assert len(tasks.chunks) == 2
         with pytest.raises(NumericsError) as threaded:
-            lipschitz_solver._implicit_step(y_next, forcing, 1.0, lam, driver, 0.0, work,
-                                            blocks)
+            tasks.run(step)
     finally:
-        blocks.close()
+        tasks.close()
     assert str(threaded.value) == str(serial.value)
 
 
@@ -298,10 +312,11 @@ def test_workers_must_be_positive(power1):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_warm_mc_node_allocates_at_most_half_a_state(monkeypatch, workers):
-    # the node shape of the MC defaults, eight levels of 20000 paths, with the
-    # BMO quantiles: the design, Q and the QR live in per-sweep buffers, where
-    # a node used to allocate all three (1.5 states); what is left is phi and
-    # the driver clip's masks (0.38 states at one worker, 0.26 at two)
+    # the node shape of the MC defaults, eight levels of 20000 paths in two
+    # chunks, with the BMO quantiles: Q and the chunks' designs and QRs live
+    # in per-sweep buffers, where a node used to allocate all three (1.5
+    # states); what is left is phi and the driver clip's masks (0.19 states at
+    # one worker, 0.20 at two)
     monkeypatch.setattr(lipschitz_solver, "SWEEP_BLOCK", 10_000)
     power1 = bl.IntensityModel.power_gap(1.0, 1.0)
     grid = bl.make_grid(power1, 41, mass_cap=10.0)
@@ -316,7 +331,7 @@ def test_warm_mc_node_allocates_at_most_half_a_state(monkeypatch, workers):
     try:
         for _ in range(4):
             next(nodes)
-        assert len(_blocks_of(sweep)) == workers
+        assert len(_chunks_of(sweep)) == 2
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -328,3 +343,118 @@ def test_warm_mc_node_allocates_at_most_half_a_state(monkeypatch, workers):
         nodes.close()
     state = len(caps) * 20_000 * 8
     assert peak <= 0.5 * state
+
+
+def test_held_chunk_leaves_the_other_chunks_to_the_other_worker(power1, small_blocks,
+                                                                monkeypatch):
+    # the sweep's first implicit step waits until the node's three other chunks
+    # are stepped: the pool's other thread takes them from the queue, and the
+    # nodes keep the bits of one worker
+    grid = bl.make_grid(power1, 11, mass_cap=10.0)
+    prob = _markovian(power1)
+    clipped = bl.truncate(prob.driver, 1.0, 1.0)
+    bundle = bl.simulate_paths(grid, 1, 20_000, seed=11)
+
+    def bits(workers):
+        return _node_bits(lipschitz_solver.NodeSweep(
+            prob, grid, [2.0, 8.0], bundle=bundle, driver_override=clipped, theta=0.5,
+            workers=workers, level_quantiles=(0.005, 0.995)))
+
+    want = bits(1)
+    step, lock = lipschitz_solver._implicit_step, threading.Lock()
+    threads, done, others_done, released = [], [], threading.Event(), []
+
+    def held(*args):
+        with lock:
+            k = len(threads)
+            threads.append(threading.get_ident())
+        if k == 0:
+            released.append(others_done.wait(timeout=30))
+        out = step(*args)
+        with lock:
+            done.append(k)
+            if sorted(done) == [1, 2, 3]:
+                others_done.set()
+        return out
+
+    monkeypatch.setattr(lipschitz_solver, "_implicit_step", held)
+    got = bits(2)
+    assert released == [True], "the other chunks waited for the held one"
+    assert len(set(threads[1:4])) == 1 and threads[1] != threads[0]
+    assert got == want
+
+
+def test_sweep_holds_chunk_scratch_not_whole_state_buffers(power1):
+    # two levels of 4 SWEEP_BLOCK paths, four chunks on two workers.  Past the
+    # top level's (N, M) Y and (N - 1, M) Z, counted in (L, M) states, L = 2
+    # and K = 4 columns of the cubic design:
+    # - NodeSweep: y, f, f' and Z (4), Q (K / L = 2) and the level's copy for
+    #   the quantiles (1 / L): 6.5;
+    # - each worker's chunk scratch, a quarter of the paths: the residual,
+    #   deriv, scratch and forcing rows, the 2L targets and the (c, K) QR,
+    #   (6 + K / L) / 4 = 2, and two bool masks, 1 / 16: 4.125 for two;
+    # - run_scheme: the level differences' scratch (1), the per-path gaps and
+    #   their standard error's temporary (1 / L each), the BMO fold's tail and
+    #   the tail kept at its maximum (1 / L each): 2.5;
+    # - phi at the node and at the right node, one float per path each: 1.
+    # That is 14.1 states; the bound allows 15.  Whole-state Newton buffers,
+    # targets, design and QR buffers put the same run at 20.4.
+    grid = bl.make_grid(power1, 21, mass_cap=10.0)
+    prob = _problem(power1, bl.CoefficientProcess.constant(1.0, 1.0))
+    m = 4 * lipschitz_solver.SWEEP_BLOCK
+    bundle = bl.simulate_paths(grid, 1, m, seed=7)
+    config = bl.SchemeConfig(mode="mc", tol=1.0, bundle=bundle, workers=2)
+    bl.run_scheme(prob, grid, [2.0, 4.0], config=config)       # loads scipy.linalg
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        bl.run_scheme(prob, grid, [2.0, 4.0], config=config)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    top = (2 * grid.n_points - 1) * m * 8
+    state = 2 * m * 8
+    assert peak - top <= 15 * state
+
+
+def test_counters_and_errors_do_not_depend_on_chunking(monkeypatch):
+    # one, two and four chunks: on the same step inputs, the chunks' Newton and
+    # bisection counters, merged in chunk order, are the whole state's (a
+    # sweep's inputs move with the chunks only by the TSQR's rounding), and
+    # the non-monotone sweep raises the same error
+    driver = _arctan_problem()[0].effective_driver()
+    rng = np.random.default_rng(5)
+    m = 20_000
+    y_next, forcing = rng.uniform(-5.0, 5.0, (2, m)), rng.uniform(-60.0, -40.0, m)
+    lam = np.array([[1.0], [2000.0]])
+    whole = lipschitz_solver._implicit_step(y_next, forcing, 0.1, lam, driver, 0.0,
+                                            lipschitz_solver._NewtonWorkspace((2, m)))
+    assert 0 < whole[3][0] < whole[3][1] and whole[4][1] > 0 == whole[4][0]
+
+    def step(rows, scratch):
+        return lipschitz_solver._implicit_step(
+            y_next[:, rows], forcing[rows], 0.1, lam, driver, 0.0,
+            lipschitz_solver._NewtonWorkspace((2, rows.stop - rows.start)))
+
+    power1 = bl.IntensityModel.power_gap(1.0, 1.0)
+    grid = bl.make_grid(power1, 9, mass_cap=0.5)
+    minus = bl.BsdeProblem(intensity=power1,
+                           coefficient=bl.CoefficientProcess.constant(1.0, 1.0),
+                           sign=bl.MINUS_LAMBDA_Y, terminal=bl.TerminalSpec.constant(1.0))
+    bundle = bl.simulate_paths(grid, 1, m, seed=2)
+    messages = []
+    for block in (m, m // 2, m // 4):
+        monkeypatch.setattr(lipschitz_solver, "SWEEP_BLOCK", block)
+        tasks = lipschitz_solver._ChunkQueue(lipschitz_solver._chunks(m), 2, lambda: None)
+        try:
+            parts = tasks.run(step)
+        finally:
+            tasks.close()
+        assert len(parts) == m // block
+        assert np.array_equal(reduce(np.maximum, [part[3] for part in parts]), whole[3])
+        assert np.array_equal(sum(part[4] for part in parts), whole[4])
+        with pytest.raises(NumericsError, match="not monotone") as err:
+            list(lipschitz_solver.NodeSweep(minus, grid, [2.0, 4.0], bundle=bundle,
+                                            workers=2).nodes())
+        messages.append(str(err.value))
+    assert messages[1] == messages[0] and messages[2] == messages[0]
