@@ -37,7 +37,6 @@ from .diagnostics import (
     EkRed,
     FundamentalMinus,
     OdeFamilyScenario,
-    by_node,
     certify_nonexistence,
     certify_nonuniqueness,
 )
@@ -96,19 +95,16 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _solution_rows(grid, y, z, last_column=None):
+def _solution_rows(grid, y_mean, y_sd, z_mean, last_column=None):
     """One row per grid node: t, the mean and sd of Y, the mean of Z, and
-    ``last_column[i]`` (blank when None)."""
+    ``last_column[i]`` (blank when None).  Nodes past the last Z mean read that
+    one; a one-path solution passes its values as the means and an sd of 0."""
     n = len(grid.points)
-    y_nodes = by_node(y)
-    z_mean = np.zeros(n)
-    if z is not None and np.size(z):     # nodes past the last Z column read that column
-        z_mean = by_node(z).mean(axis=1)[np.minimum(np.arange(n), np.shape(z)[-1] - 1)]
+    z_col = np.zeros(n)
+    if z_mean is not None and np.size(z_mean):
+        z_col = z_mean[np.minimum(np.arange(n), np.size(z_mean) - 1)]
     last = [""] * n if last_column is None else last_column
-    # blocks of nodes: bit for bit ``std(axis=1)``, without its (N, M) temporary
-    step = max(1, (1 << 16) // y_nodes.shape[1])
-    y_sd = np.concatenate([y_nodes[k:k + step].std(axis=1) for k in range(0, n, step)])
-    return list(zip(grid.points, y_nodes.mean(axis=1), y_sd, z_mean, last))
+    return list(zip(grid.points, y_mean, y_sd, z_col, last))
 
 
 def _write_family(cfg: ScenarioConfig, cert, count_label: str) -> None:
@@ -117,7 +113,7 @@ def _write_family(cfg: ScenarioConfig, cert, count_label: str) -> None:
     _write_csv(cfg.out_dir / "solution.csv",
                ["member", "t", "Y_mean", "Y_sd", "Z_mean", "bound_check"],
                [(k, *row) for k, m in enumerate(cert.members)
-                for row in _solution_rows(m.grid, m.y, m.z)])
+                for row in _solution_rows(m.grid, m.y, np.zeros(len(m.y)), m.z)])
     _write_csv(cfg.out_dir / "certificate.csv",
                ["member", "y0", "max_residual"],
                [(k, m.y0, r) for k, (m, r) in
@@ -187,7 +183,7 @@ def _run_affine_plus(cfg: ScenarioConfig) -> int:
         bound = coeff.sup_norm * (grid.horizon - grid.points) - np.abs(sol.y)
         _write_csv(cfg.out_dir / "solution.csv",
                    ["t", "Y_mean", "Y_sd", "Z_mean", "bound_check"],
-                   _solution_rows(grid, sol.y, sol.z, bound))
+                   _solution_rows(grid, sol.y, np.zeros(len(sol.y)), sol.z, bound))
         cfg.say(f"  y_at_0 = {_fmt(float(sol.y[0]))}")
         cfg.say(f"  bound_margin = {_fmt(sol.bound_margin)}")
         return _finish(cfg, "solved", EXIT_OK)
@@ -275,7 +271,8 @@ def _run_nonlinear_exp(cfg: ScenarioConfig) -> int:
     cfg.say(f"  theta_fallback_segments = {final.diagnostics['theta_fallback_segments']}")
     _write_csv(cfg.out_dir / "solution.csv",
                ["t", "Y_mean", "Y_sd", "Z_mean", "residual"],
-               _solution_rows(grid, final.y, final.z, [resid] * len(grid.points)))
+               _solution_rows(grid, final.y, report.y_sd, final.z,
+                              [resid] * len(grid.points)))
     _write_csv(cfg.out_dir / "scheme.csv",
                ["n", "Y0", "cauchy_gap", "monotone_violation",
                 "lambda_f_integral", "bmo_estimate"],
@@ -291,7 +288,7 @@ def _run_nonlinear_exp(cfg: ScenarioConfig) -> int:
     cfg.say(f"  box_excursion_raw = {_fmt(max(report.box_excursion_raw))}")
     cfg.say(f"  cauchy_gaps = {','.join(_fmt(g) for g in report.cauchy_gaps)}")
     cfg.say(f"  final_gap = {_fmt(report.cauchy_gaps[-1])}")
-    cfg.say(f"  y_at_0 = {_fmt(float(np.mean(np.atleast_2d(final.y)[:, 0])))}")
+    cfg.say(f"  y_at_0 = {_fmt(float(final.y[0]))}")
     cfg.say(f"  bmo_estimate = {_fmt(report.bmo_estimate)} "
             f"(bound {_fmt(2.0 * grid.horizon ** 2 * coeff.sup_norm ** 2)})")
     cfg.say(f"  lambda_f_integrals = {','.join(_fmt(v) for v in report.lambda_f_integrals)}")

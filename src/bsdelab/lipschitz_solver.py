@@ -207,8 +207,8 @@ def fit_coefficients(basis: RegressionBasis, w: np.ndarray, target: np.ndarray,
 @dataclass(frozen=True)
 class SolutionEstimate:
     """Backward-solve output.  ``y`` is nodal (N,) in ODE mode, path-nodal (M, N)
-    in regression mode; ``z`` lives on the left nodes (None for a level whose Z
-    a scheme run did not keep)."""
+    in regression mode, and the nodal means (N,) for a scheme's top level;
+    ``z`` lives on the left nodes."""
 
     grid: TimeGrid
     y: np.ndarray
@@ -844,6 +844,8 @@ def comparison_check(sol_low: SolutionEstimate, sol_high: SolutionEstimate,
         raise ValueError("solutions live on different grids")
     if sol_low.pathwise != sol_high.pathwise:
         raise ValueError("solutions come from different modes")
+    if "regression_mc" in (sol_low.mode, sol_high.mode) and not sol_low.pathwise:
+        raise ValueError("the Monte Carlo comparison needs the solutions' paths")
     # deterministic data are one path, whose standard error is 0
     mean, stderr = paired_moments(np.atleast_2d(sol_low.y - sol_high.y), axis=0)
     tol = 3.0 * stderr if tolerance is None else tolerance

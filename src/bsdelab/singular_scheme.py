@@ -88,12 +88,12 @@ def truncate(driver: DriverSpec, coefficient_bound: float, horizon: float) -> Dr
 @dataclass(frozen=True)
 class SchemeReport:
     schedule: tuple
-    solutions: tuple                 # SolutionEstimate of the top level
     cauchy_gaps: tuple               # sup-norm gaps on [0, t_cap] between consecutive levels
     monotone_violation: float        # worst ordering violation across consecutive levels
     bounds_ok: bool
     box_violation: float
-    final: SolutionEstimate          # the top level
+    final: SolutionEstimate          # the top level: per-node means of Y and Z
+    y_sd: np.ndarray                 # per node: sd of the top level's Y over the paths
     converged: bool
     tolerance: float
     bmo_estimate: float
@@ -128,8 +128,9 @@ def run_scheme(problem: BsdeProblem, grid: TimeGrid, schedule: Sequence[float],
     The certificates are folded into the backward sweep node by node: the
     ordering of consecutive levels, their sup gaps on [0, t_cap], the driver mass
     integrands, and in Monte Carlo mode the BMO tail of the top level, fitted
-    on the regression the sweep factored at each node.  Full (M, N) arrays are
-    kept for the top level only: it is the report's ``final`` answer.  The
+    on the regression the sweep factored at each node.  The top level, the
+    report's ``final`` answer, is folded the same way into its per-node mean
+    and sd of Y and mean of Z; its paths are ``NodeSweep.nodes()``'s.  The
     sweep runs the theta-step at ``SCHEME_THETA``, which needs ``z_slope`` = 0.
 
     A nonzero terminal value is a certified failure (``NoSolution``); schedule
@@ -168,8 +169,8 @@ def run_scheme(problem: BsdeProblem, grid: TimeGrid, schedule: Sequence[float],
     excess = np.full(n_levels - 1, -np.inf)    # worst ordering excess per level pair
     gap = np.zeros((n_levels - 1, m_paths))    # per-path sup |Y^k - Y^(k+1)| on [0, t_cap]
     mean_abs_f = np.empty((n_pts, n_levels))
-    y_top = np.empty((n_pts, m_paths))         # the top level
-    z_top = np.zeros((n_pts - 1, m_paths))
+    y_mean, y_sd = np.empty(n_pts), np.empty(n_pts)     # the top level's moments
+    z_mean = np.zeros(n_pts - 1)
     bmo = _BmoFold(sweep.basis)               # stays at 0 in ODE mode
     # per-sweep scratch: the paired level differences, then |f|
     scratch = np.empty((n_levels, m_paths))
@@ -185,18 +186,16 @@ def run_scheme(problem: BsdeProblem, grid: TimeGrid, schedule: Sequence[float],
         if i <= grid.cap_index:
             np.maximum(gap, np.abs(diff, out=diff), out=gap)
         mean_abs_f[i] = _mean_abs(node.f, out=scratch)
-        y_top[i] = node.y[-1]
+        # a contiguous row sums as ``np.mean`` sums a node of ``by_node``
+        y_mean[i], y_sd[i] = node.y[-1].mean(), node.y[-1].std()
         if node.z is not None:
-            z_top[i] = node.z[-1]
+            z_mean[i] = node.z[-1].mean()
             if mc:
                 bmo.add(bundle.levels[:, i, 0], node.z[-1], dts[i], node.fit)
 
     # RMS over the paths; with one path sqrt(g^2) is g exactly
     gaps = tuple(float(math.sqrt(np.mean(g ** 2))) for g in gap)
-    ys, zs = y_top.T, z_top.T                     # (M, N) and (M, N - 1)
-    if not mc:
-        ys, zs = ys[0], zs[0]
-    final = sweep.solution(n_levels - 1, ys, zs)
+    final = sweep.solution(n_levels - 1, y_mean, z_mean)
     bmo_value, bmo_stderr = bmo.value, bmo.stderr
     mono = max(float(np.max(excess)), 0.0)
     box_slack = BOX_SLACK_ODE if config.mode == "ode" else config.clamp_margin + 1e-12
@@ -212,9 +211,9 @@ def run_scheme(problem: BsdeProblem, grid: TimeGrid, schedule: Sequence[float],
         return tuple(float(v) for v in values)
 
     return SchemeReport(
-        schedule=tuple(schedule), solutions=(final,),
+        schedule=tuple(schedule),
         cauchy_gaps=gaps, monotone_violation=mono, bounds_ok=bounds_ok,
-        box_violation=box_viol, final=final, converged=converged,
+        box_violation=box_viol, final=final, y_sd=y_sd, converged=converged,
         tolerance=config.tol, bmo_estimate=bmo_value, bmo_stderr=bmo_stderr,
         lambda_f_integrals=masses,
         y0=per_level(sweep.y0_mean), residual_max=per_level(sweep.residual_max),
@@ -280,7 +279,8 @@ class _BmoFold:
         if self._argmax is None:
             return 0.0
         w, tail, coef, x_max = self._argmax
-        design = np.ascontiguousarray(self.basis.design(w))
+        # in C order, as the estimates are pinned to the row-major layout
+        design = self.basis.design(w, out=np.empty((len(w), len(coef))))
         resid = tail - design @ coef
         sigma2 = float(resid @ resid) / max(len(tail) - design.shape[1], 1)
         gram_inv = np.linalg.pinv(design.T @ design)
@@ -298,6 +298,8 @@ def estimate_bmo(sol: SolutionEstimate, bundle: Optional[PathBundle],
     """
     if sol.mode == "ode_exact":
         return BmoEstimate(0.0, 0.0)
+    if not sol.pathwise:
+        raise ValueError("the Monte Carlo estimate needs the solution's paths")
     if bundle is None:
         raise ValueError("the Monte Carlo estimate needs the path bundle")
     fold = _BmoFold(basis or RegressionBasis.polynomial(3))
@@ -330,6 +332,8 @@ def estimate_lambda_f_integral(sol: SolutionEstimate,
 
     The level is ``level``, else the solution's own ``lambda_cap``; a singular
     intensity without either raises ``ValueError`` (its mass is infinite)."""
+    if sol.mode == "regression_mc" and not sol.pathwise:
+        raise ValueError("the Monte Carlo estimate needs the solution's paths")
     cap = level if level is not None else sol.lambda_cap
     if cap is None and sol.problem.intensity.is_singular:
         raise ValueError("a singular intensity needs a truncation level")

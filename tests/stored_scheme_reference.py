@@ -39,6 +39,17 @@ def scheme_sweep(problem, grid, caps, **kwargs):
     return [sweep.solution(k, y[:, k, 0], z[:, k, 0]) for k in range(n_levels)]
 
 
+def node_moments(sol):
+    """Per-node mean and sd of Y and mean of Z of a stored solution, each node
+    reduced as its own contiguous row, as ``run_scheme`` folds its top level;
+    a one-path solution is its own mean, with sd 0."""
+    if not sol.pathwise:
+        return sol.y, np.zeros(len(sol.y)), sol.z
+    y_rows, z_rows = np.ascontiguousarray(sol.y.T), np.ascontiguousarray(sol.z.T)
+    return (np.array([row.mean() for row in y_rows]), np.array([row.std() for row in y_rows]),
+            np.array([row.mean() for row in z_rows]))
+
+
 def sup_gap(a, b, upto):
     if a.pathwise:
         d = np.abs(a.y[:, :upto + 1] - b.y[:, :upto + 1])
@@ -93,7 +104,7 @@ def estimate_lambda_f_integral(sol):
 
 def run_scheme(problem, grid, schedule, t0=None, config=None):
     """Every level stored, then read back.  Returns a dict with the fields of
-    ``SchemeReport`` (``solutions`` holds every level)."""
+    ``SchemeReport``, ``final`` with its paths, and ``solutions``: every level."""
     config = config or SchemeConfig()
     schedule = [float(n) for n in schedule]
     t0 = grid.t_cap if t0 is None else t0
@@ -116,7 +127,8 @@ def run_scheme(problem, grid, schedule, t0=None, config=None):
     return dict(
         schedule=tuple(schedule), solutions=tuple(solutions), t0=float(t0),
         cauchy_gaps=gaps, monotone_violation=mono, bounds_ok=box_viol <= box_slack,
-        box_violation=box_viol, final=solutions[-1], converged=gaps[-1] < config.tol,
+        box_violation=box_viol, final=solutions[-1], y_sd=node_moments(solutions[-1])[1],
+        converged=gaps[-1] < config.tol,
         tolerance=config.tol, bmo_estimate=bmo_value, bmo_stderr=bmo_stderr,
         lambda_f_integrals=tuple(estimate_lambda_f_integral(s) for s in solutions),
         y0=tuple(float(np.mean(np.atleast_2d(s.y)[:, 0])) for s in solutions),

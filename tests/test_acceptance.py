@@ -145,7 +145,7 @@ def test_criterion_06_identity_cross_check(power1):
                            config=bl.SchemeConfig(tol=1e-3))
     cap = grid.cap_index
     closed = -(1.0 - grid.points) / 2.0
-    err = float(np.max(np.abs(report.solutions[-1].y[:cap + 1] - closed[:cap + 1])))
+    err = float(np.max(np.abs(report.final.y[:cap + 1] - closed[:cap + 1])))
     ok = err <= 1e-4
     gate("6 identity cross-check", ok,
          f"sup|Y^256 - closed form| on [0, t_cap] = {err:.3e} (tol 1e-4)")
@@ -207,7 +207,7 @@ def test_criterion_09_driver_mass_bound(power1):
             sign=bl.NONLINEAR_PLUS, driver=driver)
         report = bl.run_scheme(prob, grid, [2 ** k for k in range(1, 9)],
                                config=bl.SchemeConfig(tol=1e-3))
-        y0 = abs(float(np.atleast_1d(report.solutions[-1].y)[0]))
+        y0 = abs(float(report.final.y[0]))
         cap = y0 + 1.0 * 1.0 + 0.05
         worst = max(report.lambda_f_integrals)
         results.append((driver.name, worst, cap, worst <= cap))

@@ -84,20 +84,23 @@ def test_mc_levels_match_reference(markovian_case):
 
 
 def test_scheme_level_equals_lone_solve(markovian_case):
-    # run_scheme keeps the paths of its top level only; the first level's are
-    # read from the stored-array reference, which runs the same sweep; the lone
-    # solve runs the scheme's theta-step too
+    # run_scheme keeps the moments of its top level only; the levels' paths
+    # are read from the stored-array reference, which runs the same sweep; the
+    # lone solve runs the scheme's theta-step too
     prob, grid, bundle, clipped, schedule = markovian_case
     config = bl.SchemeConfig(mode="mc", tol=1.0, bundle=bundle)
     report = bl.run_scheme(prob, grid, schedule, config=config)
     stored = stored_scheme_reference.run_scheme(prob, grid, schedule, config=config)
-    for k, level in ((0, stored["solutions"][0]), (len(schedule) - 1, report.solutions[-1])):
+    for k in (0, len(schedule) - 1):
+        level = stored["solutions"][k]
         lone = stored_scheme_reference.scheme_sweep(prob, grid, [schedule[k]], bundle=bundle,
                                                     driver_override=clipped)[0]
         assert level.lambda_cap == schedule[k]
         assert np.max(np.abs(level.y - lone.y)) <= 1e-12
         assert np.max(np.abs(level.z - lone.z)) <= 1e-12
         assert abs(report.y0[k] - lone.diagnostics["y0_mean"]) <= 1e-12
+    assert report.final.lambda_cap == schedule[-1]
+    assert np.max(np.abs(report.final.y - lone.nodal_mean())) <= 1e-12
 
 
 def test_levels_are_views_of_one_buffer(markovian_case):
@@ -193,10 +196,9 @@ def test_mc_diagnostics_carry_the_regression_condition_range(markovian_case):
         bundle = bl.simulate_paths(grid, 1, 20_000, seed=3, workers=workers)
         report = bl.run_scheme(prob, grid, schedule,
                                config=bl.SchemeConfig(mode="mc", bundle=bundle, tol=1.0))
-        for sol in (*report.solutions, report.final):
-            cond_min = sol.diagnostics["regression_cond_min"]
-            cond_max = sol.diagnostics["regression_cond_max"]
-            assert 1.0 <= cond_min <= cond_max < lipschitz_solver._COND_LIMIT
+        cond_min = report.final.diagnostics["regression_cond_min"]
+        cond_max = report.final.diagnostics["regression_cond_max"]
+        assert 1.0 <= cond_min <= cond_max < lipschitz_solver._COND_LIMIT
         diagnostics.append(report.final.diagnostics)
     assert diagnostics[0] == diagnostics[1]
     # the range bounds every node's fit, whose condition the fit carries

@@ -545,33 +545,38 @@ class TestParamTable:
 
 
 class TestSolutionSd:
-    """``Y_sd`` in solution.csv is formed node by node, not by ``std(axis=1)``
-    over an (N, M) temporary: the same bytes."""
-
-    @staticmethod
-    def _whole_array_rows(grid, y, z, last_column=None):
-        n = len(grid.points)
-        y_nodes = cli.by_node(y)
-        z_mean = np.zeros(n)
-        if z is not None and np.size(z):
-            z_mean = cli.by_node(z).mean(axis=1)[np.minimum(np.arange(n), np.shape(z)[-1] - 1)]
-        last = [""] * n if last_column is None else last_column
-        return list(zip(grid.points, y_nodes.mean(axis=1), y_nodes.std(axis=1), z_mean, last))
+    """solution.csv's moments are folded node by node during the sweep: the
+    same bytes as reducing the top level's whole (N, M) paths."""
 
     def test_mc_solution_csv_bytes_unchanged(self, tmp_path, monkeypatch):
-        args = ["run", "nonlinear_exp", "--mode", "mc", "--out"]
-        assert run(args + [str(tmp_path / "by_node")]) == 0
-        monkeypatch.setattr(cli, "_solution_rows", self._whole_array_rows)
-        assert run(args + [str(tmp_path / "whole")]) == 0
-        got = (tmp_path / "by_node" / "solution.csv").read_bytes()
-        assert got == (tmp_path / "whole" / "solution.csv").read_bytes()
+        from bsdelab import lipschitz_solver, singular_scheme
+        ys, zs = {}, {}
+
+        class Recording(lipschitz_solver.NodeSweep):
+            def nodes(self):
+                for node in super().nodes():
+                    ys[node.index] = node.y[-1].copy()
+                    if node.z is not None:
+                        zs[node.index] = node.z[-1].copy()
+                    yield node
+
+        monkeypatch.setattr(singular_scheme, "NodeSweep", Recording)
+        assert run(["run", "nonlinear_exp", "--mode", "mc", "--out", str(tmp_path)]) == 0
+        y = np.array([ys[i] for i in sorted(ys)])           # (N, M)
+        z = np.array([zs[i] for i in sorted(zs)])           # (N - 1, M)
+        z_mean = z.mean(axis=1)[np.minimum(np.arange(len(y)), len(z) - 1)]
+        with open(tmp_path / "solution.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == len(y) == len(z) + 1
+        want = zip(y.mean(axis=1), y.std(axis=1), z_mean)
+        assert [row[1:4] for row in rows] == [[cli._fmt(v) for v in w] for w in want]
 
     @pytest.mark.parametrize("shape", [(21, 200_000), (31, 20_000)])
     def test_node_sd_is_the_row_sd(self, shape):
-        # the (M, N) layout of a scheme's top level, whose nodes are contiguous rows
-        from bsdelab import IntensityModel, level_grid
+        # run_scheme reduces each node of a top level as its own contiguous
+        # row: bit for bit the moments of ``std(axis=1)`` over all nodes
+        from bsdelab.diagnostics import by_node
         y = np.ascontiguousarray(np.random.default_rng(3).normal(-0.4, 0.1, shape)).T
-        grid = level_grid(IntensityModel.power_gap(1.0, 1.0), shape[0], 64.0)
-        rows = cli._solution_rows(grid, y, None)
-        assert len(rows) == shape[0]
-        assert np.array([r[2] for r in rows]).tobytes() == cli.by_node(y).std(axis=1).tobytes()
+        nodes = by_node(y)
+        assert np.array([r.std() for r in nodes]).tobytes() == nodes.std(axis=1).tobytes()
+        assert np.array([r.mean() for r in nodes]).tobytes() == nodes.mean(axis=1).tobytes()

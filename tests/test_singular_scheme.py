@@ -108,7 +108,7 @@ class TestRunScheme:
                                config=bl.SchemeConfig(tol=1e-3))
         cap = grid.cap_index
         exact = -(1.0 - grid.points) / 2.0
-        last = report.solutions[-1]
+        last = report.final
         assert np.max(np.abs(last.y[:cap + 1] - exact[:cap + 1])) <= 1e-4
         assert report.monotone_violation <= 1e-10
         assert report.bounds_ok
@@ -130,7 +130,7 @@ class TestRunScheme:
         prob = theorem_problem(power1, bl.DriverSpec.exp_utility(1.0))
         report = bl.run_scheme(prob, grid, [64, 128, 256],
                                config=bl.SchemeConfig(tol=1.0))
-        last = report.solutions[-1]
+        last = report.final
         tail = slice(grid.cap_index - 5, grid.cap_index + 1)
         eps = 1.0 - grid.points[tail]
         assert np.all(np.abs(last.y[tail]) <= eps * 1.0 + 1e-12)
@@ -246,6 +246,28 @@ class TestFunctionals:
         with pytest.raises(ValueError, match="needs a truncation level"):
             bl.estimate_lambda_f_integral(sol)
         assert bl.estimate_lambda_f_integral(sol, level=16.0) > 0.0
+
+    def test_path_functionals_reject_a_scheme_top_level_of_nodal_means(self, power1):
+        # a Monte Carlo report's final holds per-node means, not paths: f of the
+        # mean Y is not the mean of f(Y), there is no Z per path to regress, and
+        # no paired difference whose standard error bounds an ordering
+        grid = bl.make_grid(power1, 21, mass_cap=10.0)
+        bundle = bl.simulate_paths(grid, 1, 2000, seed=19)
+        prob = theorem_problem(power1, bl.DriverSpec.exp_utility(1.0))
+        report = bl.run_scheme(prob, grid, [2.0, 4.0],
+                               config=bl.SchemeConfig(mode="mc", tol=1.0, bundle=bundle))
+        final = report.final
+        assert final.mode == "regression_mc" and final.y.shape == (grid.n_points,)
+        with pytest.raises(ValueError, match="needs the solution's paths"):
+            bl.estimate_bmo(final, bundle)
+        with pytest.raises(ValueError, match="needs the solution's paths"):
+            bl.estimate_lambda_f_integral(final)
+        with pytest.raises(ValueError, match="needs the solution's paths"):
+            bl.estimate_lambda_f_integral(final, level=4.0)
+        ode = bl.run_scheme(prob, grid, [2.0, 4.0], config=bl.SchemeConfig(tol=1.0)).final
+        for pair in ((final, final), (ode, final), (final, ode)):
+            with pytest.raises(ValueError, match="needs the solutions' paths"):
+                bl.comparison_check(*pair)
 
 
 class TestMonotoneViolation:

@@ -16,6 +16,7 @@ import bsdelab as bl
 from bsdelab.cli import _solution_rows
 
 import per_node_reference as ref
+import stored_scheme_reference
 
 
 @pytest.fixture(scope="module")
@@ -97,10 +98,14 @@ def test_residual_check_matches_per_node(case):
 
 
 def test_solution_rows_match_per_node(case):
+    # the rows take per-node moments: a pathwise candidate's are reduced node
+    # by node, as run_scheme folds its top level
     for candidate, _, _ in case:
         last = np.linspace(0.0, 1.0, candidate.grid.n_points)
-        for z, column in ((candidate.z, None), (candidate.z, last), (None, None)):
-            got = _solution_rows(candidate.grid, candidate.y, z, column)
+        y_mean, y_sd, z_mean = stored_scheme_reference.node_moments(candidate)
+        for z, moment, column in ((candidate.z, z_mean, None), (candidate.z, z_mean, last),
+                                  (None, None, None)):
+            got = _solution_rows(candidate.grid, y_mean, y_sd, moment, column)
             want = ref.solution_rows(candidate.grid, candidate.y, z, column)
             assert got == want
 
