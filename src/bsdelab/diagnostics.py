@@ -64,7 +64,10 @@ def residual_check(candidate: Candidate, problem: BsdeProblem,
     whole grid at once: a deterministic candidate is the one row of the
     (rows, nodes) array that a pathwise one fills.  Pathwise candidates
     subtract the Ito term Z dW and report the path-averaged absolute residual.
+    A Monte Carlo scheme's ``final``, its nodal means, is neither.
     """
+    if getattr(candidate, "mode", None) == "regression_mc" and candidate.y.ndim == 1:
+        raise ValueError("the Monte Carlo residual check needs the solution's paths")
     cap = candidate.grid.cap_index
     t = candidate.grid.points[:cap + 1]
     lam_cap = getattr(candidate, "lambda_cap", None)

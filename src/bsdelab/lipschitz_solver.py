@@ -119,7 +119,7 @@ class NodeFit:
             coef = np.zeros((self.width,) + np.shape(partials[0]))
             coef[0] = reduce(np.add, partials) / self.chunks[-1].stop
             return coef
-        from scipy.linalg import solve_triangular      # loaded by _qr_routines
+        from scipy.linalg import solve_triangular      # loaded by _factor
         if self.stack_q is None:
             return solve_triangular(self.r, partials[0])
         return solve_triangular(self.r, self.stack_q.T @ np.concatenate(partials))
@@ -130,38 +130,18 @@ class NodeFit:
                                       target[rows]) for rows in self.chunks])
 
 
-def _qr_routines(a: np.ndarray) -> tuple:
-    """LAPACK's ``geqrf`` and ``orgqr`` for arrays like ``a``.  scipy.linalg is
-    imported here, at a regression's first factorisation, not with the module:
-    it is most of the package's import time, and runs without a regression
-    never load it."""
-    from scipy.linalg import get_lapack_funcs
-    return get_lapack_funcs(("geqrf", "orgqr"), (a,))
-
-
-def _in_place(routine, *args):
-    """A LAPACK ``routine`` run in place on its first argument, with the
-    workspace size its query returns: the calls ``scipy.linalg.qr`` makes."""
-    lwork = routine(*args, lwork=-1, overwrite_a=1)[-2][0].real.astype(np.int_)
-    *out, info = routine(*args, lwork=lwork, overwrite_a=1)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of a LAPACK call")
-    return out[:-1]
-
-
-def _factor(qr: np.ndarray, routines: tuple, q: np.ndarray) -> np.ndarray:
-    """Economic QR of the (rows, K) array in ``qr`` (Fortran order), in place,
-    by the LAPACK ``routines`` of ``_qr_routines(qr)``: returns R and copies Q
-    into ``q``.  The Fortran-ordered array reaches LAPACK without a copy; no
-    finiteness scan: a NaN propagates into R and its SVD."""
-    geqrf, orgqr = routines
-    factored, tau = _in_place(geqrf, qr)
-    r = np.triu(factored[:qr.shape[1]])
-    np.copyto(q, _in_place(orgqr, factored, tau)[0])
+def _factor(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Economic QR of the (rows, K) array ``a``, in place if ``a`` is in Fortran
+    order: returns R and copies Q into the C-ordered rows ``q``.  No finiteness
+    scan: a NaN propagates into R and its SVD.  scipy.linalg, most of the
+    package's import time, loads at a regression's first factorisation."""
+    from scipy.linalg import qr
+    q_a, r = qr(a, overwrite_a=True, mode="economic", check_finite=False)
+    np.copyto(q, q_a)
     return r
 
 
-def _merge(rs: Sequence, node_index: int, routines: tuple) -> tuple:
+def _merge(rs: Sequence, node_index: int) -> tuple:
     """The TSQR's last step: one QR of the chunks' R factors ``rs`` stacked in
     chunk order.  Returns ``(stack_q, r, cond)`` (``stack_q`` None with one
     chunk), ``cond`` the ratio of the singular values of R that the
@@ -169,7 +149,7 @@ def _merge(rs: Sequence, node_index: int, routines: tuple) -> tuple:
     stack_q, r = None, rs[0]
     if len(rs) > 1:
         stack_q = np.empty((len(rs) * r.shape[0], r.shape[0]))
-        r = _factor(np.asfortranarray(np.vstack(rs)), routines, stack_q)
+        r = _factor(np.asfortranarray(np.vstack(rs)), stack_q)
     svals = np.linalg.svd(r, compute_uv=False)
     if svals[-1] <= 0 or svals[0] / svals[-1] > _COND_LIMIT:
         raise BasisDegenerate(node_index,
@@ -191,12 +171,11 @@ def fit_coefficients(basis: RegressionBasis, w: np.ndarray, target: np.ndarray,
     chunks = tuple(_chunks(n_paths, width))
     fit = NodeFit(chunks, width, design=design)
     if not _degenerate_level(w, width, node_index):
-        routines = _qr_routines(design)
         # Q in C order: BLAS sums ``q.T @ target`` in an order set by the layout,
         # and this one matches the C-ordered factor of np.linalg.qr bit for bit
         q = np.empty((n_paths, width))
-        rs = [_factor(np.array(design[rows], order="F"), routines, q[rows]) for rows in chunks]
-        fit = NodeFit(chunks, width, q, *_merge(rs, node_index, routines), design=design)
+        rs = [_factor(np.array(design[rows], order="F"), q[rows]) for rows in chunks]
+        fit = NodeFit(chunks, width, q, *_merge(rs, node_index), design=design)
     return fit.solve(target), fit
 
 
@@ -610,7 +589,7 @@ class NodeSweep:
             levels, increments = self.bundle.levels[:, :, 0], self.bundle.increments[:, :, 0]
             basis, width = self.basis, self.basis.degree + 1
             q = np.empty((self.m_paths, width))         # each chunk's Q_k, in C order
-            routines = _qr_routines(q)                  # scipy.linalg loads here
+            import scipy.linalg     # noqa: F401 -- on this thread, before _factor runs in the pool
             if self.level_quantiles:
                 level_copy, quantiles = np.empty(self.m_paths), np.empty(len(self.level_quantiles))
             # with one chunk, Z is the Z half of its targets, which the fit overwrites
@@ -670,7 +649,7 @@ class NodeSweep:
                     if degenerate:
                         return None, _partial(None, t.T)
                     design = basis.design(w_i[rows], out=work.design)
-                    return _factor(design, routines, q[rows]), _partial(q[rows], t.T)
+                    return _factor(design, q[rows]), _partial(q[rows], t.T)
 
                 def level_quantiles():
                     np.copyto(level_copy, w_i)
@@ -679,7 +658,7 @@ class NodeSweep:
 
                 r_parts, partials = zip(*tasks.run(
                     targets, first=level_quantiles if self.level_quantiles else None))
-                factors = (None,) * 4 if degenerate else (q,) + _merge(r_parts, i, routines)
+                factors = (None,) * 4 if degenerate else (q,) + _merge(r_parts, i)
                 fit = NodeFit(tuple(tasks.chunks), width, *factors,
                               quantiles=quantiles if self.level_quantiles else None)
                 coef = fit.combine(partials)

@@ -155,9 +155,10 @@ def run_scheme(problem: BsdeProblem, grid: TimeGrid, schedule: Sequence[float],
 
     if config.mode not in ("ode", "mc"):
         raise ValueError(f"unknown scheme mode {config.mode!r}")
-    bundle = config.bundle if config.mode == "mc" else None
-    if config.mode == "mc" and bundle is None:
-        raise ValueError("mc mode needs a path bundle")
+    bundle = config.bundle
+    if (bundle is not None) != (config.mode == "mc"):
+        raise ValueError("mc mode needs a path bundle" if bundle is None
+                         else f"a path bundle needs mc mode, not {config.mode!r}")
     # in Monte Carlo mode the sweep's fits carry the BMO fold's quantile range
     sweep = NodeSweep(problem, grid, schedule, bundle=bundle, basis=config.basis,
                       driver_override=clipped, clamp_margin=config.clamp_margin,

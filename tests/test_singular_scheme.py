@@ -181,6 +181,16 @@ class TestRunScheme:
         assert np.max(diff) < 2e-2
         assert rep_mc.bmo_estimate >= 0.0
 
+    def test_bundle_outside_mc_mode_rejected(self, power1):
+        # the paths would be dropped and the run silently deterministic
+        grid = bl.make_grid(power1, 21, mass_cap=10.0)
+        bundle = bl.simulate_paths(grid, 1, 200, seed=3)
+        prob = theorem_problem(power1, bl.DriverSpec.exp_utility(1.0))
+        with pytest.raises(ValueError, match="a path bundle needs mc mode, not 'ode'"):
+            bl.run_scheme(prob, grid, [2, 4], config=bl.SchemeConfig(bundle=bundle))
+        with pytest.raises(ValueError, match="mc mode needs a path bundle"):
+            bl.run_scheme(prob, grid, [2, 4], config=bl.SchemeConfig(mode="mc"))
+
 
 class TestFunctionals:
     def test_bmo_zero_in_ode_mode(self, power1):
@@ -268,6 +278,28 @@ class TestFunctionals:
         for pair in ((final, final), (ode, final), (final, ode)):
             with pytest.raises(ValueError, match="needs the solutions' paths"):
                 bl.comparison_check(*pair)
+
+    @pytest.mark.parametrize("coefficient", ["constant", "markovian"])
+    def test_residual_check_rejects_a_scheme_top_level_of_nodal_means(self, power1,
+                                                                      coefficient):
+        # the means are neither one deterministic path nor the paths of the
+        # Ito term; an ODE top level is one deterministic path and is checked
+        grid = bl.make_grid(power1, 21, mass_cap=10.0)
+        bundle = bl.simulate_paths(grid, 1, 2000, seed=19)
+        phi = bl.CoefficientProcess.constant(1.0, 1.0) if coefficient == "constant" else \
+            bl.CoefficientProcess.markovian(lambda t, w: 1.0 + 0.5 * np.tanh(w) * (1.0 - t),
+                                            1.0, 1.5, nonnegative=True)
+        prob = bl.BsdeProblem(intensity=power1, coefficient=phi, sign=bl.NONLINEAR_PLUS,
+                              driver=bl.DriverSpec.exp_utility(1.0))
+        final = bl.run_scheme(prob, grid, [2.0, 4.0], config=bl.SchemeConfig(
+            mode="mc", tol=1.0, bundle=bundle)).final
+        for given in (None, bundle):
+            with pytest.raises(ValueError, match="needs the solution's paths"):
+                bl.residual_check(final, prob, bundle=given)
+        if coefficient == "constant":
+            ode = bl.run_scheme(prob, grid, [2.0, 4.0], config=bl.SchemeConfig(tol=1.0)).final
+            report = bl.residual_check(ode, prob)
+            assert math.isfinite(report.max_residual) and report.terminal_gap == 0.0
 
 
 class TestMonotoneViolation:

@@ -1,7 +1,8 @@
 """The chunked factorisation of ``fit_coefficients`` and the sweep (a TSQR: a
 QR per path chunk, then one QR of the chunks' stacked R factors) against
-whole-array ``np.linalg.qr`` and a triangular solve, and at one chunk against
-the single economic QR it replaces, bit for bit."""
+whole-array ``np.linalg.qr`` and a triangular solve, at one chunk against the
+single economic QR it replaces, bit for bit, and chunk by chunk against
+``geqrf``/``orgqr`` called in place by hand, bit for bit."""
 
 import math
 
@@ -29,6 +30,25 @@ def chunks(request, monkeypatch):
     return request.param
 
 
+def _in_place(routine, *args):
+    """A LAPACK ``routine`` run in place on its first argument, with the
+    workspace size its query returns."""
+    lwork = routine(*args, lwork=-1, overwrite_a=1)[-2][0].real.astype(np.int_)
+    *out, info = routine(*args, lwork=lwork, overwrite_a=1)
+    assert info == 0
+    return out[:-1]
+
+
+def _lapack_qr(a):
+    """Economic QR of the Fortran-ordered ``a`` by ``geqrf``/``orgqr`` in place:
+    ``(R, Q)``, Q in ``a``'s memory."""
+    geqrf, orgqr = get_lapack_funcs(("geqrf", "orgqr"), (a,))
+    factored, tau = _in_place(geqrf, a)
+    r = np.triu(factored[:a.shape[1]])
+    q, = _in_place(orgqr, factored, tau)
+    return r, q
+
+
 def _single_qr_fit(basis, w, target, node_index=-1):
     """The one economic QR that ``fit_coefficients`` made before the chunks:
     LAPACK ``geqrf``/``orgqr`` in place on the Fortran-ordered design, Q copied
@@ -36,17 +56,7 @@ def _single_qr_fit(basis, w, target, node_index=-1):
     design = basis.design(w)
     qr = np.empty_like(design)
     basis.design(w, out=qr)
-    geqrf, orgqr = get_lapack_funcs(("geqrf", "orgqr"), (qr,))
-
-    def in_place(routine, *args):
-        lwork = routine(*args, lwork=-1, overwrite_a=1)[-2][0].real.astype(np.int_)
-        *out, info = routine(*args, lwork=lwork, overwrite_a=1)
-        assert info == 0
-        return out[:-1]
-
-    factored, tau = in_place(geqrf, qr)
-    r = np.triu(factored[:qr.shape[1]])
-    q, = in_place(orgqr, factored, tau)
+    r, q = _lapack_qr(qr)
     svals = np.linalg.svd(r, compute_uv=False)
     cond = svals[0] / svals[-1]
     if svals[-1] <= 0 or cond > lipschitz_solver._COND_LIMIT:
@@ -139,3 +149,71 @@ def test_sweep_degenerate_node_names_its_index(chunks, monkeypatch):
     with pytest.raises(BasisDegenerate) as err:
         list(sweep.nodes())
     assert err.value.node_index == 4
+
+
+def _lapack_tsqr(design, chunks):
+    """The TSQR of ``design`` over ``chunks`` as hand-called LAPACK made it:
+    ``(q, rs, stack_q, r, cond)`` with Q in C order."""
+    q = np.empty(design.shape)
+    rs = []
+    for rows in chunks:
+        r, q[rows] = _lapack_qr(np.array(design[rows], order="F"))
+        rs.append(r)
+    stack_q, r = None, rs[0]
+    if len(rs) > 1:
+        r, stack_q = _lapack_qr(np.asfortranarray(np.vstack(rs)))
+        stack_q = np.ascontiguousarray(stack_q)
+    svals = np.linalg.svd(r, compute_uv=False)
+    return q, rs, stack_q, r, float(svals[0] / svals[-1])
+
+
+@pytest.mark.parametrize("chunks", CHUNKS, indirect=True)
+@pytest.mark.parametrize("degree", range(6))
+def test_factor_and_merge_match_hand_called_lapack_bit_for_bit(chunks, degree):
+    w, _ = _level_and_target(degree, 1.0)
+    basis = bl.RegressionBasis.polynomial(degree)
+    design = basis.design(w)
+    slices = lipschitz_solver._chunks(M, degree + 1)
+    want_q, want_rs, want_stack_q, want_r, want_cond = _lapack_tsqr(design, slices)
+    q = np.empty(design.shape)
+    rs = []
+    for rows, want in zip(slices, want_rs):
+        chunk = np.array(design[rows], order="F")
+        r = lipschitz_solver._factor(chunk, q[rows])
+        assert r.tobytes() == want.tobytes()
+        assert q[rows].tobytes() == want_q[rows].tobytes()
+        assert np.array_equal(chunk, q[rows])        # factored in place: Q overwrote it
+        rs.append(r)
+    stack_q, r, cond = lipschitz_solver._merge(rs, node_index=3)
+    assert r.tobytes() == want_r.tobytes()
+    assert cond == want_cond
+    assert (stack_q is None) == (want_stack_q is None) == (chunks == 1)
+    if stack_q is not None:
+        assert stack_q.tobytes() == want_stack_q.tobytes()
+    # and as fit_coefficients assembles them
+    _, fit = lipschitz_solver.fit_coefficients(basis, w, np.ones((M, 1)))
+    assert fit.q.tobytes() == want_q.tobytes() and fit.r.tobytes() == want_r.tobytes()
+    assert fit.cond == want_cond
+
+
+@pytest.mark.parametrize("rows", [16_384, 16_667, 20_000])
+def test_factor_matches_hand_called_lapack_at_sweep_chunk_sizes(rows):
+    # the chunk sizes of 16384, 50000 and 200000 paths
+    w = np.random.default_rng(rows).standard_normal(rows)
+    design = bl.RegressionBasis.polynomial(5).design(w)
+    want_r, want_q = _lapack_qr(np.array(design, order="F"))
+    q = np.empty(design.shape)
+    r = lipschitz_solver._factor(np.array(design, order="F"), q)
+    assert r.tobytes() == want_r.tobytes()
+    assert q.tobytes() == np.ascontiguousarray(want_q).tobytes()
+
+
+@pytest.mark.parametrize("chunks", CHUNKS, indirect=True)
+def test_nan_level_fails_the_svd_as_hand_called_lapack_does(chunks):
+    w = np.random.default_rng(5).standard_normal(M)
+    w[M // 3] = np.nan
+    basis = bl.RegressionBasis.polynomial(3)
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        _lapack_tsqr(basis.design(w), lipschitz_solver._chunks(M, 4))
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        lipschitz_solver.fit_coefficients(basis, w, np.ones((M, 1)))
