@@ -275,7 +275,7 @@ def _solve_affine_plus_markovian(problem, grid, bundle, basis):
     mass = model.cumulative(pts[:cap + 1])
     weights = _interval_weights(model, grid)
 
-    levels = bundle.levels[:, :, 0]
+    levels, incs = bundle.levels[:, :, 0], bundle.increments[:, :, 0]
     m_paths = bundle.n_paths
     phi_nodes = coeff.value(pts[:cap + 1], levels[:, :cap + 1])
 
@@ -290,7 +290,7 @@ def _solve_affine_plus_markovian(problem, grid, bundle, basis):
         tail += phi_nodes[:, i] * weights[i]
         dt = pts[i + 1] - pts[i]
         targets = np.column_stack([-math.exp(mass[i]) * tail,
-                                   fitted_next * bundle.increments[:, i, 0] / dt])
+                                   fitted_next * incs[:, i] / dt])
         coef, fit = fit_coefficients(basis, levels[:, i], targets, node_index=i)
         fitted, z[:, i] = (fit.design @ coef).T
         # the representation formula proves |Y| <= sup (T - t): enforce it,

@@ -586,7 +586,7 @@ class NodeSweep:
         sup, b, sigma = problem.coefficient.sup_norm, problem.y_slope, problem.z_slope
         phi = None          # phi at the last node stepped, for the explicit half
         if mc:
-            levels, increments = self.bundle.levels[:, :, 0], self.bundle.increments[:, :, 0]
+            levels = self.bundle.levels[:, :, 0]
             basis, width = self.basis, self.basis.degree + 1
             q = np.empty((self.m_paths, width))         # each chunk's Q_k, in C order
             import scipy.linalg     # noqa: F401 -- on this thread, before _factor runs in the pool
@@ -640,11 +640,13 @@ class NodeSweep:
                 degenerate = _degenerate_level(w_i, width, i)
 
                 def targets(rows, s):
-                    # Y (or the explicit half) and Y dW / dt; the chunk's QR and share
+                    # Y (or the explicit half) and Y dW / dt, with dW = W_{i+1} - W_i
+                    # in a row of the scratch; the chunk's QR and share
                     work = s.work(rows)
-                    t = work.targets
+                    t, dw = work.targets, work.scratch[0]
                     y_target(rows, work, t[:n_levels])
-                    np.multiply(work.y, increments[rows, i], out=t[n_levels:])
+                    np.subtract(levels[rows, i + 1], levels[rows, i], out=dw)
+                    np.multiply(work.y, dw, out=t[n_levels:])
                     np.divide(t[n_levels:], dt, out=t[n_levels:])
                     if degenerate:
                         return None, _partial(None, t.T)

@@ -12,14 +12,17 @@ from __future__ import annotations
 
 import operator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .coefficients import TimeGrid
 from .errors import ResourceLimit
 
-MEMORY_CAP_ELEMENTS = 200_000_000      # ~1.6 GB of float64 per bundle
+# elements of a bundle's one (N, d, M) array, its levels: ~1.6 GB of float64.
+# The cap bounds the whole bundle; a bundle that also held the increments
+# would hold (2N - 1) M d elements, about twice the capped count.
+MEMORY_CAP_ELEMENTS = 200_000_000
 DRAW_BLOCK = 1 << 16      # raw draws per block of paths: cache-sized temporaries
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -30,25 +33,40 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
 
-@dataclass(frozen=True)
 class PathBundle:
-    """Brownian increments and levels for M paths on a grid.
+    """Brownian levels for M paths on a grid, and the increments they sum.
 
-    The library's bundles keep both arrays node-major in memory, (N, d, M),
-    and expose them as (M, N, d) views: ``levels[:, i, j]``, what a backward
-    sweep reads at node i, is contiguous.  Any (M, N, d) arrays serve.
+    The levels are the one array a simulated bundle holds.  The library's
+    bundles keep it node-major in memory, (N, d, M), and expose it as an
+    (M, N, d) view: ``levels[:, i, j]``, what a backward sweep reads at node
+    i, is contiguous.  Any (M, N, d) array serves.
+
+    ``increments``, (M, N - 1, d) with variance the grid gap, is the array
+    passed in, where one is.  A bundle built without one, as
+    ``simulate_paths`` builds it, redraws the increments from ``seed`` on
+    every read: bit for bit the draws its levels sum, in a new (N - 1, d, M)
+    node-major array, at the cost of a second simulation.  A backward sweep
+    takes W_{i+1} - W_i from the levels instead.
     """
 
-    grid: TimeGrid
-    dim: int
-    n_paths: int
-    increments: np.ndarray      # (M, N-1, d), Gaussian with variance = grid gap
-    levels: np.ndarray          # (M, N, d), prefix sums with W_0 = 0
-    seed: int
+    __slots__ = ("grid", "dim", "n_paths", "levels", "seed", "_increments")
+
+    def __init__(self, grid: TimeGrid, dim: int, n_paths: int, levels: np.ndarray,
+                 seed: int, increments: Optional[np.ndarray] = None):
+        self.grid, self.dim, self.n_paths = grid, dim, n_paths
+        self.levels, self.seed, self._increments = levels, seed, increments
 
     @property
     def n_steps(self) -> int:
         return self.grid.n_points - 1
+
+    @property
+    def increments(self) -> np.ndarray:
+        if self._increments is not None:
+            return self._increments
+        node_major = np.empty((self.n_steps, self.dim, self.n_paths))
+        _draw_increments(node_major, self.grid, self.seed)
+        return node_major.transpose(2, 0, 1)
 
 
 def _mulhilo(a: np.ndarray, mul: int) -> tuple:
@@ -90,34 +108,20 @@ def _philox_raw(seed: int, paths: np.ndarray, count: int) -> np.ndarray:
     return words.reshape(len(key1), 4 * n_ctr)[:, :count]
 
 
-def simulate_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int,
-                   workers: int = 1,
-                   memory_cap: int = MEMORY_CAP_ELEMENTS) -> PathBundle:
-    """Simulate ``n_paths`` independent d-dimensional Brownian paths on the grid.
-
-    Deterministic in ``seed``, which must lie in [0, 2^64), and independent of
-    ``workers``. Paths are generated in blocks of about ``DRAW_BLOCK`` draws;
-    the worker count only spreads the blocks over a thread pool.
-    """
-    if n_paths < 1 or dim < 1:
-        raise ValueError("n_paths and dim must be positive")
-    seed = operator.index(seed)
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
-    n_steps = grid.n_points - 1
-    if n_paths * grid.n_points * dim > memory_cap:
-        raise ResourceLimit(
-            f"bundle of {n_paths}x{grid.n_points}x{dim} exceeds the memory cap"
-        )
+def _draw_increments(out: np.ndarray, grid: TimeGrid, seed: int,
+                     workers: int = 1) -> None:
+    """Fill the node-major (N - 1, d, M) ``out`` with the scaled Gaussian
+    increments of the paths' Philox streams, in blocks of about ``DRAW_BLOCK``
+    draws spread over ``min(workers, blocks)`` threads."""
     # imported here, not with the module: scipy.special is most of the
     # package's import time, and only simulation needs it; the import runs in
     # this thread, before the pool below gets a block
     from scipy.special import ndtri
 
-    # node-major memory; ``rows`` is its per-path (M, (N-1) d) view
-    node_major = np.empty((n_steps, dim, n_paths), dtype=np.float64)
+    n_steps, dim, n_paths = out.shape
     count = n_steps * dim
-    rows = node_major.reshape(count, n_paths).T
+    rows = out.reshape(count, n_paths).T          # the per-path (M, (N-1) d) view
+    scale = np.repeat(np.sqrt(grid.gaps), dim)
 
     def fill(block):
         lo, hi = block
@@ -125,6 +129,7 @@ def simulate_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int,
         # strictly inside (0, 1) so ndtri never hits an endpoint
         u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
         ndtri(u, out=rows[lo:hi])
+        rows[lo:hi] *= scale
 
     per_block = max(1, DRAW_BLOCK // count)
     blocks = [(lo, min(lo + per_block, n_paths)) for lo in range(0, n_paths, per_block)]
@@ -136,15 +141,34 @@ def simulate_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int,
         with ThreadPoolExecutor(max_workers=pool_size) as pool:
             list(pool.map(fill, blocks))
 
-    node_major *= np.sqrt(grid.gaps)[:, None, None]
-    # the levels are the prefix sums along the nodes, in the same memory order,
-    # formed one contiguous node row at a time: the additions of ``np.cumsum``
-    # along the nodes, in its order
-    levels = np.empty((n_steps + 1, dim, n_paths), dtype=np.float64)
+
+def simulate_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int,
+                   workers: int = 1,
+                   memory_cap: int = MEMORY_CAP_ELEMENTS) -> PathBundle:
+    """Simulate ``n_paths`` independent d-dimensional Brownian paths on the grid.
+
+    Deterministic in ``seed``, which must lie in [0, 2^64), and independent of
+    ``workers``. Paths are generated in blocks of about ``DRAW_BLOCK`` draws;
+    the worker count only spreads the blocks over a thread pool.  The bundle
+    holds one node-major (N, d, M) array: the increments are drawn into its
+    rows 1 ... N - 1 and summed into levels in place, so the simulation never
+    holds a second one.
+    """
+    if n_paths < 1 or dim < 1:
+        raise ValueError("n_paths and dim must be positive")
+    seed = operator.index(seed)
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    if n_paths * grid.n_points * dim > memory_cap:
+        raise ResourceLimit(
+            f"bundle of {n_paths}x{grid.n_points}x{dim} exceeds the memory cap"
+        )
+    levels = np.empty((grid.n_points, dim, n_paths), dtype=np.float64)
     levels[0] = 0.0
-    levels[1:2] = node_major[:1]
-    for i in range(1, n_steps):
-        np.add(levels[i], node_major[i], out=levels[i + 1])
+    _draw_increments(levels[1:], grid, seed, workers)
+    # the prefix sums along the nodes, one contiguous node row at a time: the
+    # additions of ``np.cumsum`` along the nodes, in its order
+    for i in range(1, grid.n_points - 1):
+        np.add(levels[i], levels[i + 1], out=levels[i + 1])
     return PathBundle(grid=grid, dim=dim, n_paths=n_paths,
-                      increments=node_major.transpose(2, 0, 1),
                       levels=levels.transpose(2, 0, 1), seed=seed)
