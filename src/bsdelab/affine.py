@@ -275,7 +275,7 @@ def _solve_affine_plus_markovian(problem, grid, bundle, basis):
     mass = model.cumulative(pts[:cap + 1])
     weights = _interval_weights(model, grid)
 
-    levels, incs = bundle.levels[:, :, 0], bundle.increments[:, :, 0]
+    levels, incs = (a[:, :, 0] for a in bundle.levels_and_increments())
     m_paths = bundle.n_paths
     phi_nodes = coeff.value(pts[:cap + 1], levels[:, :cap + 1])
 

@@ -77,7 +77,7 @@ def residual_check(candidate: Candidate, problem: BsdeProblem,
     if candidate.y.ndim == 2:
         if bundle is None:
             raise ValueError("pathwise candidates need the path bundle for the Ito term")
-        levels = bundle.levels[:, :, 0]
+        levels, increments = (a[:, :, 0] for a in bundle.levels_and_increments())
     y, z = np.atleast_2d(candidate.y), np.atleast_2d(candidate.z)
     z = z[:, np.minimum(np.arange(cap + 1), z.shape[-1] - 1)]    # Z at each left node
     yc = y[:, :cap + 1]
@@ -87,7 +87,7 @@ def residual_check(candidate: Candidate, problem: BsdeProblem,
     dt = np.diff(t)
     resid = np.diff(yc, axis=1) - 0.5 * (g[:, :-1] + g[:, 1:]) * dt
     if levels is not None:
-        resid = resid - z[:, :-1] * bundle.increments[:, :cap, 0]
+        resid = resid - z[:, :-1] * increments[:, :cap]
     mid = 0.5 * (np.abs(g[:, :-1]) + np.abs(g[:, 1:]))
     terminal = problem.terminal.values(None if levels is None else levels[:, -1])
     return ResidualReport(

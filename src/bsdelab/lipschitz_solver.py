@@ -26,7 +26,7 @@ import numpy as np
 
 from .coefficients import BsdeProblem, DriverSpec, TimeGrid
 from .errors import BasisDegenerate, NumericsError
-from .paths import PathBundle
+from .paths import DrawScratch, LevelStream, PathBundle
 
 NEWTON_TOL = 1e-12
 _COND_LIMIT = 1e10
@@ -357,20 +357,24 @@ def _columns(a, cols: slice):
 
 class _ChunkScratch:
     """One worker's buffers for the chunks it steps, flat, so that each view a
-    chunk takes of them is contiguous.  ``whole`` holds the sweep's f, f' and
-    values."""
+    chunk takes of them is contiguous.  ``whole`` holds the sweep's f and
+    values; f' is chunk scratch, read only by the job that computed it.
+    ``draws`` holds the bridge draws of a drawn bundle (``LevelStream``)."""
 
-    def __init__(self, n_levels: int, rows: int, width: int, whole: dict):
+    def __init__(self, n_levels: int, rows: int, width: int, whole: dict,
+                 draws: bool = False):
         self.n_levels, self.width, self.whole, self._work = n_levels, width, whole, {}
         self.flat = {name: np.empty(n_levels * rows, dtype=bool if name in ("active", "above")
                                     else float)
-                     for name in ("residual", "deriv", "scratch", "forcing", "active", "above")}
+                     for name in ("residual", "deriv", "scratch", "forcing", "fprime",
+                                  "active", "above")}
         self.flat["targets"] = np.empty(2 * n_levels * rows)    # Y and Z, then the fitted Y
         self.flat["qr"] = np.empty(rows * width)        # the QR of the design, then the design
+        self.draws = DrawScratch(1, rows) if draws else None
 
     def work(self, rows: slice) -> _NewtonWorkspace:
         """The workspace of the chunk ``rows``, made once: its columns of the
-        whole f, f' and values, and (L, n) views of this worker's buffers, with
+        whole f and values, and (L, n) views of this worker's buffers, with
         2L rows of ``targets`` and an (n, K) ``design`` in Fortran order."""
         if rows.start not in self._work:
             n, heights = rows.stop - rows.start, {"targets": 2 * self.n_levels, "qr": self.width}
@@ -464,6 +468,8 @@ class SweepNode(NamedTuple):
                                       # node; None at T
     fit: Optional[NodeFit] = None     # the node's regression (Monte Carlo mode),
                                       # until the next node
+    w: Optional[np.ndarray] = None    # (M,) Brownian level (Monte Carlo mode),
+                                      # until the stream's window slides past it
 
 
 class NodeSweep:
@@ -499,13 +505,17 @@ class NodeSweep:
     targets, merged into the node's TSQR (``NodeFit``); then the fitted
     values, the implicit step, the box excursion, the clamp and the extremes.
     Reductions over the chunks are combined in chunk order, so nothing
-    depends on ``workers``.  Only f, f', the values, Z and Q are whole
-    arrays; the rest is per-worker chunk scratch (``_ChunkScratch``).
+    depends on ``workers``.  Only f, the values, Z and Q are whole arrays;
+    the rest is per-worker chunk scratch (``_ChunkScratch``).  The Brownian
+    levels come from a ``LevelStream``: a drawn bundle's bridge group is drawn
+    over the same chunks when the sweep reaches its top node, so the sweep
+    holds ``GROUP`` + 1 levels, not N.  A deterministic coefficient enters
+    as the scalar phi(t_i).
 
     ``nodes()`` yields one ``SweepNode`` per grid index, from T backward; only
-    the current node is held, and its ``y``, ``f``, ``z`` and ``fit`` live in
-    per-sweep buffers until the next node is computed.  Once it is exhausted,
-    ``residual_max``, ``box_excursion_raw``, ``y_min``, ``y_max``,
+    the current node is held, and its ``y``, ``f``, ``z``, ``fit`` and ``w``
+    live in per-sweep buffers until the next node is computed.  Once it is
+    exhausted, ``residual_max``, ``box_excursion_raw``, ``y_min``, ``y_max``,
     ``y0_mean`` and the Newton counters hold one value per level:
     ``newton_iterations`` (summed over nodes), ``newton_max_per_node`` and
     ``bisection_entries`` (entries that fell back to the bracket, summed).
@@ -569,24 +579,38 @@ class NodeSweep:
         width = self.basis.degree + 1 if self.mc else 1
         chunks = _chunks(self.m_paths, width)
         rows = -(-self.m_paths // len(chunks))             # the largest chunk
-        # f and f' at the right node stay in these buffers from step to step, and a
+        # f at the right node stays in its buffer from step to step, and a
         # node's values overwrite the right node's once the first pass read them
-        whole = {name: np.empty((len(self.caps), self.m_paths)) for name in ("y", "f", "fprime")}
+        whole = {name: np.empty((len(self.caps), self.m_paths)) for name in ("y", "f")}
+        draws = self.mc and self.bundle.drawn
         tasks = _ChunkQueue(chunks, self.workers,
-                            lambda: _ChunkScratch(len(self.caps), rows, width, whole))
+                            lambda: _ChunkScratch(len(self.caps), rows, width, whole, draws))
         try:
             yield from self._sweep(tasks, **whole)
         finally:
             tasks.close()
 
-    def _sweep(self, tasks: _ChunkQueue, y, f, fprime):
+    def _sweep(self, tasks: _ChunkQueue, y, f):
         problem, grid, driver, theta = self.problem, self.grid, self.driver, self.theta
-        mc = self.mc
+        mc, coefficient = self.mc, problem.coefficient
         pts, n_levels, shape = grid.points, len(self.caps), (len(self.caps), self.m_paths)
-        sup, b, sigma = problem.coefficient.sup_norm, problem.y_slope, problem.z_slope
-        phi = None          # phi at the last node stepped, for the explicit half
+        sup, b, sigma = coefficient.sup_norm, problem.y_slope, problem.z_slope
+        phi = w_i = None    # phi and the level at the last node stepped
+
+        def phi_at(t, w):
+            # a deterministic coefficient is the scalar phi(t), not one copy per path
+            return np.asarray(coefficient.value(t, w) if coefficient.is_markovian
+                              else coefficient.value(t), dtype=float)
+
         if mc:
-            levels = self.bundle.levels[:, :, 0]
+            stream = LevelStream(self.bundle)
+
+            def level(i):
+                # node i's level, once its bridge group is drawn where it is new
+                if stream.advance(i):
+                    tasks.run(lambda rows, s: stream.draw(rows, s.draws))
+                return stream.level(i)[0]
+
             basis, width = self.basis, self.basis.degree + 1
             q = np.empty((self.m_paths, width))         # each chunk's Q_k, in C order
             import scipy.linalg     # noqa: F401 -- on this thread, before _factor runs in the pool
@@ -595,14 +619,13 @@ class NodeSweep:
             # with one chunk, Z is the Z half of its targets, which the fit overwrites
             z = np.empty(shape) if len(tasks.chunks) > 1 else \
                 tasks.scratches[0].work(tasks.chunks[0]).targets[n_levels:]
-            y[:] = problem.terminal.values(levels[:, -1])
-            if theta < 1:
-                phi = np.asarray(problem.coefficient.value(pts[-1], levels[:, -1]), dtype=float)
+            w_i = level(len(pts) - 1)
+            y[:] = problem.terminal.values(w_i)
         else:
             z = np.zeros(shape)                         # Z vanishes on deterministic data
             y[:] = float(problem.terminal.values())
-            if theta < 1:
-                phi = float(problem.coefficient.value(pts[-1]))
+        if theta < 1:
+            phi = phi_at(pts[-1], w_i)
 
         def finish(work, lam_c):
             # the extremes, and the largest lam f' that the next explicit half reads
@@ -625,7 +648,7 @@ class NodeSweep:
                 np.copyto(out, work.y)
 
         slope = self._merge_ends(*zip(*tasks.run(terminal)))
-        yield SweepNode(len(pts) - 1, y, f)
+        yield SweepNode(len(pts) - 1, y, f, w=w_i)
         for i in range(len(pts) - 2, -1, -1):
             t_i = float(pts[i])
             dt = float(pts[i + 1] - t_i)
@@ -636,7 +659,8 @@ class NodeSweep:
                 self.theta_fallback_segments += 1
             h, phi_next, fit = (1.0 - theta_i) * dt, phi, None
             if mc:
-                w_i = levels[:, i]
+                w_i = level(i)
+                w_next = stream.level(i + 1)[0]
                 degenerate = _degenerate_level(w_i, width, i)
 
                 def targets(rows, s):
@@ -645,7 +669,7 @@ class NodeSweep:
                     work = s.work(rows)
                     t, dw = work.targets, work.scratch[0]
                     y_target(rows, work, t[:n_levels])
-                    np.subtract(levels[rows, i + 1], levels[rows, i], out=dw)
+                    np.subtract(w_next[rows], w_i[rows], out=dw)
                     np.multiply(work.y, dw, out=t[n_levels:])
                     np.divide(t[n_levels:], dt, out=t[n_levels:])
                     if degenerate:
@@ -668,9 +692,7 @@ class NodeSweep:
                     cond = (self.regression_cond_min, self.regression_cond_max)
                     self.regression_cond_min = float(np.fmin(cond[0], fit.cond))
                     self.regression_cond_max = float(np.fmax(cond[1], fit.cond))
-                phi = np.asarray(problem.coefficient.value(t_i, w_i), dtype=float)
-            else:
-                phi = np.asarray(problem.coefficient.value(t_i), dtype=float)
+            phi = phi_at(t_i, w_i)
             lower = -(grid.horizon - t_i) * sup
 
             def step(rows, s):
@@ -715,7 +737,7 @@ class NodeSweep:
                 np.maximum(self.box_excursion_raw, reduce(np.maximum, excursion),
                            out=self.box_excursion_raw)
             slope = self._merge_ends(*ends)
-            yield SweepNode(i, y, f, z, fit)
+            yield SweepNode(i, y, f, z, fit, w_i)
         self.y0_mean = y.mean(axis=1)
 
     def _merge_ends(self, mins, maxs, slopes):

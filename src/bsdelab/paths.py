@@ -2,14 +2,26 @@
 
 Each path owns a Philox stream keyed by (seed, path index), so regenerating any
 subset of paths, in any partitioning across workers, reproduces the same bits.
-The streams are computed by a numpy Philox4x64-10 kernel, one block of paths
-per pass, bit for bit equal to numpy's ``Philox`` bit generator.
-Gaussians come from the inverse normal CDF applied to the raw counter output;
-no rejection sampling, so the draw count per path is fixed.
+The streams are computed by a numpy Philox4x64-10 kernel, bit for bit equal to
+numpy's ``Philox`` bit generator.  Gaussians come from the inverse normal CDF
+applied to the raw counter output; no rejection sampling, so the draw count per
+path is fixed.
+
+The levels are one backward Brownian bridge from W_T (Glasserman, "Monte Carlo
+Methods in Financial Engineering", 2004, ch. 3): word k d + j of path m's
+stream drives coordinate j of node N - 1 - k, with
+
+    W_{N-1} = sqrt(t_{N-1}) xi,
+    W_i = (t_i / t_{i+1}) W_{i+1} + sqrt(t_i (t_{i+1} - t_i) / t_{i+1}) xi,
+
+and W_0 = 0.  The words of ``GROUP`` nodes fill ``dim`` Philox counters, so a
+backward sweep draws the levels one group of nodes at a time (``LevelStream``)
+and never holds all of them.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
@@ -19,11 +31,11 @@ import numpy as np
 from .coefficients import TimeGrid
 from .errors import ResourceLimit
 
-# elements of a bundle's one (N, d, M) array, its levels: ~1.6 GB of float64.
-# The cap bounds the whole bundle; a bundle that also held the increments
-# would hold (2N - 1) M d elements, about twice the capped count.
+# elements of a bundle's (N, d, M) levels: ~1.6 GB of float64.  A simulated
+# bundle holds none of them, but a read of its levels allocates them all.
 MEMORY_CAP_ELEMENTS = 200_000_000
-DRAW_BLOCK = 1 << 16      # raw draws per block of paths: cache-sized temporaries
+DRAW_BLOCK = 1 << 16      # words of one bridge group per block of paths a read draws
+GROUP = 4                 # nodes whose words share a Philox counter (per coordinate)
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _PHILOX_ROUNDS = 10
@@ -31,128 +43,256 @@ _PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
+_SHIFT11 = np.uint64(11)
 
 
 class PathBundle:
-    """Brownian levels for M paths on a grid, and the increments they sum.
+    """Brownian levels for M paths on a grid, and the increments between them.
 
-    The levels are the one array a simulated bundle holds.  The library's
-    bundles keep it node-major in memory, (N, d, M), and expose it as an
-    (M, N, d) view: ``levels[:, i, j]``, what a backward sweep reads at node
-    i, is contiguous.  Any (M, N, d) array serves.
-
-    ``increments``, (M, N - 1, d) with variance the grid gap, is the array
-    passed in, where one is.  A bundle built without one, as
-    ``simulate_paths`` builds it, redraws the increments from ``seed`` on
-    every read: bit for bit the draws its levels sum, in a new (N - 1, d, M)
-    node-major array, at the cost of a second simulation.  A backward sweep
-    takes W_{i+1} - W_i from the levels instead.
+    ``levels`` is (M, N, d) and ``increments`` (M, N - 1, d), each the array
+    passed in where one is.  A bundle built without levels, as
+    ``simulate_paths`` builds it, holds no path array: each read of its
+    ``levels`` draws them from ``seed`` into a new node-major (N, d, M) array,
+    seen as (M, N, d), over a pool of ``workers`` threads (a whole simulation
+    per read), bit for bit the rows a ``LevelStream`` gives a backward sweep.
+    Where no increments were passed, ``increments`` are the differences
+    W_{i+1} - W_i of the levels, node-major where the levels are.
     """
 
-    __slots__ = ("grid", "dim", "n_paths", "levels", "seed", "_increments")
+    __slots__ = ("grid", "dim", "n_paths", "seed", "workers", "_levels", "_increments")
 
-    def __init__(self, grid: TimeGrid, dim: int, n_paths: int, levels: np.ndarray,
-                 seed: int, increments: Optional[np.ndarray] = None):
+    def __init__(self, grid: TimeGrid, dim: int, n_paths: int,
+                 levels: Optional[np.ndarray], seed: int,
+                 increments: Optional[np.ndarray] = None, workers: int = 1):
         self.grid, self.dim, self.n_paths = grid, dim, n_paths
-        self.levels, self.seed, self._increments = levels, seed, increments
+        self.seed, self.workers = seed, workers
+        self._levels, self._increments = levels, increments
 
     @property
     def n_steps(self) -> int:
         return self.grid.n_points - 1
 
     @property
+    def drawn(self) -> bool:
+        """Whether the levels are drawn from the seed on every read."""
+        return self._levels is None
+
+    @property
+    def levels(self) -> np.ndarray:
+        if self._levels is not None:
+            return self._levels
+        return _draw_levels(self).transpose(2, 0, 1)
+
+    @property
     def increments(self) -> np.ndarray:
         if self._increments is not None:
             return self._increments
-        node_major = np.empty((self.n_steps, self.dim, self.n_paths))
-        _draw_increments(node_major, self.grid, self.seed)
-        return node_major.transpose(2, 0, 1)
+        return self.levels_and_increments()[1]
+
+    def levels_and_increments(self) -> tuple:
+        """``levels`` and ``increments`` from one read of the levels."""
+        levels = self.levels
+        if self._increments is not None:
+            return levels, self._increments
+        return levels, np.subtract(levels[:, 1:], levels[:, :-1])
 
 
-def _mulhilo(a: np.ndarray, mul: int) -> tuple:
-    """High and low 64-bit words of the 128-bit product ``a * mul``, elementwise.
+def _mulhilo(a: np.ndarray, mul: int, hi: np.ndarray, t) -> None:
+    """High 64-bit word of the 128-bit product ``a * mul`` into ``hi``,
+    elementwise, with the four uint64 buffers ``t`` of ``a``'s shape.
 
-    The low word is numpy's wrapping uint64 multiply; the high word is
-    assembled from 32-bit halves, whose partial products cannot overflow.
+    The word is assembled from 32-bit halves, whose partial products cannot
+    overflow.
     """
     m_hi, m_lo = np.uint64(mul >> 32), np.uint64(mul & 0xFFFFFFFF)
-    a_hi, a_lo = a >> _SHIFT32, a & _LOW32
-    ll, lh, hl = a_lo * m_lo, a_lo * m_hi, a_hi * m_lo
-    mid = (ll >> _SHIFT32) + (lh & _LOW32) + (hl & _LOW32)
-    hi = a_hi * m_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
-    return hi, a * np.uint64(mul)
+    a_hi = np.right_shift(a, _SHIFT32, out=t[0])
+    a_lo = np.bitwise_and(a, _LOW32, out=t[1])
+    np.multiply(a_hi, m_hi, out=hi)
+    lh = np.multiply(a_lo, m_hi, out=t[2])
+    hl = np.multiply(a_hi, m_lo, out=t[3])
+    mid = np.multiply(a_lo, m_lo, out=t[1])
+    np.right_shift(mid, _SHIFT32, out=mid)
+    for part in (lh, hl):       # hi takes the high halves, mid the low ones
+        np.add(hi, np.right_shift(part, _SHIFT32, out=t[0]), out=hi)
+        np.add(mid, np.bitwise_and(part, _LOW32, out=part), out=mid)
+    np.add(hi, np.right_shift(mid, _SHIFT32, out=mid), out=hi)
 
 
-def _philox_raw(seed: int, paths: np.ndarray, count: int) -> np.ndarray:
-    """First ``count`` raw words of the Philox4x64-10 stream keyed by (seed, m),
-    for every path index m in ``paths``: a (len(paths), count) uint64 array.
+def _philox(seed: int, first_counter: int, keys: np.ndarray, words: np.ndarray) -> list:
+    """The Philox4x64-10 blocks of the counters ``first_counter`` + 1, ... for
+    the path indices ``keys`` (P,), in the uint64 buffer ``words``
+    (10, n_ctr, P); ``keys`` is consumed.  Returns the four output words of
+    every block, each an (n_ctr, P) view of ``words``.
 
-    Bit for bit numpy's ``Philox(key=[seed, m]).random_raw(count)``: the
-    counter [c, 0, 0, 0] runs over c = 1, 2, ... (numpy increments it before
-    the first block) and each block yields its four output words in order.
-    Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11).
+    The counter [c, 0, 0, 0] is numpy's for block c - 1 (numpy increments it
+    before the first block).  Salmon et al., "Parallel random numbers: as easy
+    as 1, 2, 3" (SC'11).
     """
-    n_ctr = -(-count // 4)
-    # (1, 1)-shaped zeros keep every operand an array, so uint64 arithmetic
-    # wraps silently; broadcasting grows the words to (paths, n_ctr) by round 2
-    zero = np.zeros((1, 1), dtype=np.uint64)
-    x0, x1, x2, x3 = np.arange(1, n_ctr + 1, dtype=np.uint64)[None, :], zero, zero, zero
-    key1 = np.asarray(paths, dtype=np.uint64)[:, None]
+    x, h, t = list(words[:4]), list(words[4:6]), words[6:]
+    for c, row in enumerate(x[0]):
+        row.fill(first_counter + 1 + c)
+    for word in x[1:]:
+        word.fill(0)
+    bump1 = np.uint64(_PHILOX_BUMP[1])
     for r in range(_PHILOX_ROUNDS):
         k0 = np.uint64((seed + r * _PHILOX_BUMP[0]) & _MASK64)
-        k1 = key1 + np.uint64((r * _PHILOX_BUMP[1]) & _MASK64)
-        hi0, lo0 = _mulhilo(x0, _PHILOX_MUL[0])
-        hi1, lo1 = _mulhilo(x2, _PHILOX_MUL[1])
-        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-    words = np.stack(np.broadcast_arrays(x0, x1, x2, x3), axis=-1)
-    return words.reshape(len(key1), 4 * n_ctr)[:, :count]
+        _mulhilo(x[0], _PHILOX_MUL[0], h[0], t)
+        _mulhilo(x[2], _PHILOX_MUL[1], h[1], t)
+        np.multiply(x[0], np.uint64(_PHILOX_MUL[0]), out=x[0])
+        np.multiply(x[2], np.uint64(_PHILOX_MUL[1]), out=x[2])
+        np.bitwise_xor(np.bitwise_xor(h[1], x[1], out=h[1]), k0, out=h[1])
+        np.bitwise_xor(np.bitwise_xor(h[0], x[3], out=h[0]), keys, out=h[0])
+        # (hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0); x1 and x3 are free
+        x, h = [h[1], x[2], h[0], x[0]], [x[1], x[3]]
+        np.add(keys, bump1, out=keys)       # the next round's key, mod 2^64
+    return x
 
 
-def _draw_increments(out: np.ndarray, grid: TimeGrid, seed: int,
-                     workers: int = 1) -> None:
-    """Fill the node-major (N - 1, d, M) ``out`` with the scaled Gaussian
-    increments of the paths' Philox streams, in blocks of about ``DRAW_BLOCK``
-    draws spread over ``min(workers, blocks)`` threads."""
-    # imported here, not with the module: scipy.special is most of the
-    # package's import time, and only simulation needs it; the import runs in
-    # this thread, before the pool below gets a block
-    from scipy.special import ndtri
+def _philox_raw(seed: int, paths: np.ndarray, count: int,
+                first_counter: int = 0) -> np.ndarray:
+    """``count`` raw words of the Philox4x64-10 stream keyed by (seed, m) from
+    word 4 ``first_counter`` on, for every path index m in ``paths``: a
+    (len(paths), count) uint64 array.
 
-    n_steps, dim, n_paths = out.shape
-    count = n_steps * dim
-    rows = out.reshape(count, n_paths).T          # the per-path (M, (N-1) d) view
-    scale = np.repeat(np.sqrt(grid.gaps), dim)
+    Bit for bit numpy's ``Philox(key=[seed, m]).random_raw`` from that word
+    on: each block yields its four output words in order.
+    """
+    n_ctr = -(-count // 4)
+    keys = np.array(paths, dtype=np.uint64)
+    words = np.empty((10, n_ctr, len(keys)), dtype=np.uint64)
+    blocks = np.stack(_philox(seed, first_counter, keys, words), axis=-1)
+    return blocks.transpose(1, 0, 2).reshape(len(keys), 4 * n_ctr)[:, :count]
 
-    def fill(block):
-        lo, hi = block
-        raw = _philox_raw(seed, np.arange(lo, hi, dtype=np.uint64), count)
-        # strictly inside (0, 1) so ndtri never hits an endpoint
-        u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-        ndtri(u, out=rows[lo:hi])
-        rows[lo:hi] *= scale
 
-    per_block = max(1, DRAW_BLOCK // count)
-    blocks = [(lo, min(lo + per_block, n_paths)) for lo in range(0, n_paths, per_block)]
-    pool_size = min(workers, len(blocks))
+class DrawScratch:
+    """One worker's buffers for the bridge groups of up to ``n_paths`` paths:
+    the Philox words of ``dim`` counters, the path keys and a float row."""
+
+    def __init__(self, dim: int, n_paths: int):
+        self.offsets = np.arange(n_paths, dtype=np.uint64)
+        self.keys = np.empty(n_paths, dtype=np.uint64)
+        self.words = np.empty(10 * dim * n_paths, dtype=np.uint64)
+        self.row = np.empty(dim * n_paths)
+
+
+def _draw_group(seed: int, grid: TimeGrid, top: int, rows: np.ndarray,
+                above: Optional[np.ndarray], cols: slice, scratch: DrawScratch) -> None:
+    """The levels of nodes ``top`` - len(rows) + 1 ... ``top`` for the paths
+    ``cols``, into the node-major ``rows`` (n, d, P) from the node ``top`` down.
+
+    The group's words are those of the ``dim`` Philox counters from
+    (N - 1 - top) / GROUP * dim on; ``above`` holds W_{top+1} of the paths
+    (None at top = N - 1).  Node 0 takes no word: W_0 = 0.
+    """
+    from scipy.special import ndtri     # loaded by the caller's first draw
+
+    pts, n = grid.points, grid.n_points
+    low, (_, dim, p) = top - len(rows) + 1, rows.shape
+    if low == 0:
+        rows[0] = 0.0
+    drawn = range(top, max(low, 1) - 1, -1)
+    if not drawn:
+        return
+    keys = np.add(scratch.offsets[:p], np.uint64(cols.start), out=scratch.keys[:p])
+    words = scratch.words[:10 * dim * p].reshape(10, dim, p)
+    x = _philox(seed, (n - 1 - top) // GROUP * dim, keys, words)
+    tmp = scratch.row[:dim * p].reshape(dim, p)
+    for k, i in enumerate(drawn):
+        w = rows[i - low]
+        for j in range(dim):
+            q = k * dim + j
+            raw = np.right_shift(x[q % 4][q // 4], _SHIFT11, out=x[q % 4][q // 4])
+            # strictly inside (0, 1), so ndtri never hits an endpoint
+            u = np.multiply(np.add(raw, 0.5, out=tmp[0]), 2.0 ** -53, out=tmp[0])
+            ndtri(u, out=w[j])
+        t = float(pts[i])
+        if i == n - 1:
+            np.multiply(w, math.sqrt(t), out=w)
+        else:
+            t_next = float(pts[i + 1])
+            w_next = above if i == top else rows[i + 1 - low]
+            np.multiply(w_next, t / t_next, out=tmp)
+            np.multiply(w, math.sqrt(t * (t_next - t) / t_next), out=w)
+            np.add(tmp, w, out=w)
+
+
+def _draw_levels(bundle: PathBundle) -> np.ndarray:
+    """A drawn bundle's node-major (N, d, M) levels, in blocks of about
+    ``DRAW_BLOCK`` words per group spread over ``min(workers, blocks)``
+    threads."""
+    import scipy.special    # noqa: F401 -- on this thread, before the pool draws
+
+    n, dim, n_paths = bundle.grid.n_points, bundle.dim, bundle.n_paths
+    out = np.empty((n, dim, n_paths))
+
+    def fill(cols):
+        scratch = DrawScratch(dim, cols.stop - cols.start)
+        for top in range(n - 1, -1, -GROUP):      # each group's top node
+            low = max(top - GROUP + 1, 0)
+            _draw_group(bundle.seed, bundle.grid, top, out[low:top + 1, :, cols],
+                        None if top == n - 1 else out[top + 1, :, cols], cols, scratch)
+
+    per_block = max(1, DRAW_BLOCK // (GROUP * dim))
+    blocks = [slice(lo, min(lo + per_block, n_paths)) for lo in range(0, n_paths, per_block)]
+    pool_size = min(bundle.workers, len(blocks))
     if pool_size <= 1:
         for block in blocks:
             fill(block)
     else:
         with ThreadPoolExecutor(max_workers=pool_size) as pool:
             list(pool.map(fill, blocks))
+    return out
+
+
+class LevelStream:
+    """A bundle's levels node by node, from T backward, as a backward sweep
+    reads them: ``level(i)`` is the (d, M) row of node i.
+
+    A stored bundle's rows are views of its levels.  A drawn bundle's live in
+    a window of ``GROUP`` + 1 rows, the nodes of one bridge group and the node
+    above it: ``advance(i)`` reports whether node i lies below the window and
+    then slides it down one group, whose rows ``draw`` fills one path chunk
+    at a time.  A row stays valid until the window slides past it.
+    """
+
+    def __init__(self, bundle: PathBundle):
+        self.bundle, self.window, self.top = bundle, None, None
+        if bundle.drawn:
+            import scipy.special    # noqa: F401 -- on this thread, before any pool draws
+            self.window = np.empty((GROUP + 1, bundle.dim, bundle.n_paths))
+
+    def advance(self, i: int) -> bool:
+        if self.window is None or (self.top is not None and i > self.top - GROUP):
+            return False
+        if self.top is None:
+            self.top = self.bundle.n_steps
+        else:       # the new group's W_{top+1}, the old group's lowest node
+            np.copyto(self.window[GROUP], self.window[0])
+            self.top -= GROUP
+        return True
+
+    def draw(self, cols: slice, scratch: DrawScratch) -> None:
+        """The paths ``cols`` of the window's group."""
+        rows = self.window[max(GROUP - 1 - self.top, 0):GROUP, :, cols]
+        above = None if self.top == self.bundle.n_steps else self.window[GROUP, :, cols]
+        _draw_group(self.bundle.seed, self.bundle.grid, self.top, rows, above, cols, scratch)
+
+    def level(self, i: int) -> np.ndarray:
+        if self.window is None:
+            return self.bundle.levels[:, i, :].T
+        return self.window[i - self.top + GROUP - 1]
 
 
 def simulate_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int,
                    workers: int = 1,
                    memory_cap: int = MEMORY_CAP_ELEMENTS) -> PathBundle:
-    """Simulate ``n_paths`` independent d-dimensional Brownian paths on the grid.
+    """``n_paths`` independent d-dimensional Brownian paths on the grid.
 
     Deterministic in ``seed``, which must lie in [0, 2^64), and independent of
-    ``workers``. Paths are generated in blocks of about ``DRAW_BLOCK`` draws;
-    the worker count only spreads the blocks over a thread pool.  The bundle
-    holds one node-major (N, d, M) array: the increments are drawn into its
-    rows 1 ... N - 1 and summed into levels in place, so the simulation never
-    holds a second one.
+    ``workers``, the threads that spread each read of the levels.  The bundle
+    holds no path array: a read of its ``levels`` draws them, a backward sweep
+    streams them one group of nodes at a time.  ``memory_cap`` bounds the
+    N M d elements of the levels.
     """
     if n_paths < 1 or dim < 1:
         raise ValueError("n_paths and dim must be positive")
@@ -163,12 +303,4 @@ def simulate_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int,
         raise ResourceLimit(
             f"bundle of {n_paths}x{grid.n_points}x{dim} exceeds the memory cap"
         )
-    levels = np.empty((grid.n_points, dim, n_paths), dtype=np.float64)
-    levels[0] = 0.0
-    _draw_increments(levels[1:], grid, seed, workers)
-    # the prefix sums along the nodes, one contiguous node row at a time: the
-    # additions of ``np.cumsum`` along the nodes, in its order
-    for i in range(1, grid.n_points - 1):
-        np.add(levels[i], levels[i + 1], out=levels[i + 1])
-    return PathBundle(grid=grid, dim=dim, n_paths=n_paths,
-                      levels=levels.transpose(2, 0, 1), seed=seed)
+    return PathBundle(grid, dim, n_paths, None, seed, workers=workers)

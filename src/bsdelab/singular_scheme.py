@@ -192,7 +192,7 @@ def run_scheme(problem: BsdeProblem, grid: TimeGrid, schedule: Sequence[float],
         if node.z is not None:
             z_mean[i] = node.z[-1].mean()
             if mc:
-                bmo.add(bundle.levels[:, i, 0], node.z[-1], dts[i], node.fit)
+                bmo.add(node.w, node.z[-1], dts[i], node.fit)
 
     # RMS over the paths; with one path sqrt(g^2) is g exactly
     gaps = tuple(float(math.sqrt(np.mean(g ** 2))) for g in gap)
@@ -236,14 +236,14 @@ class BmoEstimate:
 class _BmoFold:
     """Largest conditional remaining Z quadratic variation, folded backward over nodes.
 
-    Carries the pathwise tail sum of |Z|^2 dt; at each node the tail is
-    regressed on the Brownian level and the fitted surface is maximised over an
-    inner-quantile range of evaluation points.
+    Carries the pathwise tail sum of |Z|^2 dt, updated in place; at each node
+    the tail is regressed on the Brownian level and the fitted surface is
+    maximised over an inner-quantile range of evaluation points.
     """
 
     def __init__(self, basis: RegressionBasis):
         self.basis = basis
-        self.tail = 0.0
+        self.tail = self._term = None
         self.value = 0.0
         self._argmax = None     # (level, tail, coef, evaluation row) at the maximum
 
@@ -251,7 +251,11 @@ class _BmoFold:
         """Fold in the node with Brownian level ``w`` and Z values ``z`` over a step
         ``dt``; ``fit`` is the node's factored design on ``w`` when a sweep built
         it, carrying the level's quantiles at ``BMO_QUANTILE`` and its complement."""
-        self.tail = self.tail + z ** 2 * dt
+        if self.tail is None:
+            self.tail, self._term = np.zeros(len(z)), np.empty(len(z))
+        # tail + z ** 2 * dt, in place
+        term = np.multiply(np.square(z, out=self._term), dt, out=self._term)
+        np.add(self.tail, term, out=self.tail)
         target = self.tail.reshape(-1, 1)
         if fit is None:
             coef, fit = fit_coefficients(self.basis, w, target, node_index=node_index)
@@ -267,12 +271,17 @@ class _BmoFold:
         j = int(np.argmax(est))
         # ties go to the earliest node, as in a forward scan
         if est[j] > self.value or est[j] == self.value > 0.0:
-            # ``tail`` is a new array at every node, so the reference stays valid.
+            # the tail moves on and a sweep's level row is reused, so both are
+            # copied, into the buffers of an earlier maximum where there is one.
             # The design is rebuilt from the level at the end: holding the node's
             # own design through the sweep raised the peak resident memory of a
             # 200k-path, 21-node run by about 7%
             self.value = float(est[j])
-            self._argmax = (w, self.tail, coef, x_eval[j])
+            kept = (np.empty(len(w)), np.empty(len(w))) if self._argmax is None \
+                else self._argmax[:2]
+            np.copyto(kept[0], w)
+            np.copyto(kept[1], self.tail)
+            self._argmax = kept + (coef, x_eval[j])
 
     @property
     def stderr(self) -> float:
@@ -304,9 +313,9 @@ def estimate_bmo(sol: SolutionEstimate, bundle: Optional[PathBundle],
     if bundle is None:
         raise ValueError("the Monte Carlo estimate needs the path bundle")
     fold = _BmoFold(basis or RegressionBasis.polynomial(3))
-    gaps = sol.grid.gaps
+    gaps, levels = sol.grid.gaps, bundle.levels      # one read: a drawn bundle redraws
     for i in range(sol.z.shape[1] - 1, -1, -1):
-        fold.add(bundle.levels[:, i, 0], sol.z[:, i], gaps[i], node_index=i)
+        fold.add(levels[:, i, 0], sol.z[:, i], gaps[i], node_index=i)
     return BmoEstimate(fold.value, fold.stderr)
 
 

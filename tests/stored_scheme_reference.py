@@ -79,12 +79,14 @@ def estimate_bmo(sol, bundle, basis, quantile=0.005, n_eval=41):
         coef, fit = fit_coefficients(basis, w, tail[:, i:i + 1], node_index=i)
         design = fit.design
         coef = coef[:, 0]
-        fitted = design @ coef
+        # the designs in C order, as ``_BmoFold``'s: BLAS sums a product in an
+        # order set by the layout
+        fitted = np.ascontiguousarray(design) @ coef
         resid = tail[:, i] - fitted
         sigma2 = float(resid @ resid) / max(len(w) - design.shape[1], 1)
         lo, hi = np.quantile(w, [quantile, 1.0 - quantile])
         w_eval = np.linspace(lo, hi, n_eval)
-        x_eval = basis.design(w_eval)
+        x_eval = np.ascontiguousarray(basis.design(w_eval))
         est = x_eval @ coef
         j = int(np.argmax(est))
         if est[j] > best:

@@ -90,13 +90,12 @@ class TestNodeMajorLayout:
             assert all(bundle.increments[:, i, j].flags.c_contiguous for i in range(6))
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_levels_are_the_oracle_cumsum(self, dim):
-        from test_philox import reference_increments
+    def test_levels_are_the_oracle_bridge(self, dim):
+        from test_bridge_paths import reference_levels
 
         grid = uniform_grid(7)
         bundle = bl.simulate_paths(grid, dim, 33, seed=77)
-        want_inc = reference_increments(grid, dim, 33, 77)
-        want_levels = np.zeros((33, 7, dim))
-        np.cumsum(want_inc, axis=1, out=want_levels[:, 1:, :])
-        assert np.ascontiguousarray(bundle.increments).tobytes() == want_inc.tobytes()
+        want_levels = reference_levels(grid, dim, range(33), 77)
+        want_inc = want_levels[:, 1:] - want_levels[:, :-1]
         assert np.ascontiguousarray(bundle.levels).tobytes() == want_levels.tobytes()
+        assert np.ascontiguousarray(bundle.increments).tobytes() == want_inc.tobytes()

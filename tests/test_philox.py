@@ -7,7 +7,6 @@ generator per path, keyed by (seed, path index).
 import numpy as np
 import pytest
 from numpy.random import Philox
-from scipy.special import ndtri
 
 import bsdelab as bl
 from bsdelab import paths
@@ -23,14 +22,6 @@ def reference_raw(seed: int, path_index: int, count: int) -> np.ndarray:
 def reference_uniforms(seed: int, path_index: int, count: int) -> np.ndarray:
     raw = reference_raw(seed, path_index, count)
     return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-
-
-def reference_increments(grid, dim: int, n_paths: int, seed: int) -> np.ndarray:
-    n_steps = grid.n_points - 1
-    out = np.empty((n_paths, n_steps, dim))
-    for m in range(n_paths):
-        out[m] = ndtri(reference_uniforms(seed, m, n_steps * dim)).reshape(n_steps, dim)
-    return out * np.sqrt(grid.gaps)[None, :, None]
 
 
 def uniform_grid(n):
@@ -50,17 +41,18 @@ class TestRawDraws:
         assert got.shape == (len(PATH_INDICES), count)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("first_counter", [1, 2, 5])
+    @pytest.mark.parametrize("count", [1, 4, 7])
+    def test_first_counter_starts_at_its_word(self, first_counter, count):
+        seed = 2**64 - 3
+        got = paths._philox_raw(seed, np.array(PATH_INDICES, dtype=np.uint64), count,
+                                first_counter=first_counter)
+        start = 4 * first_counter
+        want = np.stack([reference_raw(seed, m, start + count)[start:] for m in PATH_INDICES])
+        assert np.array_equal(got, want)
+
 
 class TestSimulatePathsAgainstOracle:
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_increments_bit_identical(self, workers):
-        grid, dim = uniform_grid(11), 2
-        per_block = paths.DRAW_BLOCK // (10 * dim)
-        n_paths = 2 * per_block + per_block // 3     # three blocks, the last ragged
-        bundle = bl.simulate_paths(grid, dim, n_paths, seed=2**64 - 3, workers=workers)
-        want = reference_increments(grid, dim, n_paths, 2**64 - 3)
-        assert bundle.increments.tobytes() == want.tobytes()
-
     def test_pool_capped_at_block_count(self, monkeypatch):
         sizes = []
 
@@ -79,8 +71,10 @@ class TestSimulatePathsAgainstOracle:
 
         monkeypatch.setattr(paths, "ThreadPoolExecutor", SerialPool)
         grid = uniform_grid(11)
-        per_block = paths.DRAW_BLOCK // 10
+        per_block = paths.DRAW_BLOCK // paths.GROUP      # a group's words per block
         many = bl.simulate_paths(grid, 1, 2 * per_block + 1, seed=4, workers=10**6)
         few = bl.simulate_paths(grid, 1, 5, seed=4, workers=10**6)
-        assert sizes == [3]                 # one-block runs start no pool at all
-        assert np.array_equal(few.increments, many.increments[:5])
+        assert sizes == []                  # the simulation draws nothing
+        many_levels, few_levels = many.levels, few.levels
+        assert sizes == [3]                 # one-block reads start no pool at all
+        assert np.array_equal(few_levels, many_levels[:5])

@@ -383,36 +383,43 @@ def test_held_chunk_leaves_the_other_chunks_to_the_other_worker(power1, small_bl
 
 
 def test_sweep_holds_chunk_scratch_not_whole_state_buffers(power1):
-    # two levels of 4 SWEEP_BLOCK paths, four chunks on two workers.  Counted
-    # in (L, M) states, L = 2 and K = 4 columns of the cubic design:
-    # - NodeSweep: y, f, f' and Z (4), Q (K / L = 2) and the level's copy for
-    #   the quantiles (1 / L): 6.5;
+    # two levels of 4 SWEEP_BLOCK paths, four chunks on two workers, traced
+    # from the simulation on.  Counted in (L, M) states, L = 2 and K = 4
+    # columns of the cubic design:
+    # - NodeSweep: y, f and Z (3), Q (K / L = 2) and the level's copy for the
+    #   quantiles (1 / L): 5.5;
+    # - the level stream's window, GROUP + 1 levels: 2.5;
     # - each worker's chunk scratch, a quarter of the paths: the residual,
-    #   deriv, scratch and forcing rows, the 2L targets and the (c, K) QR,
-    #   (6 + K / L) / 4 = 2, and two bool masks, 1 / 16: 4.125 for two;
+    #   deriv, scratch, forcing and f' rows, the 2L targets and the (c, K) QR,
+    #   (7 + K / L) / 4 = 2.25, two bool masks, 1 / 16, and the bridge draws'
+    #   13 uint64 rows, 13 / (4 L): 3.94, 7.875 for two;
     # - run_scheme: the level differences' scratch (1), the per-path gaps and
-    #   their standard error's temporary (1 / L each), the BMO fold's tail and
-    #   the tail kept at its maximum (1 / L each): 2.5;
-    # - phi at the node and at the right node, one float per path each: 1.
-    # That is 14.1 states (the top level's moments are N floats each); the
-    # bound allows 15, and it reads 14.7.  Keeping the top level's (N, M) Y
-    # and (N - 1, M) Z, 21.5 states at N = 21, put the same run at 36.2;
-    # whole-state Newton buffers, targets, design and QR buffers add 5.7.
+    #   their standard error's temporary (1 / L each), the BMO fold's tail,
+    #   its z^2 dt term, and the tail and level kept at its maximum (1 / L
+    #   each): 4.
+    # That is 19.9 states (phi is a scalar, the top level's moments N floats
+    # each); the bound allows 20.5, and it reads 19.9.  A bundle that held its
+    # (N, M) levels added 11 states at N = 22 (the bound was 15 without them);
+    # whole-state f' and phi copies per path add 2.
     grid = bl.make_grid(power1, 21, mass_cap=10.0)
     prob = _problem(power1, bl.CoefficientProcess.constant(1.0, 1.0))
     m = 4 * lipschitz_solver.SWEEP_BLOCK
-    bundle = bl.simulate_paths(grid, 1, m, seed=7)
-    config = bl.SchemeConfig(mode="mc", tol=1.0, bundle=bundle, workers=2)
-    bl.run_scheme(prob, grid, [2.0, 4.0], config=config)       # loads scipy.linalg
+
+    def run():
+        bundle = bl.simulate_paths(grid, 1, m, seed=7)
+        config = bl.SchemeConfig(mode="mc", tol=1.0, bundle=bundle, workers=2)
+        bl.run_scheme(prob, grid, [2.0, 4.0], config=config)
+
+    run()                   # loads scipy.special and scipy.linalg
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        bl.run_scheme(prob, grid, [2.0, 4.0], config=config)
+        run()
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     state = 2 * m * 8
-    assert peak <= 15 * state
+    assert peak <= 20.5 * state
 
 
 def test_counters_and_errors_do_not_depend_on_chunking(monkeypatch):
