@@ -256,6 +256,7 @@ def solve_affine_plus(problem: BsdeProblem, grid: TimeGrid,
         raise ValueError("markovian representation supports no slope terms")
     if bundle.dim != 1:
         raise ValueError("markovian representation is one dimensional")
+    bundle.check_grid(grid)
     return _solve_affine_plus_markovian(problem, grid, bundle, basis)
 
 
@@ -265,10 +266,9 @@ def _bound_margin(grid: TimeGrid, y: np.ndarray, sup_norm: float) -> float:
 
 
 def _solve_affine_plus_markovian(problem, grid, bundle, basis):
-    from .lipschitz_solver import RegressionBasis, fit_coefficients
+    from .lipschitz_solver import DEFAULT_BASIS, fit_coefficients
 
-    if basis is None:
-        basis = RegressionBasis.polynomial(3)
+    basis = basis or DEFAULT_BASIS
     model, coeff = problem.intensity, problem.coefficient
     pts, cap = grid.points, grid.cap_index
     n_pts = len(pts)
@@ -335,6 +335,7 @@ def fundamental_family(model: IntensityModel, y0: float, grid: TimeGrid,
         raise ValueError("beta must hold one value per left node")
     if bundle.dim != 1:
         raise ValueError("stochastic members are one dimensional")
+    bundle.check_grid(grid)
     incs = bundle.increments[:, :, 0]
     martingale = np.concatenate(
         [np.zeros((bundle.n_paths, 1)), np.cumsum(beta[None, :] * incs, axis=1)],

@@ -252,15 +252,14 @@ def _run_nonlinear_exp(cfg: ScenarioConfig) -> int:
     problem = BsdeProblem(intensity=model, coefficient=coeff,
                           sign="nonlinear_plus", driver=driver, terminal=terminal)
     mode = str(p["mode"])
-    bundle = None
-    if mode == "mc":
-        bundle = simulate_paths(grid, 1, int(p["m_paths"]), cfg.seed,
-                                workers=cfg.threads)
-    config = SchemeConfig(mode=mode, tol=p["tol"], bundle=bundle,
+    bundle = simulate_paths(grid, 1, int(p["m_paths"]), cfg.seed) if mode == "mc" else None
+    config = SchemeConfig(tol=p["tol"], bundle=bundle,
                           basis=RegressionBasis.polynomial(int(p["basis_degree"])),
                           workers=cfg.threads)
     cfg.say("results:")
     cfg.say(f"  theta = {_fmt(SCHEME_THETA)}")
+    if mode not in ("ode", "mc"):
+        raise ValueError(f"unknown scheme mode {mode!r}")
     try:
         report = run_scheme(problem, grid, schedule, config=config)
     except NoSolution as exc:

@@ -77,6 +77,7 @@ def residual_check(candidate: Candidate, problem: BsdeProblem,
     if candidate.y.ndim == 2:
         if bundle is None:
             raise ValueError("pathwise candidates need the path bundle for the Ito term")
+        bundle.check_grid(candidate.grid)
         levels, increments = (a[:, :, 0] for a in bundle.levels_and_increments())
     y, z = np.atleast_2d(candidate.y), np.atleast_2d(candidate.z)
     z = z[:, np.minimum(np.arange(cap + 1), z.shape[-1] - 1)]    # Z at each left node

@@ -62,6 +62,9 @@ class RegressionBasis:
         return x
 
 
+DEFAULT_BASIS = RegressionBasis.polynomial(3)     # where a caller passes none
+
+
 def _degenerate_level(w: np.ndarray, width: int = 1, node_index: int = -1) -> bool:
     """True when the level carries no information (e.g. W_0 = 0 on every path):
     the sigma-algebra is trivial and the fit is the plain mean, held by the
@@ -538,11 +541,8 @@ class NodeSweep:
             raise ValueError(f"workers must be at least 1, got {workers}")
         self.mc = bundle is not None
         if self.mc:
-            if basis is None:
-                basis = RegressionBasis.polynomial(3)
-            if bundle.grid is not grid and not np.array_equal(bundle.grid.points,
-                                                              grid.points):
-                raise ValueError("bundle was simulated on a different grid")
+            basis = basis or DEFAULT_BASIS
+            bundle.check_grid(grid)
         elif problem.coefficient.is_markovian:
             raise ValueError("ODE mode needs deterministic coefficients")
         elif problem.terminal.kind == "random":

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -49,24 +48,25 @@ _SHIFT11 = np.uint64(11)
 class PathBundle:
     """Brownian levels for M paths on a grid, and the increments between them.
 
-    ``levels`` is (M, N, d) and ``increments`` (M, N - 1, d), each the array
-    passed in where one is.  A bundle built without levels, as
-    ``simulate_paths`` builds it, holds no path array: each read of its
+    ``levels`` is (M, N, d), the array passed in where one is: it must have
+    the shape (n_paths, grid.n_points, dim).  A bundle built without levels,
+    as ``simulate_paths`` builds it, holds no path array: each read of its
     ``levels`` draws them from ``seed`` into a new node-major (N, d, M) array,
-    seen as (M, N, d), over a pool of ``workers`` threads (a whole simulation
-    per read), bit for bit the rows a ``LevelStream`` gives a backward sweep.
-    Where no increments were passed, ``increments`` are the differences
-    W_{i+1} - W_i of the levels, node-major where the levels are.
+    seen as (M, N, d), bit for bit the rows a ``LevelStream`` gives a
+    backward sweep.  ``increments`` are the differences W_{i+1} - W_i of one
+    read of the levels, node-major where the levels are.
     """
 
-    __slots__ = ("grid", "dim", "n_paths", "seed", "workers", "_levels", "_increments")
+    __slots__ = ("grid", "dim", "n_paths", "seed", "_levels")
 
     def __init__(self, grid: TimeGrid, dim: int, n_paths: int,
-                 levels: Optional[np.ndarray], seed: int,
-                 increments: Optional[np.ndarray] = None, workers: int = 1):
-        self.grid, self.dim, self.n_paths = grid, dim, n_paths
-        self.seed, self.workers = seed, workers
-        self._levels, self._increments = levels, increments
+                 levels: Optional[np.ndarray], seed: int):
+        shape = (n_paths, grid.n_points, dim)
+        if levels is not None and np.shape(levels) != shape:
+            raise ValueError(f"levels must have shape (n_paths, n_points, dim) = {shape}, "
+                             f"got {np.shape(levels)}")
+        self.grid, self.dim, self.n_paths, self.seed = grid, dim, n_paths, seed
+        self._levels = levels
 
     @property
     def n_steps(self) -> int:
@@ -85,16 +85,17 @@ class PathBundle:
 
     @property
     def increments(self) -> np.ndarray:
-        if self._increments is not None:
-            return self._increments
         return self.levels_and_increments()[1]
 
     def levels_and_increments(self) -> tuple:
         """``levels`` and ``increments`` from one read of the levels."""
         levels = self.levels
-        if self._increments is not None:
-            return levels, self._increments
         return levels, np.subtract(levels[:, 1:], levels[:, :-1])
+
+    def check_grid(self, grid: TimeGrid) -> None:
+        """``ValueError`` unless the bundle's paths live on ``grid``'s nodes."""
+        if self.grid is not grid and not np.array_equal(self.grid.points, grid.points):
+            raise ValueError("bundle was simulated on a different grid")
 
 
 def _mulhilo(a: np.ndarray, mul: int, hi: np.ndarray, t) -> None:
@@ -175,75 +176,6 @@ class DrawScratch:
         self.row = np.empty(dim * n_paths)
 
 
-def _draw_group(seed: int, grid: TimeGrid, top: int, rows: np.ndarray,
-                above: Optional[np.ndarray], cols: slice, scratch: DrawScratch) -> None:
-    """The levels of nodes ``top`` - len(rows) + 1 ... ``top`` for the paths
-    ``cols``, into the node-major ``rows`` (n, d, P) from the node ``top`` down.
-
-    The group's words are those of the ``dim`` Philox counters from
-    (N - 1 - top) / GROUP * dim on; ``above`` holds W_{top+1} of the paths
-    (None at top = N - 1).  Node 0 takes no word: W_0 = 0.
-    """
-    from scipy.special import ndtri     # loaded by the caller's first draw
-
-    pts, n = grid.points, grid.n_points
-    low, (_, dim, p) = top - len(rows) + 1, rows.shape
-    if low == 0:
-        rows[0] = 0.0
-    drawn = range(top, max(low, 1) - 1, -1)
-    if not drawn:
-        return
-    keys = np.add(scratch.offsets[:p], np.uint64(cols.start), out=scratch.keys[:p])
-    words = scratch.words[:10 * dim * p].reshape(10, dim, p)
-    x = _philox(seed, (n - 1 - top) // GROUP * dim, keys, words)
-    tmp = scratch.row[:dim * p].reshape(dim, p)
-    for k, i in enumerate(drawn):
-        w = rows[i - low]
-        for j in range(dim):
-            q = k * dim + j
-            raw = np.right_shift(x[q % 4][q // 4], _SHIFT11, out=x[q % 4][q // 4])
-            # strictly inside (0, 1), so ndtri never hits an endpoint
-            u = np.multiply(np.add(raw, 0.5, out=tmp[0]), 2.0 ** -53, out=tmp[0])
-            ndtri(u, out=w[j])
-        t = float(pts[i])
-        if i == n - 1:
-            np.multiply(w, math.sqrt(t), out=w)
-        else:
-            t_next = float(pts[i + 1])
-            w_next = above if i == top else rows[i + 1 - low]
-            np.multiply(w_next, t / t_next, out=tmp)
-            np.multiply(w, math.sqrt(t * (t_next - t) / t_next), out=w)
-            np.add(tmp, w, out=w)
-
-
-def _draw_levels(bundle: PathBundle) -> np.ndarray:
-    """A drawn bundle's node-major (N, d, M) levels, in blocks of about
-    ``DRAW_BLOCK`` words per group spread over ``min(workers, blocks)``
-    threads."""
-    import scipy.special    # noqa: F401 -- on this thread, before the pool draws
-
-    n, dim, n_paths = bundle.grid.n_points, bundle.dim, bundle.n_paths
-    out = np.empty((n, dim, n_paths))
-
-    def fill(cols):
-        scratch = DrawScratch(dim, cols.stop - cols.start)
-        for top in range(n - 1, -1, -GROUP):      # each group's top node
-            low = max(top - GROUP + 1, 0)
-            _draw_group(bundle.seed, bundle.grid, top, out[low:top + 1, :, cols],
-                        None if top == n - 1 else out[top + 1, :, cols], cols, scratch)
-
-    per_block = max(1, DRAW_BLOCK // (GROUP * dim))
-    blocks = [slice(lo, min(lo + per_block, n_paths)) for lo in range(0, n_paths, per_block)]
-    pool_size = min(bundle.workers, len(blocks))
-    if pool_size <= 1:
-        for block in blocks:
-            fill(block)
-    else:
-        with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            list(pool.map(fill, blocks))
-    return out
-
-
 class LevelStream:
     """A bundle's levels node by node, from T backward, as a backward sweep
     reads them: ``level(i)`` is the (d, M) row of node i.
@@ -272,10 +204,43 @@ class LevelStream:
         return True
 
     def draw(self, cols: slice, scratch: DrawScratch) -> None:
-        """The paths ``cols`` of the window's group."""
-        rows = self.window[max(GROUP - 1 - self.top, 0):GROUP, :, cols]
-        above = None if self.top == self.bundle.n_steps else self.window[GROUP, :, cols]
-        _draw_group(self.bundle.seed, self.bundle.grid, self.top, rows, above, cols, scratch)
+        """The paths ``cols`` of the window's group, from its top node down.
+
+        The group's words are those of the ``dim`` Philox counters from
+        (N - 1 - top) / GROUP * dim on.  Below N - 1 a node's bridge starts
+        from the row above it, the window's last row at the top node.  Node 0
+        takes no word: W_0 = 0.
+        """
+        from scipy.special import ndtri     # loaded by the constructor
+
+        top, pts, n = self.top, self.bundle.grid.points, self.bundle.grid.n_points
+        win = self.window[:, :, cols]       # node i in row i - top + GROUP - 1
+        _, dim, p = win.shape
+        if top < GROUP:
+            win[GROUP - 1 - top] = 0.0
+        drawn = range(top, max(top - GROUP, 0), -1)
+        if not drawn:
+            return
+        keys = np.add(scratch.offsets[:p], np.uint64(cols.start), out=scratch.keys[:p])
+        words = scratch.words[:10 * dim * p].reshape(10, dim, p)
+        x = _philox(self.bundle.seed, (n - 1 - top) // GROUP * dim, keys, words)
+        tmp = scratch.row[:dim * p].reshape(dim, p)
+        for k, i in enumerate(drawn):
+            w = win[i - top + GROUP - 1]
+            for j in range(dim):
+                q = k * dim + j
+                raw = np.right_shift(x[q % 4][q // 4], _SHIFT11, out=x[q % 4][q // 4])
+                # strictly inside (0, 1), so ndtri never hits an endpoint
+                u = np.multiply(np.add(raw, 0.5, out=tmp[0]), 2.0 ** -53, out=tmp[0])
+                ndtri(u, out=w[j])
+            t = float(pts[i])
+            if i == n - 1:
+                np.multiply(w, math.sqrt(t), out=w)
+            else:
+                t_next = float(pts[i + 1])
+                np.multiply(win[i - top + GROUP], t / t_next, out=tmp)
+                np.multiply(w, math.sqrt(t * (t_next - t) / t_next), out=w)
+                np.add(tmp, w, out=w)
 
     def level(self, i: int) -> np.ndarray:
         if self.window is None:
@@ -283,13 +248,28 @@ class LevelStream:
         return self.window[i - self.top + GROUP - 1]
 
 
+def _draw_levels(bundle: PathBundle) -> np.ndarray:
+    """A drawn bundle's node-major (N, d, M) levels: the rows of a
+    ``LevelStream`` walked from T to 0, each group drawn in blocks of about
+    ``DRAW_BLOCK`` words."""
+    n, dim, n_paths = bundle.grid.n_points, bundle.dim, bundle.n_paths
+    per_block = max(1, DRAW_BLOCK // (GROUP * dim))
+    blocks = [slice(lo, min(lo + per_block, n_paths)) for lo in range(0, n_paths, per_block)]
+    stream, scratch = LevelStream(bundle), DrawScratch(dim, min(per_block, n_paths))
+    out = np.empty((n, dim, n_paths))
+    for i in range(n - 1, -1, -1):
+        if stream.advance(i):
+            for cols in blocks:
+                stream.draw(cols, scratch)
+        out[i] = stream.level(i)
+    return out
+
+
 def simulate_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int,
-                   workers: int = 1,
                    memory_cap: int = MEMORY_CAP_ELEMENTS) -> PathBundle:
     """``n_paths`` independent d-dimensional Brownian paths on the grid.
 
-    Deterministic in ``seed``, which must lie in [0, 2^64), and independent of
-    ``workers``, the threads that spread each read of the levels.  The bundle
+    Deterministic in ``seed``, which must lie in [0, 2^64).  The bundle
     holds no path array: a read of its ``levels`` draws them, a backward sweep
     streams them one group of nodes at a time.  ``memory_cap`` bounds the
     N M d elements of the levels.
@@ -303,4 +283,4 @@ def simulate_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int,
         raise ResourceLimit(
             f"bundle of {n_paths}x{grid.n_points}x{dim} exceeds the memory cap"
         )
-    return PathBundle(grid, dim, n_paths, None, seed, workers=workers)
+    return PathBundle(grid, dim, n_paths, None, seed)

@@ -20,6 +20,7 @@ from .coefficients import NONLINEAR_PLUS, BsdeProblem, DriverSpec, TimeGrid
 from .diagnostics import by_node
 from .errors import NoSolution
 from .lipschitz_solver import (
+    DEFAULT_BASIS,
     NodeSweep,
     RegressionBasis,
     SolutionEstimate,
@@ -112,9 +113,8 @@ class SchemeReport:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    mode: str = "ode"                # ode | mc
     tol: float = 1e-3
-    bundle: Optional[PathBundle] = None
+    bundle: Optional[PathBundle] = None   # Monte Carlo mode with one, ODE mode without
     basis: Optional[RegressionBasis] = None
     clamp_margin: float = 1e-3
     workers: int = 1                 # threads of the Monte Carlo sweep; the
@@ -153,17 +153,11 @@ def run_scheme(problem: BsdeProblem, grid: TimeGrid, schedule: Sequence[float],
         raise ValueError(f"tolerance must be nonnegative, got {config.tol}")
     clipped = truncate(problem.driver, problem.coefficient.sup_norm, problem.horizon)
 
-    if config.mode not in ("ode", "mc"):
-        raise ValueError(f"unknown scheme mode {config.mode!r}")
-    bundle = config.bundle
-    if (bundle is not None) != (config.mode == "mc"):
-        raise ValueError("mc mode needs a path bundle" if bundle is None
-                         else f"a path bundle needs mc mode, not {config.mode!r}")
     # in Monte Carlo mode the sweep's fits carry the BMO fold's quantile range
-    sweep = NodeSweep(problem, grid, schedule, bundle=bundle, basis=config.basis,
+    sweep = NodeSweep(problem, grid, schedule, bundle=config.bundle, basis=config.basis,
                       driver_override=clipped, clamp_margin=config.clamp_margin,
                       theta=SCHEME_THETA, workers=config.workers,
-                      level_quantiles=_BMO_QUANTILES if bundle is not None else ())
+                      level_quantiles=_BMO_QUANTILES if config.bundle is not None else ())
 
     mc, dts = sweep.mc, grid.gaps
     n_pts, n_levels, m_paths = len(grid.points), len(schedule), sweep.m_paths
@@ -199,7 +193,7 @@ def run_scheme(problem: BsdeProblem, grid: TimeGrid, schedule: Sequence[float],
     final = sweep.solution(n_levels - 1, y_mean, z_mean)
     bmo_value, bmo_stderr = bmo.value, bmo.stderr
     mono = max(float(np.max(excess)), 0.0)
-    box_slack = BOX_SLACK_ODE if config.mode == "ode" else config.clamp_margin + 1e-12
+    box_slack = config.clamp_margin + 1e-12 if mc else BOX_SLACK_ODE
     # the sweep's excursion before the Monte Carlo clamp, not the clamped values
     box_viol = float(np.max(sweep.box_excursion_raw))
     bounds_ok = box_viol <= box_slack
@@ -312,7 +306,8 @@ def estimate_bmo(sol: SolutionEstimate, bundle: Optional[PathBundle],
         raise ValueError("the Monte Carlo estimate needs the solution's paths")
     if bundle is None:
         raise ValueError("the Monte Carlo estimate needs the path bundle")
-    fold = _BmoFold(basis or RegressionBasis.polynomial(3))
+    bundle.check_grid(sol.grid)
+    fold = _BmoFold(basis or DEFAULT_BASIS)
     gaps, levels = sol.grid.gaps, bundle.levels      # one read: a drawn bundle redraws
     for i in range(sol.z.shape[1] - 1, -1, -1):
         fold.add(levels[:, i, 0], sol.z[:, i], gaps[i], node_index=i)

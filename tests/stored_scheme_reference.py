@@ -113,15 +113,15 @@ def run_scheme(problem, grid, schedule, t0=None, config=None):
     upto = max(int(np.searchsorted(grid.points, t0 + 1e-15) - 1), 0)
     sup = problem.coefficient.sup_norm
     clipped = truncate(problem.driver, sup, problem.horizon)
-    bundle = config.bundle if config.mode == "mc" else None
+    bundle = config.bundle
     solutions = scheme_sweep(problem, grid, schedule, bundle=bundle, basis=config.basis,
                              driver_override=clipped, clamp_margin=config.clamp_margin)
 
     gaps = tuple(sup_gap(a, b, upto) for a, b in zip(solutions, solutions[1:]))
     mono = max(max(monotone_violation(a, b) for a, b in zip(solutions, solutions[1:])), 0.0)
-    box_slack = BOX_SLACK_ODE if config.mode == "ode" else config.clamp_margin + 1e-12
+    box_slack = BOX_SLACK_ODE if config.bundle is None else config.clamp_margin + 1e-12
     box_viol = max(s.diagnostics["box_excursion_raw"] for s in solutions)
-    if config.mode == "mc":
+    if config.bundle is not None:
         bmo_value, bmo_stderr = estimate_bmo(
             solutions[-1], bundle, config.basis or RegressionBasis.polynomial(3))
     else:
@@ -138,4 +138,4 @@ def run_scheme(problem, grid, schedule, t0=None, config=None):
         box_excursion_raw=tuple(s.diagnostics["box_excursion_raw"] for s in solutions),
         y_min=tuple(float(s.y.min()) for s in solutions),
         y_max=tuple(float(s.y.max()) for s in solutions),
-        notes={"mode": config.mode})
+        notes={"mode": "mc" if config.bundle is not None else "ode"})

@@ -88,7 +88,7 @@ def test_scheme_level_equals_lone_solve(markovian_case):
     # are read from the stored-array reference, which runs the same sweep; the
     # lone solve runs the scheme's theta-step too
     prob, grid, bundle, clipped, schedule = markovian_case
-    config = bl.SchemeConfig(mode="mc", tol=1.0, bundle=bundle)
+    config = bl.SchemeConfig(tol=1.0, bundle=bundle)
     report = bl.run_scheme(prob, grid, schedule, config=config)
     stored = stored_scheme_reference.run_scheme(prob, grid, schedule, config=config)
     for k in (0, len(schedule) - 1):
@@ -180,7 +180,7 @@ def test_mc_box_certificate_reads_the_raw_excursion(markovian_case):
     # the clamp keeps the stored values within clamp_margin of the box; the
     # certificate must read the excursion before it, so here it fails
     prob, grid, bundle, _, schedule = markovian_case
-    config = bl.SchemeConfig(mode="mc", tol=1.0, bundle=bundle)
+    config = bl.SchemeConfig(tol=1.0, bundle=bundle)
     report = bl.run_scheme(prob, grid, schedule, config=config)
     raw = max(report.box_excursion_raw)
     assert report.box_violation == raw
@@ -193,9 +193,9 @@ def test_mc_diagnostics_carry_the_regression_condition_range(markovian_case):
     schedule = [2.0, 4.0]
     diagnostics = []
     for workers in (1, 2):
-        bundle = bl.simulate_paths(grid, 1, 20_000, seed=3, workers=workers)
+        bundle = bl.simulate_paths(grid, 1, 20_000, seed=3)
         report = bl.run_scheme(prob, grid, schedule,
-                               config=bl.SchemeConfig(mode="mc", bundle=bundle, tol=1.0))
+                               config=bl.SchemeConfig(bundle=bundle, tol=1.0))
         cond_min = report.final.diagnostics["regression_cond_min"]
         cond_max = report.final.diagnostics["regression_cond_max"]
         assert 1.0 <= cond_min <= cond_max < lipschitz_solver._COND_LIMIT

@@ -67,7 +67,7 @@ class TestStreamedRows:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("dim", [1, 2])
     def test_stream_equals_levels_read(self, dim, workers, grid, n_paths):
-        bundle = bl.simulate_paths(GRIDS[grid], dim, n_paths, seed=2**63 + 5, workers=workers)
+        bundle = bl.simulate_paths(GRIDS[grid], dim, n_paths, seed=2**63 + 5)
         assert streamed(bundle, workers) == node_major(bundle.levels)
 
     def test_grids_cover_every_residue(self):
@@ -115,7 +115,7 @@ class TestConstruction:
         # a whole block of paths and a ragged one
         grid = uneven_grid(11)
         n_paths = paths.DRAW_BLOCK // (paths.GROUP * dim) + 7
-        bundle = bl.simulate_paths(grid, dim, n_paths, seed=2**64 - 3, workers=workers)
+        bundle = bl.simulate_paths(grid, dim, n_paths, seed=2**64 - 3)
         picked = [0, 1, n_paths // 2, n_paths - 8, n_paths - 7, n_paths - 1]
         want = reference_levels(grid, dim, picked, 2**64 - 3)
         assert np.ascontiguousarray(bundle.levels[picked]).tobytes() == want.tobytes()
@@ -157,11 +157,8 @@ class TestIncrements:
 
     def test_hand_built_bundle_returns_its_arrays(self):
         grid = uneven_grid(6)
-        increments = np.full((4, 5, 1), 0.25)
         levels = np.zeros((4, 6, 1))
-        bundle = bl.PathBundle(grid=grid, dim=1, n_paths=4, increments=increments,
-                               levels=levels, seed=0)
-        assert bundle.increments is increments
+        bundle = bl.PathBundle(grid=grid, dim=1, n_paths=4, levels=levels, seed=0)
         assert bundle.levels is levels
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -253,8 +250,8 @@ def test_scheme_run_peak_holds_no_bundle_array():
     prob = _problem(model, bl.CoefficientProcess.constant(1.0, 1.0))
 
     def run(n_paths):
-        bundle = bl.simulate_paths(grid, 1, n_paths, seed=2302, workers=2)
-        config = bl.SchemeConfig(mode="mc", tol=0.1, bundle=bundle, workers=2)
+        bundle = bl.simulate_paths(grid, 1, n_paths, seed=2302)
+        config = bl.SchemeConfig(tol=0.1, bundle=bundle, workers=2)
         bl.run_scheme(prob, grid, [2.0, 4.0], config=config)
 
     run(20_000)             # scipy's modules load outside the trace
@@ -276,7 +273,7 @@ def test_hand_built_bundle_of_the_drawn_levels_runs_the_same_scheme(workers, mon
     drawn = bl.simulate_paths(grid, 1, 20_000, seed=23)
     stored = bl.PathBundle(grid, 1, 20_000, drawn.levels, seed=23)
     reports = [bl.run_scheme(_markovian(power1), grid, [2.0, 8.0, 32.0],
-                             config=bl.SchemeConfig(mode="mc", tol=1.0, bundle=bundle,
+                             config=bl.SchemeConfig(tol=1.0, bundle=bundle,
                                                     workers=workers))
                for bundle in (drawn, stored)]
     assert reports[0].bmo_estimate > 0.0

@@ -143,7 +143,7 @@ class TestRegressionMc:
         levels = np.zeros_like(base.levels)
         np.cumsum(increments, axis=1, out=levels[:, 1:, :])
         bundle = bl.PathBundle(grid=grid, dim=1, n_paths=base.n_paths,
-                               increments=increments, levels=levels, seed=base.seed)
+                               levels=levels, seed=base.seed)
         coeff = bl.CoefficientProcess.markovian(
             lambda t, w: 0.5 * (1.0 + np.sin(w)), 1.0, sup_norm=1.0, nonnegative=True)
         prob = bl.BsdeProblem(intensity=power1, coefficient=coeff,

@@ -19,14 +19,6 @@ class TestSimulatePaths:
         assert np.array_equal(a.increments, b.increments)
         assert a.increments.shape == (1, 1, 1)
 
-    @pytest.mark.parametrize("workers", [4, 8])
-    def test_worker_count_invariance(self, workers):
-        grid = uniform_grid(11)
-        base = bl.simulate_paths(grid, 2, 1000, seed=7, workers=1)
-        other = bl.simulate_paths(grid, 2, 1000, seed=7, workers=workers)
-        assert np.array_equal(base.increments, other.increments)
-        assert np.array_equal(base.levels, other.levels)
-
     def test_terminal_moments(self):
         grid = uniform_grid(2)
         m = 100_000
@@ -99,3 +91,40 @@ class TestNodeMajorLayout:
         want_inc = want_levels[:, 1:] - want_levels[:, :-1]
         assert np.ascontiguousarray(bundle.levels).tobytes() == want_levels.tobytes()
         assert np.ascontiguousarray(bundle.increments).tobytes() == want_inc.tobytes()
+
+
+class TestBundleGrid:
+    """A bundle serves only the grid its levels belong to."""
+
+    def test_levels_of_another_grid_rejected(self):
+        power1 = bl.IntensityModel.power_gap(1.0, 1.0)
+        grid = bl.make_grid(power1, 11, mass_cap=8.0)
+        levels = bl.simulate_paths(bl.make_grid(power1, 16, mass_cap=8.0), 1, 100, seed=3).levels
+        with pytest.raises(ValueError, match=r"= \(100, 12, 1\), got \(100, 17, 1\)"):
+            bl.PathBundle(grid, 1, 100, levels, seed=3)
+
+    def test_bundle_of_another_grid_rejected(self):
+        # both grids have 12 nodes, so every array shape agrees
+        power1 = bl.IntensityModel.power_gap(1.0, 1.0)
+        grid = bl.make_grid(power1, 11, mass_cap=8.0)
+        ours = bl.simulate_paths(grid, 1, 500, seed=3)
+        other = bl.simulate_paths(bl.make_grid(bl.IntensityModel.power_gap(2.0, 1.0), 11,
+                                               mass_cap=8.0), 1, 500, seed=3)
+        coeff = bl.CoefficientProcess.markovian(
+            lambda t, w: 0.5 * (1.0 + np.sin(w)), 1.0, sup_norm=1.0, nonnegative=True)
+        plus = bl.BsdeProblem(intensity=power1, coefficient=coeff, sign=bl.PLUS_LAMBDA_Y)
+        minus = bl.BsdeProblem(intensity=power1, sign=bl.MINUS_LAMBDA_Y,
+                               coefficient=bl.CoefficientProcess.constant(0.0, 1.0))
+        nonlinear = bl.BsdeProblem(intensity=power1, coefficient=coeff, sign=bl.NONLINEAR_PLUS,
+                                   driver=bl.DriverSpec.exp_utility(1.0))
+        beta = np.ones(grid.n_points - 1)
+        member = bl.fundamental_family(power1, 1.0, grid, beta=beta, bundle=ours)
+        sol = bl.solve_regression_mc(nonlinear, grid, ours, lambda_cap=4.0,
+                                     driver_override=bl.truncate(nonlinear.driver, 1.0, 1.0))
+        for call in (lambda: bl.residual_check(member, minus, bundle=other),
+                     lambda: bl.solve_affine_plus(plus, grid, bundle=other),
+                     lambda: bl.estimate_bmo(sol, other),
+                     lambda: bl.fundamental_family(power1, 1.0, grid, beta=beta, bundle=other),
+                     lambda: bl.solve_regression_mc(nonlinear, grid, other, lambda_cap=4.0)):
+            with pytest.raises(ValueError, match="bundle was simulated on a different grid"):
+                call()

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from numpy.random import Philox
 
-import bsdelab as bl
 from bsdelab import paths
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -22,10 +21,6 @@ def reference_raw(seed: int, path_index: int, count: int) -> np.ndarray:
 def reference_uniforms(seed: int, path_index: int, count: int) -> np.ndarray:
     raw = reference_raw(seed, path_index, count)
     return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-
-
-def uniform_grid(n):
-    return bl.TimeGrid(points=np.linspace(0.0, 1.0, n), cap_index=n - 2)
 
 
 PATH_INDICES = [0, 1, 2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 2**63 + 1, MASK64]
@@ -50,31 +45,3 @@ class TestRawDraws:
         start = 4 * first_counter
         want = np.stack([reference_raw(seed, m, start + count)[start:] for m in PATH_INDICES])
         assert np.array_equal(got, want)
-
-
-class TestSimulatePathsAgainstOracle:
-    def test_pool_capped_at_block_count(self, monkeypatch):
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(paths, "ThreadPoolExecutor", SerialPool)
-        grid = uniform_grid(11)
-        per_block = paths.DRAW_BLOCK // paths.GROUP      # a group's words per block
-        many = bl.simulate_paths(grid, 1, 2 * per_block + 1, seed=4, workers=10**6)
-        few = bl.simulate_paths(grid, 1, 5, seed=4, workers=10**6)
-        assert sizes == []                  # the simulation draws nothing
-        many_levels, few_levels = many.levels, few.levels
-        assert sizes == [3]                 # one-block reads start no pool at all
-        assert np.array_equal(few_levels, many_levels[:5])

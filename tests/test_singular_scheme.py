@@ -172,7 +172,7 @@ class TestRunScheme:
         grid = bl.make_grid(power1, 61, mass_cap=10.0)
         bundle = bl.simulate_paths(grid, 1, 30_000, seed=17)
         prob = theorem_problem(power1, bl.DriverSpec.exp_utility(1.0))
-        cfg = bl.SchemeConfig(mode="mc", tol=5e-2, bundle=bundle)
+        cfg = bl.SchemeConfig(tol=5e-2, bundle=bundle)
         rep_mc = bl.run_scheme(prob, grid, [4, 8, 16], config=cfg)
         rep_ode = bl.run_scheme(prob, grid, [4, 8, 16],
                                 config=bl.SchemeConfig(tol=5e-2))
@@ -180,16 +180,6 @@ class TestRunScheme:
         diff = np.abs(rep_mc.final.nodal_mean() - rep_ode.final.y)
         assert np.max(diff) < 2e-2
         assert rep_mc.bmo_estimate >= 0.0
-
-    def test_bundle_outside_mc_mode_rejected(self, power1):
-        # the paths would be dropped and the run silently deterministic
-        grid = bl.make_grid(power1, 21, mass_cap=10.0)
-        bundle = bl.simulate_paths(grid, 1, 200, seed=3)
-        prob = theorem_problem(power1, bl.DriverSpec.exp_utility(1.0))
-        with pytest.raises(ValueError, match="a path bundle needs mc mode, not 'ode'"):
-            bl.run_scheme(prob, grid, [2, 4], config=bl.SchemeConfig(bundle=bundle))
-        with pytest.raises(ValueError, match="mc mode needs a path bundle"):
-            bl.run_scheme(prob, grid, [2, 4], config=bl.SchemeConfig(mode="mc"))
 
 
 class TestFunctionals:
@@ -265,7 +255,7 @@ class TestFunctionals:
         bundle = bl.simulate_paths(grid, 1, 2000, seed=19)
         prob = theorem_problem(power1, bl.DriverSpec.exp_utility(1.0))
         report = bl.run_scheme(prob, grid, [2.0, 4.0],
-                               config=bl.SchemeConfig(mode="mc", tol=1.0, bundle=bundle))
+                               config=bl.SchemeConfig(tol=1.0, bundle=bundle))
         final = report.final
         assert final.mode == "regression_mc" and final.y.shape == (grid.n_points,)
         with pytest.raises(ValueError, match="needs the solution's paths"):
@@ -292,7 +282,7 @@ class TestFunctionals:
         prob = bl.BsdeProblem(intensity=power1, coefficient=phi, sign=bl.NONLINEAR_PLUS,
                               driver=bl.DriverSpec.exp_utility(1.0))
         final = bl.run_scheme(prob, grid, [2.0, 4.0], config=bl.SchemeConfig(
-            mode="mc", tol=1.0, bundle=bundle)).final
+            tol=1.0, bundle=bundle)).final
         for given in (None, bundle):
             with pytest.raises(ValueError, match="needs the solution's paths"):
                 bl.residual_check(final, prob, bundle=given)

@@ -60,7 +60,7 @@ def test_constant_coefficient_mc_equals_stored(power1):
     prob = _problem(power1, bl.CoefficientProcess.constant(1.0, 1.0))
     bundle = bl.simulate_paths(grid, 1, 4000, seed=17)
     schedule = [2.0, 4.0, 8.0, 16.0]
-    config = bl.SchemeConfig(mode="mc", tol=5e-2, bundle=bundle)
+    config = bl.SchemeConfig(tol=5e-2, bundle=bundle)
     assert_matches_stored(bl.run_scheme(prob, grid, schedule, config=config),
                           stored_ref.run_scheme(prob, grid, schedule, config=config))
 
@@ -73,10 +73,23 @@ def test_markovian_mc_equals_stored(power1, seed, degree):
     prob = _markovian(power1)
     bundle = bl.simulate_paths(grid, 1, 20_000, seed=seed)
     schedule = [2.0 ** k for k in range(1, 7)]
-    config = bl.SchemeConfig(mode="mc", tol=1.0, bundle=bundle,
+    config = bl.SchemeConfig(tol=1.0, bundle=bundle,
                              basis=bl.RegressionBasis.polynomial(degree))
     assert_matches_stored(bl.run_scheme(prob, grid, schedule, config=config),
                           stored_ref.run_scheme(prob, grid, schedule, config=config))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_bundle_alone_runs_monte_carlo(power1, workers, monkeypatch):
+    # four path chunks, which the reference sweeps on one thread
+    monkeypatch.setattr(lipschitz_solver, "SWEEP_BLOCK", 5000)
+    grid = bl.make_grid(power1, 31, mass_cap=10.0)
+    prob, schedule = _markovian(power1), [2.0, 8.0, 32.0]
+    bundle = bl.simulate_paths(grid, 1, 20_000, seed=29)
+    config = bl.SchemeConfig(tol=1.0, bundle=bundle, workers=workers)
+    report = bl.run_scheme(prob, grid, schedule, config=config)
+    assert report.final.mode == "regression_mc"
+    assert_matches_stored(report, stored_ref.run_scheme(prob, grid, schedule, config=config))
 
 
 def test_top_level_paths_equal_stored(power1):
@@ -86,7 +99,7 @@ def test_top_level_paths_equal_stored(power1):
     prob = _markovian(power1)
     bundle = bl.simulate_paths(grid, 1, 20_000, seed=3)
     schedule = [2.0 ** k for k in range(1, 7)]
-    config = bl.SchemeConfig(mode="mc", tol=1.0, bundle=bundle)
+    config = bl.SchemeConfig(tol=1.0, bundle=bundle)
     top = stored_ref.run_scheme(prob, grid, schedule, config=config)["final"]
     sweep = lipschitz_solver.NodeSweep(
         prob, grid, schedule, bundle=bundle, driver_override=bl.truncate(prob.driver, 1.0, 1.0),
@@ -106,7 +119,7 @@ def test_bmo_standard_error_is_formed_once(power1, monkeypatch):
     # the end: one pseudo-inverse per run, however often the maximum moves
     grid = bl.make_grid(power1, 61, mass_cap=10.0)
     bundle = bl.simulate_paths(grid, 1, 4000, seed=17)
-    config = bl.SchemeConfig(mode="mc", tol=1.0, bundle=bundle)
+    config = bl.SchemeConfig(tol=1.0, bundle=bundle)
     pinv, calls = np.linalg.pinv, []
 
     def counted(*args, **kwargs):
@@ -150,7 +163,7 @@ def test_peak_memory_does_not_grow_with_nodes(power1):
     nodes, peaks = [], []
     for n_grid in (21, 81):
         grid = bl.make_grid(power1, n_grid, mass_cap=10.0)
-        config = bl.SchemeConfig(mode="mc", tol=1.0,
+        config = bl.SchemeConfig(tol=1.0,
                                  bundle=bl.simulate_paths(grid, 1, m, seed=7))
         tracemalloc.start()
         try:
@@ -179,7 +192,7 @@ def test_peak_memory_does_not_grow_with_levels(power1):
     grid = bl.make_grid(power1, 61, mass_cap=10.0)
     prob = _problem(power1, bl.CoefficientProcess.constant(1.0, 1.0))
     bundle = bl.simulate_paths(grid, 1, 20_000, seed=7)
-    config = bl.SchemeConfig(mode="mc", tol=1.0, bundle=bundle)
+    config = bl.SchemeConfig(tol=1.0, bundle=bundle)
     peaks = {}
     tracemalloc.start()
     try:

@@ -91,7 +91,7 @@ def test_mc_equals_ode_on_a_constant_coefficient(power1):
     prob = _problem(power1)
     ode = bl.run_scheme(prob, grid, SCHEDULE, config=bl.SchemeConfig())
     mc = bl.run_scheme(prob, grid, SCHEDULE, config=bl.SchemeConfig(
-        mode="mc", bundle=bl.simulate_paths(grid, 1, 2000, seed=4)))
+        bundle=bl.simulate_paths(grid, 1, 2000, seed=4)))
     assert abs(float(mc.final.y[0]) - float(ode.final.y[0])) <= 1e-9
     assert mc.converged and ode.converged
 

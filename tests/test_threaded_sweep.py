@@ -50,7 +50,7 @@ def _first_column(view):
 def _run_reports(prob, grid, bundle, schedule, **config):
     reports = {}
     for workers in WORKERS:
-        cfg = bl.SchemeConfig(mode="mc", bundle=bundle, workers=workers, **config)
+        cfg = bl.SchemeConfig(bundle=bundle, workers=workers, **config)
         reports[workers] = bl.run_scheme(prob, grid, schedule, config=cfg)
     return reports
 
@@ -223,7 +223,7 @@ def _degenerate_bundle(grid, node):
     levels = bundle.levels.copy()
     levels[:, node, 0] = np.random.default_rng(4).uniform(2.0, 2.05, bundle.n_paths)
     return bl.PathBundle(grid=grid, dim=1, n_paths=bundle.n_paths,
-                         increments=bundle.increments, levels=levels, seed=bundle.seed)
+                         levels=levels, seed=bundle.seed)
 
 
 def test_prefetched_basis_degenerate_names_its_node(power1, small_blocks):
@@ -290,7 +290,7 @@ def test_pool_capped_at_block_count(power1, small_blocks, monkeypatch):
 
     def report(n_paths, workers):
         bundle = bl.simulate_paths(grid, 1, n_paths, seed=8)
-        config = bl.SchemeConfig(mode="mc", tol=1.0, bundle=bundle, workers=workers)
+        config = bl.SchemeConfig(tol=1.0, bundle=bundle, workers=workers)
         return bl.run_scheme(prob, grid, [2.0, 4.0], config=config)
 
     many = report(3 * BLOCK + 1, 10 ** 6)
@@ -407,7 +407,7 @@ def test_sweep_holds_chunk_scratch_not_whole_state_buffers(power1):
 
     def run():
         bundle = bl.simulate_paths(grid, 1, m, seed=7)
-        config = bl.SchemeConfig(mode="mc", tol=1.0, bundle=bundle, workers=2)
+        config = bl.SchemeConfig(tol=1.0, bundle=bundle, workers=2)
         bl.run_scheme(prob, grid, [2.0, 4.0], config=config)
 
     run()                   # loads scipy.special and scipy.linalg

@@ -138,7 +138,7 @@ def test_sweep_degenerate_node_names_its_index(chunks, monkeypatch):
     bundle = bl.simulate_paths(grid, 1, M, seed=4)
     levels = bundle.levels.copy()
     levels[:, 4, 0] = np.random.default_rng(4).uniform(2.0, 2.05, M)
-    bundle = bl.PathBundle(grid=grid, dim=1, n_paths=M, increments=bundle.increments,
+    bundle = bl.PathBundle(grid=grid, dim=1, n_paths=M,
                            levels=levels, seed=bundle.seed)
     prob = bl.BsdeProblem(intensity=power1,
                           coefficient=bl.CoefficientProcess.constant(1.0, 1.0),
