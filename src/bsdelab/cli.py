@@ -234,8 +234,8 @@ def _run_ode_trichotomy(cfg: ScenarioConfig) -> int:
         return _finish(cfg, "diverges", EXIT_OK)
     cfg.say("  classification = converges")
     cfg.say(f"  limit = {_fmt(classification.limit)}")
-    scenario = OdeFamilyScenario(model=model, coefficient=coeff,
-                                 limit=classification.limit, y0_list=(0.0, 1.0))
+    scenario = OdeFamilyScenario(model=model, coefficient=coeff, limit=classification.limit,
+                                 y0_list=(0.0, 1.0), classify_tol=p["tol"])
     cert = certify_nonuniqueness(scenario, grid)
     _write_family(cfg, cert, "family_members_written")
     return _finish(cfg, "converges_with_family", EXIT_OK)

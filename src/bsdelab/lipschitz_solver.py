@@ -26,7 +26,7 @@ import numpy as np
 
 from .coefficients import BsdeProblem, DriverSpec, TimeGrid
 from .errors import BasisDegenerate, NumericsError
-from .paths import DrawScratch, LevelStream, PathBundle
+from .paths import LevelStream, PathBundle
 
 NEWTON_TOL = 1e-12
 _COND_LIMIT = 1e10
@@ -361,11 +361,9 @@ def _columns(a, cols: slice):
 class _ChunkScratch:
     """One worker's buffers for the chunks it steps, flat, so that each view a
     chunk takes of them is contiguous.  ``whole`` holds the sweep's f and
-    values; f' is chunk scratch, read only by the job that computed it.
-    ``draws`` holds the bridge draws of a drawn bundle (``LevelStream``)."""
+    values; f' is chunk scratch, read only by the job that computed it."""
 
-    def __init__(self, n_levels: int, rows: int, width: int, whole: dict,
-                 draws: bool = False):
+    def __init__(self, n_levels: int, rows: int, width: int, whole: dict):
         self.n_levels, self.width, self.whole, self._work = n_levels, width, whole, {}
         self.flat = {name: np.empty(n_levels * rows, dtype=bool if name in ("active", "above")
                                     else float)
@@ -373,7 +371,6 @@ class _ChunkScratch:
                                   "active", "above")}
         self.flat["targets"] = np.empty(2 * n_levels * rows)    # Y and Z, then the fitted Y
         self.flat["qr"] = np.empty(rows * width)        # the QR of the design, then the design
-        self.draws = DrawScratch(1, rows) if draws else None
 
     def work(self, rows: slice) -> _NewtonWorkspace:
         """The workspace of the chunk ``rows``, made once: its columns of the
@@ -472,7 +469,7 @@ class SweepNode(NamedTuple):
     fit: Optional[NodeFit] = None     # the node's regression (Monte Carlo mode),
                                       # until the next node
     w: Optional[np.ndarray] = None    # (M,) Brownian level (Monte Carlo mode),
-                                      # until the stream's window slides past it
+                                      # until the stream draws the node two below
 
 
 class NodeSweep:
@@ -510,10 +507,10 @@ class NodeSweep:
     Reductions over the chunks are combined in chunk order, so nothing
     depends on ``workers``.  Only f, the values, Z and Q are whole arrays;
     the rest is per-worker chunk scratch (``_ChunkScratch``).  The Brownian
-    levels come from a ``LevelStream``: a drawn bundle's bridge group is drawn
-    over the same chunks when the sweep reaches its top node, so the sweep
-    holds ``GROUP`` + 1 levels, not N.  A deterministic coefficient enters
-    as the scalar phi(t_i).
+    levels come from a ``LevelStream``: a drawn bundle's row is drawn on the
+    calling thread when the sweep reaches its node, so the sweep holds two
+    levels, node i's and node i + 1's, not N.  A deterministic coefficient
+    enters as the scalar phi(t_i).
 
     ``nodes()`` yields one ``SweepNode`` per grid index, from T backward; only
     the current node is held, and its ``y``, ``f``, ``z``, ``fit`` and ``w``
@@ -582,9 +579,8 @@ class NodeSweep:
         # f at the right node stays in its buffer from step to step, and a
         # node's values overwrite the right node's once the first pass read them
         whole = {name: np.empty((len(self.caps), self.m_paths)) for name in ("y", "f")}
-        draws = self.mc and self.bundle.drawn
         tasks = _ChunkQueue(chunks, self.workers,
-                            lambda: _ChunkScratch(len(self.caps), rows, width, whole, draws))
+                            lambda: _ChunkScratch(len(self.caps), rows, width, whole))
         try:
             yield from self._sweep(tasks, **whole)
         finally:
@@ -604,13 +600,6 @@ class NodeSweep:
 
         if mc:
             stream = LevelStream(self.bundle)
-
-            def level(i):
-                # node i's level, once its bridge group is drawn where it is new
-                if stream.advance(i):
-                    tasks.run(lambda rows, s: stream.draw(rows, s.draws))
-                return stream.level(i)[0]
-
             basis, width = self.basis, self.basis.degree + 1
             q = np.empty((self.m_paths, width))         # each chunk's Q_k, in C order
             import scipy.linalg     # noqa: F401 -- on this thread, before _factor runs in the pool
@@ -619,7 +608,7 @@ class NodeSweep:
             # with one chunk, Z is the Z half of its targets, which the fit overwrites
             z = np.empty(shape) if len(tasks.chunks) > 1 else \
                 tasks.scratches[0].work(tasks.chunks[0]).targets[n_levels:]
-            w_i = level(len(pts) - 1)
+            w_i = stream.level(len(pts) - 1)[0]
             y[:] = problem.terminal.values(w_i)
         else:
             z = np.zeros(shape)                         # Z vanishes on deterministic data
@@ -659,7 +648,7 @@ class NodeSweep:
                 self.theta_fallback_segments += 1
             h, phi_next, fit = (1.0 - theta_i) * dt, phi, None
             if mc:
-                w_i = level(i)
+                w_i = stream.level(i)[0]
                 w_next = stream.level(i + 1)[0]
                 degenerate = _degenerate_level(w_i, width, i)
 

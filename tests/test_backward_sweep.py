@@ -188,14 +188,16 @@ def test_mc_box_certificate_reads_the_raw_excursion(markovian_case):
     assert not report.bounds_ok
 
 
-def test_mc_diagnostics_carry_the_regression_condition_range(markovian_case):
+def test_mc_diagnostics_carry_the_regression_condition_range(markovian_case, monkeypatch):
+    # four chunks of 5000 paths, on one worker and on two
+    monkeypatch.setattr(lipschitz_solver, "SWEEP_BLOCK", 5000)
     prob, grid, _, clipped, _ = markovian_case
     schedule = [2.0, 4.0]
     diagnostics = []
     for workers in (1, 2):
         bundle = bl.simulate_paths(grid, 1, 20_000, seed=3)
         report = bl.run_scheme(prob, grid, schedule,
-                               config=bl.SchemeConfig(bundle=bundle, tol=1.0))
+                               config=bl.SchemeConfig(bundle=bundle, tol=1.0, workers=workers))
         cond_min = report.final.diagnostics["regression_cond_min"]
         cond_max = report.final.diagnostics["regression_cond_max"]
         assert 1.0 <= cond_min <= cond_max < lipschitz_solver._COND_LIMIT

@@ -1,15 +1,18 @@
 """The backward Brownian bridge of ``bsdelab.paths``, and the sweep that
-streams it one group of nodes at a time.
+streams it one node at a time.
 
 The rows a sweep streams against a bundle's ``levels`` read, bit for bit; the
-bridge's law against the forward construction it replaced
-(``forward_paths_reference``); increments as differences of the levels; the
-cost of a read; and the traced memory of a Monte Carlo run, which holds no
-(N, d, M) array.
+levels against a per-row oracle over numpy's Philox streams; the bridge's law
+against the forward construction it replaced (``forward_paths_reference``);
+increments as differences of the levels; the cost of a read; and the traced
+memory of a Monte Carlo run, which holds no (N, d, M) array.
 """
 
 import math
 import tracemalloc
+import warnings
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,25 +37,39 @@ def node_major(levels):
     return np.ascontiguousarray(levels.transpose(1, 2, 0)).tobytes()
 
 
+@contextmanager
+def counted_rows():
+    """Counts the row draws, ``paths._standard_normals`` calls, in ``["rows"]``."""
+    counts, draw = {"rows": 0}, paths._standard_normals
+
+    def spy(*args):
+        counts["rows"] += 1
+        return draw(*args)
+
+    with mock.patch.object(paths, "_standard_normals", spy):
+        yield counts
+
+
 def streamed(bundle, workers):
-    """Every node's row as a sweep streams it, from T backward over the path
-    chunks of a sweep on ``workers`` threads, as node-major (N, d, M) bytes.
-    W_{i+1} is read again once node i's group is drawn, as the sweep reads it."""
+    """Every node's row as a sweep streams it, from T backward, as node-major
+    (N, d, M) bytes: the stream draws each row on this thread, and the path
+    chunks of a sweep on ``workers`` threads copy it out.  W_{i+1} is read
+    again once node i is drawn, as the sweep reads it, and each row is drawn
+    once."""
     chunks = lipschitz_solver._chunks(bundle.n_paths)
-    rows = -(-bundle.n_paths // len(chunks))
-    tasks = lipschitz_solver._ChunkQueue(chunks, workers,
-                                         lambda: paths.DrawScratch(bundle.dim, rows))
+    tasks = lipschitz_solver._ChunkQueue(chunks, workers, lambda: None)
     stream, n = paths.LevelStream(bundle), bundle.grid.n_points
     out = np.empty((n, bundle.dim, bundle.n_paths))
     try:
-        for i in range(n - 1, -1, -1):
-            if stream.advance(i):
-                tasks.run(stream.draw)
-            out[i] = stream.level(i)
-            if i < n - 1:
-                assert stream.level(i + 1).tobytes() == out[i + 1].tobytes()
+        with counted_rows() as counts:
+            for i in range(n - 1, -1, -1):
+                row = stream.level(i)
+                tasks.run(lambda rows, _: np.copyto(out[i][:, rows], row[:, rows]))
+                if i < n - 1:
+                    assert stream.level(i + 1).tobytes() == out[i + 1].tobytes()
     finally:
         tasks.close()
+    assert counts["rows"] == (n - 1) * bundle.dim
     return out.tobytes()
 
 
@@ -63,62 +80,76 @@ GRIDS = {"two_point": bl.TimeGrid(points=np.array([0.0, 0.7]), cap_index=0),
 
 class TestStreamedRows:
     @pytest.mark.parametrize("n_paths", [1, 3, SWEEP_BLOCK + 1, 2 * SWEEP_BLOCK])
-    @pytest.mark.parametrize("grid", sorted(GRIDS))    # N = 2, 11, 4, 5: every N mod 4
+    @pytest.mark.parametrize("grid", sorted(GRIDS))    # N = 2, 11, 4, 5
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("dim", [1, 2])
     def test_stream_equals_levels_read(self, dim, workers, grid, n_paths):
         bundle = bl.simulate_paths(GRIDS[grid], dim, n_paths, seed=2**63 + 5)
         assert streamed(bundle, workers) == node_major(bundle.levels)
 
-    def test_grids_cover_every_residue(self):
-        assert sorted(g.n_points % paths.GROUP for g in GRIDS.values()) == [0, 1, 2, 3]
-
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_sweep_nodes_carry_the_levels_read(self, monkeypatch, workers):
-        # four chunks of 5000 paths on a 22-node grid: six bridge groups
-        monkeypatch.setattr(lipschitz_solver, "SWEEP_BLOCK", 5000)
+        # the levels read with one chunk; the sweep runs four chunks of 5000
+        # paths on a 22-node grid, and the levels read after it is the same
         power1 = bl.IntensityModel.power_gap(1.0, 1.0)
         grid = bl.make_grid(power1, 21, mass_cap=10.0)
         bundle = bl.simulate_paths(grid, 1, 20_000, seed=9)
+        levels = bundle.levels
+        monkeypatch.setattr(lipschitz_solver, "SWEEP_BLOCK", 5000)
         sweep = lipschitz_solver.NodeSweep(_markovian(power1), grid, [2.0, 8.0],
                                            bundle=bundle, workers=workers)
         rows = {node.index: node.w.copy() for node in sweep.nodes()}
-        levels = bundle.levels
         assert sorted(rows) == list(range(grid.n_points))
         for i, w in rows.items():
             assert w.tobytes() == levels[:, i, 0].tobytes()
+        assert node_major(bundle.levels) == node_major(levels)
 
 
-def reference_levels(grid, dim, path_indices, seed):
-    """The bridge path by path from numpy's ``Philox``: word k d + j of path
-    m drives coordinate j of node N - 1 - k.  (len(path_indices), N, d)."""
-    from scipy.special import ndtri
-
-    from test_philox import reference_uniforms
-
+def reference_levels(grid, dim, n_paths, seed):
+    """The bridge row by row in plain Python: coordinate j of node N - 1 - k
+    takes the standard normals of numpy's ``Philox`` keyed by (seed, k d + j),
+    path m the m-th.  (n_paths, N, d)."""
     pts, n = grid.points, grid.n_points
-    out = np.zeros((len(path_indices), n, dim))
-    for w, m in zip(out, path_indices):
-        xi = ndtri(reference_uniforms(seed, m, (n - 1) * dim)).reshape(n - 1, dim)
-        w[n - 1] = xi[0] * math.sqrt(pts[-1])
-        for k in range(1, n - 1):
-            i = n - 1 - k
-            t, t_next = float(pts[i]), float(pts[i + 1])
-            w[i] = w[i + 1] * (t / t_next) + xi[k] * math.sqrt(t * (t_next - t) / t_next)
+    out = np.zeros((n_paths, n, dim))
+    for k in range(n - 1):
+        i = n - 1 - k
+        t = float(pts[i])
+        for j in range(dim):
+            key = np.array([seed, k * dim + j], dtype=np.uint64)
+            xi = np.random.Generator(np.random.Philox(key=key)).standard_normal(n_paths)
+            for m in range(n_paths):
+                if i == n - 1:
+                    out[m, i, j] = xi[m] * math.sqrt(t)
+                else:
+                    t_next = float(pts[i + 1])
+                    out[m, i, j] = (out[m, i + 1, j] * (t / t_next)
+                                    + xi[m] * math.sqrt(t * (t_next - t) / t_next))
     return out
 
 
 class TestConstruction:
-    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 3])
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_levels_bit_identical_to_the_per_path_oracle(self, dim, workers):
-        # a whole block of paths and a ragged one
+    def test_levels_bit_identical_to_the_per_row_oracle(self, dim, seed):
         grid = uneven_grid(11)
-        n_paths = paths.DRAW_BLOCK // (paths.GROUP * dim) + 7
-        bundle = bl.simulate_paths(grid, dim, n_paths, seed=2**64 - 3)
-        picked = [0, 1, n_paths // 2, n_paths - 8, n_paths - 7, n_paths - 1]
-        want = reference_levels(grid, dim, picked, 2**64 - 3)
-        assert np.ascontiguousarray(bundle.levels[picked]).tobytes() == want.tobytes()
+        bundle = bl.simulate_paths(grid, dim, 257, seed=seed)
+        want = reference_levels(grid, dim, 257, seed)
+        assert np.ascontiguousarray(bundle.levels).tobytes() == want.tobytes()
+
+    def test_a_bundle_is_the_first_paths_of_a_larger_one(self):
+        grid = uneven_grid(11)
+        small = bl.simulate_paths(grid, 1, 20_000, seed=17).levels
+        large = bl.simulate_paths(grid, 1, 50_000, seed=17).levels
+        assert large[:20_000].tobytes() == small.tobytes()
+
+    def test_seeds_at_both_ends_of_the_domain_differ_without_warning(self):
+        # a key given as a Python list would wrap 2^64 - 3 to 0, with a warning
+        grid = uneven_grid(5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            low, high = (bl.simulate_paths(grid, 1, 100, seed=seed).levels
+                         for seed in (0, 2**64 - 3))
+        assert not np.any(low[:, 1:] == high[:, 1:])
 
     @pytest.mark.parametrize("construction", ["bridge", "forward"])
     def test_law_matches_the_forward_construction(self, construction):
@@ -139,10 +170,11 @@ class TestConstruction:
             assert np.all(np.abs(cov - want) <= 4.0 * se)
 
     def test_node_zero_is_zero_and_takes_no_word(self):
-        # N = 5: the last group is node 0 alone, with no Philox counter
         grid = uneven_grid(5)
-        bundle = bl.simulate_paths(grid, 1, 4, seed=3)
-        assert np.all(bundle.levels[:, 0, 0] == 0.0)
+        with counted_rows() as counts:
+            bundle = bl.simulate_paths(grid, 1, 4, seed=3)
+            assert np.all(bundle.levels[:, 0, 0] == 0.0)
+        assert counts["rows"] == 4
         longer = bl.simulate_paths(uneven_grid(6), 1, 4, seed=3)
         # the same stream drives W_{N-1} of both grids: the same xi scaled by sqrt(T)
         assert np.array_equal(bundle.levels[:, -1], longer.levels[:, -1])
@@ -172,32 +204,30 @@ class TestIncrements:
 
 @pytest.fixture
 def reads(monkeypatch):
-    """Counts the whole-bundle draws, ``paths._draw_levels``, and the group
-    draws, ``paths._philox`` calls."""
-    counts = {"levels": 0, "groups": 0}
-    draw_levels, philox = paths._draw_levels, paths._philox
+    """Counts the whole-bundle draws, ``paths._draw_levels``, and the row
+    draws, ``paths._standard_normals`` calls."""
+    draw_levels = paths._draw_levels
 
     def levels_spy(*args):
         counts["levels"] += 1
         return draw_levels(*args)
 
-    def philox_spy(*args):
-        counts["groups"] += 1
-        return philox(*args)
-
     monkeypatch.setattr(paths, "_draw_levels", levels_spy)
-    monkeypatch.setattr(paths, "_philox", philox_spy)
-    return counts
+    with counted_rows() as counts:
+        counts["levels"] = 0
+        yield counts
 
 
 class TestReads:
     def test_each_read_draws_once(self, reads):
+        # five rows per read: node 0 takes no stream
         bundle = bl.simulate_paths(uneven_grid(6), 1, 50, seed=1)
-        assert reads["levels"] == 0
+        assert reads == {"levels": 0, "rows": 0}
         a, b = bundle.levels, bundle.increments
-        assert reads["levels"] == 2 and a is not bundle.levels
+        assert reads == {"levels": 2, "rows": 10}
+        assert a is not bundle.levels
         bundle.levels_and_increments()
-        assert reads["levels"] == 4
+        assert reads == {"levels": 4, "rows": 20}
 
     def test_markovian_affine_plus_reads_once(self, reads):
         model = bl.IntensityModel.power_gap(1.0, 1.0)
@@ -221,12 +251,12 @@ class TestReads:
         bl.residual_check(fam, problem, bundle=bundle)
         assert reads["levels"] == 2
 
-    def test_monte_carlo_scheme_run_draws_each_group_once_per_chunk(self, reads, tmp_path):
-        # 40000 paths are two chunks; 21 nodes are five groups of four and node 0
+    def test_monte_carlo_scheme_run_draws_each_row_once(self, reads, tmp_path):
+        # 40000 paths are two chunks on two threads; 21 nodes are 20 rows and node 0
         assert cli.main(["run", "nonlinear_exp", "--mode", "mc", "--m-paths", "40000",
                          "--n-grid", "21", "--schedule", "4,16", "--tol", "0.5",
                          "--threads", "2", "--out", str(tmp_path)]) == 0
-        assert reads == {"levels": 0, "groups": 2 * 5}
+        assert reads == {"levels": 0, "rows": 20}
 
 
 def test_simulation_holds_no_path_array():

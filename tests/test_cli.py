@@ -77,6 +77,19 @@ class TestRunScenarios:
                    csv.DictReader(open(out / "solution.csv"))}
         assert members == {"0", "1"}
 
+    @pytest.mark.parametrize("p,residual", [("0.7", "1.043e-04"), ("0.5", "3.936e-04")])
+    def test_ode_trichotomy_classifies_once_at_its_tolerance(self, tmp_path, p, residual):
+        # the family is certified at --tol, the classification the report prints;
+        # the member check then fails on the trapezoid's residual
+        out = tmp_path / "ode"
+        assert run(["run", "ode_trichotomy", "--p", p, "--tol", "1e-3",
+                    "--out", str(out)]) == 1
+        report = (out / "report.txt").read_text()
+        assert "classification = converges" in report
+        assert "diverges" not in report
+        assert report.endswith(f"error: member y0=0.0 fails verification: residual "
+                               f"{residual} > 1.0e-08\nstatus: failed\nexit_code: 1\n")
+
     def test_affine_plus_solves(self, tmp_path):
         out = tmp_path / "ap"
         assert run(["run", "affine_plus", "--out", str(out)]) == 0

@@ -1,11 +1,12 @@
-"""Where the package loads scipy, checked in fresh interpreters.
+"""Where the package loads scipy and ``numpy.random``, checked in fresh
+interpreters.
 
-``scipy.special`` (the inverse normal CDF of path simulation) and
+``numpy.random`` (the Philox streams of the Brownian levels) and
 ``scipy.linalg`` (the LAPACK QR of the regressions) are imported at first use,
-and ``scipy.integrate`` never (the affine quadrature is numpy's): commands that
-never simulate paths or regress load none of them.  The test session itself
-has imported them long before these tests run, so every check starts a new
-interpreter.
+and ``scipy.special`` and ``scipy.integrate`` never (the normals are numpy's,
+and so is the affine quadrature): commands that never draw paths or regress
+load none of them.  The test session itself has imported them long before
+these tests run, so every check starts a new interpreter.
 """
 
 import json
@@ -19,7 +20,7 @@ import pytest
 import bsdelab
 
 SRC = str(Path(bsdelab.__file__).resolve().parents[1])
-LAZY = ("scipy.special", "scipy.linalg", "scipy.integrate")
+LAZY = ("numpy.random", "scipy.special", "scipy.linalg", "scipy.integrate")
 
 # Runs the CLI with the given argv and prints its exit code, which of LAZY it
 # left loaded, and for each of LAZY whether its first import ran on the main
@@ -74,21 +75,21 @@ def test_deterministic_commands_load_no_lazy_subpackage(tmp_path, argv):
     assert result["loaded"] == []
 
 
-def test_monte_carlo_loads_special_and_linalg_on_the_main_thread(tmp_path):
-    # 20000 paths on 9 nodes are three simulation blocks of 8192 paths
-    result = _probe("run", "nonlinear_exp", "--mode", "mc", "--m-paths", "20000",
+def test_monte_carlo_loads_random_and_linalg_on_the_main_thread(tmp_path):
+    # 40000 paths are two chunks of the sweep, on two threads
+    result = _probe("run", "nonlinear_exp", "--mode", "mc", "--m-paths", "40000",
                     "--n-grid", "9", "--schedule", "2,4", "--tol", "0.5",
                     "--threads", "2", "--out", str(tmp_path / "mc"))
     assert result["code"] == 0
-    assert {"scipy.special", "scipy.linalg"} <= set(result["loaded"])
-    assert result["main_thread"]["scipy.special"] is True
+    assert set(result["loaded"]) == {"numpy.random", "scipy.linalg"}
+    assert result["main_thread"]["numpy.random"] is True
     assert result["main_thread"]["scipy.linalg"] is True
 
 
 def test_threaded_first_run_matches_one_thread_bytes(tmp_path):
-    # 40000 paths are two path blocks of the sweep (SWEEP_BLOCK = 2^14) and
-    # several blocks of the simulation: at --threads 2 both pools run, in a
-    # process whose first simulation and first regression import scipy
+    # 40000 paths are two path blocks of the sweep (SWEEP_BLOCK = 2^14): at
+    # --threads 2 the pool runs, in a process whose first draw imports
+    # numpy.random and whose first regression imports scipy.linalg
     outputs = {}
     for threads in (1, 2):
         out = tmp_path / f"t{threads}"
@@ -96,7 +97,7 @@ def test_threaded_first_run_matches_one_thread_bytes(tmp_path):
                         "--n-grid", "21", "--schedule", "2,4", "--tol", "0.1",
                         "--threads", str(threads), "--out", str(out))
         assert result["code"] == 0
-        assert all(result["main_thread"].get(m) for m in ("scipy.special", "scipy.linalg"))
+        assert all(result["main_thread"].get(m) for m in ("numpy.random", "scipy.linalg"))
         outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
     assert sorted(outputs[1]) == ["scheme.csv", "solution.csv"]
     assert outputs[1] == outputs[2]

@@ -87,7 +87,7 @@ class TestNodeMajorLayout:
 
         grid = uniform_grid(7)
         bundle = bl.simulate_paths(grid, dim, 33, seed=77)
-        want_levels = reference_levels(grid, dim, range(33), 77)
+        want_levels = reference_levels(grid, dim, 33, 77)
         want_inc = want_levels[:, 1:] - want_levels[:, :-1]
         assert np.ascontiguousarray(bundle.levels).tobytes() == want_levels.tobytes()
         assert np.ascontiguousarray(bundle.increments).tobytes() == want_inc.tobytes()

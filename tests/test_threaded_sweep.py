@@ -388,19 +388,19 @@ def test_sweep_holds_chunk_scratch_not_whole_state_buffers(power1):
     # columns of the cubic design:
     # - NodeSweep: y, f and Z (3), Q (K / L = 2) and the level's copy for the
     #   quantiles (1 / L): 5.5;
-    # - the level stream's window, GROUP + 1 levels: 2.5;
+    # - the level stream's window, two levels: 1;
     # - each worker's chunk scratch, a quarter of the paths: the residual,
     #   deriv, scratch, forcing and f' rows, the 2L targets and the (c, K) QR,
-    #   (7 + K / L) / 4 = 2.25, two bool masks, 1 / 16, and the bridge draws'
-    #   13 uint64 rows, 13 / (4 L): 3.94, 7.875 for two;
+    #   (7 + K / L) / 4 = 2.25, and two bool masks, 1 / 16: 4.625 for two;
     # - run_scheme: the level differences' scratch (1), the per-path gaps and
     #   their standard error's temporary (1 / L each), the BMO fold's tail,
     #   its z^2 dt term, and the tail and level kept at its maximum (1 / L
     #   each): 4.
-    # That is 19.9 states (phi is a scalar, the top level's moments N floats
-    # each); the bound allows 20.5, and it reads 19.9.  A bundle that held its
-    # (N, M) levels added 11 states at N = 22 (the bound was 15 without them);
-    # whole-state f' and phi copies per path add 2.
+    # That is 15.1 states (phi is a scalar, the top level's moments N floats
+    # each); the bound allows 15.5, and it reads 15.2.  A window of five
+    # levels and per-worker bridge draws added 4.75 states (it read 19.9); a
+    # bundle that held its (N, M) levels added 11 states at N = 22; whole-state
+    # f' and phi copies per path add 2.
     grid = bl.make_grid(power1, 21, mass_cap=10.0)
     prob = _problem(power1, bl.CoefficientProcess.constant(1.0, 1.0))
     m = 4 * lipschitz_solver.SWEEP_BLOCK
@@ -410,7 +410,7 @@ def test_sweep_holds_chunk_scratch_not_whole_state_buffers(power1):
         config = bl.SchemeConfig(tol=1.0, bundle=bundle, workers=2)
         bl.run_scheme(prob, grid, [2.0, 4.0], config=config)
 
-    run()                   # loads scipy.special and scipy.linalg
+    run()                   # loads numpy.random and scipy.linalg
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -419,7 +419,7 @@ def test_sweep_holds_chunk_scratch_not_whole_state_buffers(power1):
     finally:
         tracemalloc.stop()
     state = 2 * m * 8
-    assert peak <= 20.5 * state
+    assert peak <= 15.5 * state
 
 
 def test_counters_and_errors_do_not_depend_on_chunking(monkeypatch):
