@@ -563,8 +563,10 @@ class BsdeProblem:
             )
         if not self.coefficient.nonnegative:
             raise ValueError("zero-terminal nonlinear problems need a nonnegative coefficient")
-        lo = -10.0 * max(self.horizon * self.coefficient.sup_norm, 1.0)
-        if not d.flags_ok(lo=lo, hi=10.0):
+        # the box [-T sup phi, 0] that holds the solution, widened by a tenth of
+        # its width and 1e-3 on each side
+        width = self.horizon * self.coefficient.sup_norm
+        if not d.flags_ok(lo=-1.1 * width - 1e-3, hi=0.1 * width + 1e-3):
             raise ValueError("declared driver flags fail the sample check")
 
     @property

@@ -23,6 +23,9 @@ from functools import partial, reduce
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
+# LAPACK dgeqrf and dorgqr, the gufuncs np.linalg.qr wraps, for _factor to call
+# in place: the wrapper copies its input and allocates a new Q on every call
+from numpy.linalg import _umath_linalg
 
 from .coefficients import BsdeProblem, DriverSpec, TimeGrid
 from .errors import BasisDegenerate, NumericsError
@@ -122,10 +125,9 @@ class NodeFit:
             coef = np.zeros((self.width,) + np.shape(partials[0]))
             coef[0] = reduce(np.add, partials) / self.chunks[-1].stop
             return coef
-        from scipy.linalg import solve_triangular      # loaded by _factor
         if self.stack_q is None:
-            return solve_triangular(self.r, partials[0])
-        return solve_triangular(self.r, self.stack_q.T @ np.concatenate(partials))
+            return np.linalg.solve(self.r, partials[0])
+        return np.linalg.solve(self.r, self.stack_q.T @ np.concatenate(partials))
 
     def solve(self, target: np.ndarray) -> np.ndarray:
         """Least-squares coefficients of every column of ``target`` (M, T)."""
@@ -134,14 +136,12 @@ class NodeFit:
 
 
 def _factor(a: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Economic QR of the (rows, K) array ``a``, in place if ``a`` is in Fortran
-    order: returns R and copies Q into the C-ordered rows ``q``.  No finiteness
-    scan: a NaN propagates into R and its SVD.  scipy.linalg, most of the
-    package's import time, loads at a regression's first factorisation."""
-    from scipy.linalg import qr
-    q_a, r = qr(a, overwrite_a=True, mode="economic", check_finite=False)
-    np.copyto(q, q_a)
-    return r
+    """Economic QR of the (rows, K) array ``a``: returns R, writes Q into the
+    C-ordered rows ``q`` and leaves the Householder factor in ``a``.  No
+    finiteness scan: a NaN propagates into R and its SVD."""
+    tau = _umath_linalg.qr_r_raw(a, signature="d->d")
+    _umath_linalg.qr_reduced(a, tau, signature="dd->d", out=q)
+    return np.triu(a[:a.shape[1]])
 
 
 def _merge(rs: Sequence, node_index: int) -> tuple:
@@ -152,7 +152,7 @@ def _merge(rs: Sequence, node_index: int) -> tuple:
     stack_q, r = None, rs[0]
     if len(rs) > 1:
         stack_q = np.empty((len(rs) * r.shape[0], r.shape[0]))
-        r = _factor(np.asfortranarray(np.vstack(rs)), stack_q)
+        r = _factor(np.vstack(rs), stack_q)
     svals = np.linalg.svd(r, compute_uv=False)
     if svals[-1] <= 0 or svals[0] / svals[-1] > _COND_LIMIT:
         raise BasisDegenerate(node_index,
@@ -219,7 +219,7 @@ def _bracket_and_bisect(residual, start):
     for _ in range(200):
         lo, hi = start - width, start + width
         f_lo, f_hi = residual(lo), residual(hi)
-        open_ = ~(f_lo * f_hi <= 0)
+        open_ = ~(np.sign(f_lo) * np.sign(f_hi) <= 0)    # no product to overflow
         if not open_.any():
             break
         width = np.where(open_, 2.0 * width, width)
@@ -231,7 +231,7 @@ def _bracket_and_bisect(residual, start):
         if np.all((np.abs(f_mid) < NEWTON_TOL)
                   | (hi - lo < 1e-15 * np.maximum(1.0, np.abs(mid)))):
             return mid
-        left = f_lo * f_mid <= 0
+        left = np.sign(f_lo) * np.sign(f_mid) <= 0
         hi = np.where(left, mid, hi)
         lo = np.where(left, lo, mid)
         f_lo = np.where(left, f_lo, f_mid)
@@ -602,7 +602,6 @@ class NodeSweep:
             stream = LevelStream(self.bundle)
             basis, width = self.basis, self.basis.degree + 1
             q = np.empty((self.m_paths, width))         # each chunk's Q_k, in C order
-            import scipy.linalg     # noqa: F401 -- on this thread, before _factor runs in the pool
             if self.level_quantiles:
                 level_copy, quantiles = np.empty(self.m_paths), np.empty(len(self.level_quantiles))
             # with one chunk, Z is the Z half of its targets, which the fit overwrites

@@ -434,6 +434,14 @@ def test_parameter_not_taken_writes_a_failed_report(tmp_path, source):
     assert err == ""
 
 
+def test_large_alpha_passes_the_flag_sample_quietly(tmp_path):
+    # exp(-72 x) overflowed on the old sample interval [-10, 10]
+    code, report, err = _run_fresh(["nonlinear_exp", "--alpha", "72"], tmp_path / "alpha")
+    assert code == 0
+    assert "status: converged\n" in report
+    assert err == ""
+
+
 class TestRejectedBeforeTheNumerics:
     # each used to reach the numerics: RuntimeWarnings on stderr and an error
     # about colliding grid nodes, failed flag samples or a nan bound

@@ -162,6 +162,24 @@ class TestBsdeProblem:
             bl.BsdeProblem(intensity=m, coefficient=phi, sign=bl.NONLINEAR_PLUS,
                            driver=bl.DriverSpec.neg_identity())   # zero terminal, wrong flags
 
+    def test_flags_are_sampled_on_the_solution_box(self):
+        # the solution lives in [-T sup phi, 0] = [-1, 0]: exp(-72 x) overflows
+        # far below it, while a dip at -0.5 inside it still fails the check
+        m = bl.IntensityModel.power_gap(1.0, 1.0)
+        phi = bl.CoefficientProcess.constant(1.0, 1.0)
+        bl.BsdeProblem(intensity=m, coefficient=phi, sign=bl.NONLINEAR_PLUS,
+                       driver=bl.DriverSpec.exp_utility(72.0))
+        dip = bl.DriverSpec(
+            name="dip",
+            f=lambda x: x - 0.2 * np.maximum(0.0, 1.0 - np.abs(np.asarray(x) + 0.5) / 0.05),
+            fprime=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+            zero_at_zero=True, nondecreasing=True, below_identity=True,
+            derivative_floor=1.0)
+        assert dip.check_flags(-1.0, 0.0) == {"zero_at_zero": True, "nondecreasing": False,
+                                              "below_identity": True, "derivative_floor": True}
+        with pytest.raises(ValueError, match="declared driver flags fail the sample check"):
+            bl.BsdeProblem(intensity=m, coefficient=phi, sign=bl.NONLINEAR_PLUS, driver=dip)
+
     def test_nonlinear_requires_nonneg_coefficient(self):
         m = bl.IntensityModel.power_gap(1.0, 1.0)
         phi = bl.CoefficientProcess.constant(-1.0, 1.0)

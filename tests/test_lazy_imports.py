@@ -1,12 +1,13 @@
-"""Where the package loads scipy and ``numpy.random``, checked in fresh
-interpreters.
+"""Where the package loads ``numpy.random``, and that it never loads scipy,
+checked in fresh interpreters.
 
-``numpy.random`` (the Philox streams of the Brownian levels) and
-``scipy.linalg`` (the LAPACK QR of the regressions) are imported at first use,
-and ``scipy.special`` and ``scipy.integrate`` never (the normals are numpy's,
-and so is the affine quadrature): commands that never draw paths or regress
-load none of them.  The test session itself has imported them long before
-these tests run, so every check starts a new interpreter.
+``numpy.random`` (the Philox streams of the Brownian levels) is imported at
+first use, on the main thread: commands that never draw paths leave it
+unloaded.  No command loads any ``scipy`` module: the regressions factor on the
+LAPACK numpy already loads, the normals are numpy's, and so is the affine
+quadrature; scipy is a test dependency only.  The test session itself has
+imported both long before these tests run, so every check starts a new
+interpreter.
 """
 
 import json
@@ -20,11 +21,12 @@ import pytest
 import bsdelab
 
 SRC = str(Path(bsdelab.__file__).resolve().parents[1])
-LAZY = ("numpy.random", "scipy.special", "scipy.linalg", "scipy.integrate")
+LAZY = ("numpy.random",)
 
 # Runs the CLI with the given argv and prints its exit code, which of LAZY it
-# left loaded, and for each of LAZY whether its first import ran on the main
-# thread (a finder that declines every module records the thread).
+# left loaded, every scipy module it left loaded, and for each of LAZY whether
+# its first import ran on the main thread (a finder that declines every module
+# records the thread).
 PROBE = """
 import json, sys, threading
 LAZY = {lazy!r}
@@ -40,6 +42,7 @@ sys.meta_path.insert(0, Recorder())
 from bsdelab import cli
 code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else None
 print(json.dumps({{"code": code, "loaded": [m for m in LAZY if m in sys.modules],
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
                   "main_thread": first}}))
 """
 
@@ -55,6 +58,7 @@ def _probe(*argv):
 def test_import_loads_no_lazy_subpackage():
     result = _probe()
     assert result["loaded"] == []
+    assert result["scipy"] == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -73,23 +77,24 @@ def test_deterministic_commands_load_no_lazy_subpackage(tmp_path, argv):
     result = _probe(*argv)
     assert result["code"] == 0
     assert result["loaded"] == []
+    assert result["scipy"] == []
 
 
-def test_monte_carlo_loads_random_and_linalg_on_the_main_thread(tmp_path):
+def test_monte_carlo_loads_only_numpy_random_on_the_main_thread(tmp_path):
     # 40000 paths are two chunks of the sweep, on two threads
     result = _probe("run", "nonlinear_exp", "--mode", "mc", "--m-paths", "40000",
                     "--n-grid", "9", "--schedule", "2,4", "--tol", "0.5",
                     "--threads", "2", "--out", str(tmp_path / "mc"))
     assert result["code"] == 0
-    assert set(result["loaded"]) == {"numpy.random", "scipy.linalg"}
-    assert result["main_thread"]["numpy.random"] is True
-    assert result["main_thread"]["scipy.linalg"] is True
+    assert result["loaded"] == ["numpy.random"]
+    assert result["scipy"] == []
+    assert result["main_thread"] == {"numpy.random": True}
 
 
 def test_threaded_first_run_matches_one_thread_bytes(tmp_path):
     # 40000 paths are two path blocks of the sweep (SWEEP_BLOCK = 2^14): at
     # --threads 2 the pool runs, in a process whose first draw imports
-    # numpy.random and whose first regression imports scipy.linalg
+    # numpy.random and whose regressions factor on numpy's LAPACK
     outputs = {}
     for threads in (1, 2):
         out = tmp_path / f"t{threads}"
@@ -97,7 +102,8 @@ def test_threaded_first_run_matches_one_thread_bytes(tmp_path):
                         "--n-grid", "21", "--schedule", "2,4", "--tol", "0.1",
                         "--threads", str(threads), "--out", str(out))
         assert result["code"] == 0
-        assert all(result["main_thread"].get(m) for m in ("numpy.random", "scipy.linalg"))
+        assert result["main_thread"] == {"numpy.random": True}
+        assert result["scipy"] == []
         outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
     assert sorted(outputs[1]) == ["scheme.csv", "solution.csv"]
     assert outputs[1] == outputs[2]

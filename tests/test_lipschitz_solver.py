@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import bsdelab as bl
+from bsdelab import lipschitz_solver
 from bsdelab.errors import BasisDegenerate
 
 
@@ -351,3 +352,10 @@ class TestRandomTerminalAndSlopes:
             sign=bl.PLUS_LAMBDA_Y, terminal=bl.TerminalSpec.random(np.sin))
         sol = bl.solve_regression_mc(prob, grid, bundle)
         assert sol.diagnostics["residual_max"] < 1e-12
+
+
+def test_bisection_bracket_of_huge_residuals_forms_no_product():
+    # the residuals at both ends are near -1e300: their product overflows
+    root = lipschitz_solver._bracket_and_bisect(lambda v: 1e300 * (v - 3.0),
+                                                np.array([0.0, 10.0]))
+    assert np.allclose(root, 3.0, rtol=1e-14)

@@ -2,7 +2,8 @@
 QR per path chunk, then one QR of the chunks' stacked R factors) against
 whole-array ``np.linalg.qr`` and a triangular solve, at one chunk against the
 single economic QR it replaces, bit for bit, and chunk by chunk against
-``geqrf``/``orgqr`` called in place by hand, bit for bit."""
+``geqrf``/``orgqr`` called in place by hand, bit for bit; and the triangular
+solve against scipy's ``solve_triangular``, the solve it replaced."""
 
 import math
 
@@ -20,6 +21,10 @@ CHUNKS = (1, 2, 12)
 # single-QR oracle test in test_lipschitz_solver; measured here, the TSQR is
 # within 1.1e-14 of np.linalg.qr at degrees 0-5 and conditions up to 4e5
 COEF_RTOL = 1e-12
+# np.linalg.solve on one right-hand column against solve_triangular: within this
+# multiple of the largest coefficient (measured: at most 1.5e-14 over 3,000 random
+# polynomial TSQR fits, K = 1-8, 1-12 chunks)
+SOLVE_RTOL = 1e-13
 
 
 @pytest.fixture
@@ -182,7 +187,7 @@ def test_factor_and_merge_match_hand_called_lapack_bit_for_bit(chunks, degree):
         r = lipschitz_solver._factor(chunk, q[rows])
         assert r.tobytes() == want.tobytes()
         assert q[rows].tobytes() == want_q[rows].tobytes()
-        assert np.array_equal(chunk, q[rows])        # factored in place: Q overwrote it
+        assert np.triu(chunk[:degree + 1]).tobytes() == want.tobytes()  # R, factored in place
         rs.append(r)
     stack_q, r, cond = lipschitz_solver._merge(rs, node_index=3)
     assert r.tobytes() == want_r.tobytes()
@@ -194,6 +199,24 @@ def test_factor_and_merge_match_hand_called_lapack_bit_for_bit(chunks, degree):
     _, fit = lipschitz_solver.fit_coefficients(basis, w, np.ones((M, 1)))
     assert fit.q.tobytes() == want_q.tobytes() and fit.r.tobytes() == want_r.tobytes()
     assert fit.cond == want_cond
+
+
+@pytest.mark.parametrize("chunks", CHUNKS, indirect=True)
+@pytest.mark.parametrize("width", range(1, 9))
+def test_solve_matches_the_triangular_solve_it_replaced(chunks, width):
+    # NodeFit.combine solves R c = Q^T y with np.linalg.solve (LU of a triangular
+    # R, which never pivots); scipy's solve_triangular was the solve before it
+    w, target = _level_and_target(width - 1, 1.0)
+    basis = bl.RegressionBasis.polynomial(width - 1)
+    for columns in (target[:, :2], target, target[:, 0]):
+        coef, fit = lipschitz_solver.fit_coefficients(basis, w, columns)
+        partials = [fit.q[rows].T @ columns[rows] for rows in fit.chunks]
+        rhs = partials[0] if fit.stack_q is None else fit.stack_q.T @ np.concatenate(partials)
+        want = solve_triangular(fit.r, rhs)
+        if columns.ndim == 2:
+            assert coef.tobytes() == want.tobytes()
+        else:
+            assert np.abs(coef - want).max() <= SOLVE_RTOL * np.abs(want).max()
 
 
 @pytest.mark.parametrize("rows", [16_384, 16_667, 20_000])
