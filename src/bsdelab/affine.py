@@ -137,7 +137,6 @@ class AffineSolution:
     y: np.ndarray               # (N,) deterministic or (M, N) pathwise
     z: np.ndarray               # (N,) deterministic, (N-1,) left nodes, or (M, N) pathwise
     provenance: str
-    terminal_value: float = 0.0
     y0: Optional[float] = None
     bound_margin: Optional[float] = None   # max(|Y| - bound), representation formula only
 
@@ -254,8 +253,6 @@ def solve_affine_plus(problem: BsdeProblem, grid: TimeGrid,
         raise ValueError("markovian coefficients need a path bundle")
     if problem.y_slope or problem.z_slope:
         raise ValueError("markovian representation supports no slope terms")
-    if bundle.dim != 1:
-        raise ValueError("markovian representation is one dimensional")
     bundle.check_grid(grid)
     return _solve_affine_plus_markovian(problem, grid, bundle, basis)
 
@@ -333,8 +330,6 @@ def fundamental_family(model: IntensityModel, y0: float, grid: TimeGrid,
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (len(pts) - 1,):
         raise ValueError("beta must hold one value per left node")
-    if bundle.dim != 1:
-        raise ValueError("stochastic members are one dimensional")
     bundle.check_grid(grid)
     incs = bundle.increments[:, :, 0]
     martingale = np.concatenate(
@@ -426,5 +421,4 @@ def ode_family_member(model: IntensityModel, coefficient, y0: float,
     if cap + 1 < len(pts) - 1:
         y[cap + 1:-1] = classification.limit   # nodes past the cap collapse to the limit
     return AffineSolution(grid=grid, y=y, z=np.zeros(len(pts)),
-                          provenance=ODE_FAMILY, y0=y0,
-                          terminal_value=classification.limit)
+                          provenance=ODE_FAMILY, y0=y0)

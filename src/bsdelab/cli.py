@@ -156,17 +156,22 @@ def _parse_schedule(raw) -> tuple:
     return tuple(float(v) for v in str(raw).split(","))
 
 
+def _certify_family(cfg: ScenarioConfig, scenario, grid) -> int:
+    """Certify a non-uniqueness scenario on ``grid`` and write its family."""
+    cert = certify_nonuniqueness(scenario, grid)
+    cfg.say("results:")
+    _write_family(cfg, cert, "verified_members")
+    cfg.say(f"  max_member_residual = {_fmt(max(cert.member_residuals))}")
+    return _finish(cfg, "non_uniqueness_certified", EXIT_OK)
+
+
 def _run_ek_red(cfg: ScenarioConfig) -> int:
     p = cfg.params
     model = IntensityModel.exp_gap(p["gamma"], 1.0)
     grid = make_grid(model, int(p["n_grid"]), mass_cap=p["mass_cap"])
     scenario = EkRed(r=p["r"], sigma=p["sigma"], gamma=p["gamma"],
                      y0_list=_parse_y0_list(p["y0_list"]))
-    cert = certify_nonuniqueness(scenario, grid)
-    cfg.say("results:")
-    _write_family(cfg, cert, "verified_members")
-    cfg.say(f"  max_member_residual = {_fmt(max(cert.member_residuals))}")
-    return _finish(cfg, "non_uniqueness_certified", EXIT_OK)
+    return _certify_family(cfg, scenario, grid)
 
 
 def _run_affine_plus(cfg: ScenarioConfig) -> int:
@@ -195,8 +200,7 @@ def _run_affine_plus(cfg: ScenarioConfig) -> int:
         cfg.say(f"  no_solution_reason = {exc.reason}")
     witness = BsdeProblem(intensity=model, coefficient=coeff,
                           sign=MINUS_LAMBDA_Y, terminal=terminal)
-    cert = certify_nonexistence(witness, _parse_schedule(p["schedule"]), grid,
-                                scenario_id="affine_plus:minus_form_witness")
+    cert = certify_nonexistence(witness, _parse_schedule(p["schedule"]), grid)
     _write_csv(cfg.out_dir / "certificate.csv", ["n", "driver_mass"],
                list(cert.growth_series))
     cfg.say("  representation_argument = terminal value must vanish")
@@ -212,11 +216,7 @@ def _run_affine_minus_family(cfg: ScenarioConfig) -> int:
     model = IntensityModel.power_gap(p["p"], 1.0)
     grid = make_grid(model, int(p["n_grid"]), mass_cap=p["mass_cap"])
     scenario = FundamentalMinus(model=model, y0_list=_parse_y0_list(p["y0_list"]))
-    cert = certify_nonuniqueness(scenario, grid)
-    cfg.say("results:")
-    _write_family(cfg, cert, "verified_members")
-    cfg.say(f"  max_member_residual = {_fmt(max(cert.member_residuals))}")
-    return _finish(cfg, "non_uniqueness_certified", EXIT_OK)
+    return _certify_family(cfg, scenario, grid)
 
 
 def _run_ode_trichotomy(cfg: ScenarioConfig) -> int:

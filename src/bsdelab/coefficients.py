@@ -356,24 +356,26 @@ class DriverSpec:
 
     def check_flags(self, lo: float = -10.0, hi: float = 10.0) -> dict:
         """Sample-based verification of the declared flags on 2001 points of
-        [lo, hi], each within 1e-12."""
+        [lo, hi], each within 1e-12.  A sample that overflows raises no numpy
+        warning: a NaN it leaves fails its flag."""
         slack = 1e-12
         xs = np.linspace(lo, hi, 2001)
-        fx = np.asarray(self.f(xs), dtype=float)
         out = {}
-        if self.zero_at_zero:
-            out["zero_at_zero"] = abs(float(self.f(0.0))) <= slack
-        if self.nondecreasing:
-            out["nondecreasing"] = bool(np.all(np.diff(fx) >= -slack))
-        if self.nonincreasing:
-            out["nonincreasing"] = bool(np.all(np.diff(fx) <= slack))
-        if self.below_identity:
-            out["below_identity"] = bool(np.all(fx - xs <= slack))
-        if self.derivative_floor > 0:
-            neg = xs[xs <= 0]
-            out["derivative_floor"] = bool(
-                np.all(np.asarray(self.fprime(neg), dtype=float)
-                       >= self.derivative_floor - slack))
+        with np.errstate(over="ignore", invalid="ignore"):
+            fx = np.asarray(self.f(xs), dtype=float)
+            if self.zero_at_zero:
+                out["zero_at_zero"] = abs(float(self.f(0.0))) <= slack
+            if self.nondecreasing:
+                out["nondecreasing"] = bool(np.all(np.diff(fx) >= -slack))
+            if self.nonincreasing:
+                out["nonincreasing"] = bool(np.all(np.diff(fx) <= slack))
+            if self.below_identity:
+                out["below_identity"] = bool(np.all(fx - xs <= slack))
+            if self.derivative_floor > 0:
+                neg = xs[xs <= 0]
+                out["derivative_floor"] = bool(
+                    np.all(np.asarray(self.fprime(neg), dtype=float)
+                           >= self.derivative_floor - slack))
         return out
 
     def flags_ok(self, lo: float = -10.0, hi: float = 10.0) -> bool:
@@ -383,10 +385,6 @@ class DriverSpec:
 # ---------------------------------------------------------------------------
 # Time grids
 # ---------------------------------------------------------------------------
-
-UNIFORM = "uniform"
-INTENSITY_MASS = "intensity_mass"
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -428,35 +426,25 @@ class TimeGrid:
         return np.diff(self.points)
 
 
-def make_grid(model: IntensityModel, n: int, scheme: str = INTENSITY_MASS, *,
-              mass_cap: float = 12.0) -> TimeGrid:
-    """Build a partition of [0, T] adapted to the intensity.
-
-    ``uniform``: n equally spaced points.
-    ``intensity_mass``: n nodes with equal increments of Lam up to ``mass_cap``
-    (placed by ``mass_inverse``), then the terminal node appended.  The
-    equal-mass property holds to 1e-9 while lam at the cap stays below
-    ~1e6/T; beyond that the time coordinate can no longer resolve the mass
-    increments.
+def make_grid(model: IntensityModel, n: int, *, mass_cap: float = 12.0) -> TimeGrid:
+    """Build a partition of [0, T] adapted to the intensity: n nodes with equal
+    increments of Lam up to ``mass_cap`` (placed by ``mass_inverse``), then the
+    terminal node appended.  The equal-mass property holds to 1e-9 while lam
+    at the cap stays below ~1e6/T; beyond that the time coordinate can no
+    longer resolve the mass increments.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    T = model.horizon
-    if scheme == UNIFORM:
-        pts = np.linspace(0.0, T, n)
-        return TimeGrid(points=pts, cap_index=max(0, n - 2))
-    if scheme == INTENSITY_MASS:
-        if not 0 < mass_cap < math.inf:
-            raise ValueError(f"mass_cap must be positive and finite, got {mass_cap}")
-        if not model.is_singular and model.total_mass() < mass_cap:
-            raise InfeasibleGrid(
-                f"cumulative mass tops out at {model.total_mass():.6g} < {mass_cap:.6g}")
-        inner = [model.mass_inverse(float(u)) for u in np.linspace(0.0, mass_cap, n)[1:]]
-        pts = np.array([0.0] + inner + [T])
-        if np.any(np.diff(pts) <= 0):
-            raise InfeasibleGrid("mass-equidistributed nodes collide near the horizon")
-        return TimeGrid(points=pts, cap_index=n - 1)
-    raise ValueError(f"unknown grid scheme {scheme!r}")
+    if not 0 < mass_cap < math.inf:
+        raise ValueError(f"mass_cap must be positive and finite, got {mass_cap}")
+    if not model.is_singular and model.total_mass() < mass_cap:
+        raise InfeasibleGrid(
+            f"cumulative mass tops out at {model.total_mass():.6g} < {mass_cap:.6g}")
+    inner = [model.mass_inverse(float(u)) for u in np.linspace(0.0, mass_cap, n)[1:]]
+    pts = np.array([0.0] + inner + [model.horizon])
+    if np.any(np.diff(pts) <= 0):
+        raise InfeasibleGrid("mass-equidistributed nodes collide near the horizon")
+    return TimeGrid(points=pts, cap_index=n - 1)
 
 
 def level_grid(model: IntensityModel, n: int, level: float) -> TimeGrid:

@@ -3,8 +3,8 @@ residual-verified non-uniqueness families.
 
 Non-existence is certified by divergence of the truncated-solution driver mass
 along the level schedule, the computable shadow of the contradiction argument.
-The true obstruction involves a random time that is not a stopping time, so the
-divergence-in-n series is a proxy; the certificate records that in its metadata.
+The true obstruction involves a random time that is not a stopping time and
+admits no direct numerical analogue, so the divergence-in-n series is a proxy.
 """
 
 from __future__ import annotations
@@ -103,8 +103,6 @@ def residual_check(candidate: Candidate, problem: BsdeProblem,
 
 @dataclass(frozen=True)
 class PathologyCertificate:
-    kind: str                               # non_existence | non_uniqueness
-    scenario_id: str
     growth_series: tuple = ()               # ((n, driver-mass estimate), ...)
     monotone_divergent: bool = False
     members: tuple = ()
@@ -114,8 +112,7 @@ class PathologyCertificate:
 
 
 def certify_nonexistence(problem: BsdeProblem, schedule: Sequence[float],
-                         grid: TimeGrid,
-                         scenario_id: str = "nonexistence") -> PathologyCertificate:
+                         grid: TimeGrid) -> PathologyCertificate:
     """Solve the truncated problems along the schedule and report the mass series
     int lam^n |Y^n| dt, which must blow up when no solution exists.
 
@@ -165,16 +162,8 @@ def certify_nonexistence(problem: BsdeProblem, schedule: Sequence[float],
     increasing = all(b > a for a, b in zip(values, values[1:]))
     divergent = increasing and values[-1] > GROWTH_RATIO_THRESHOLD * values[0]
     return PathologyCertificate(
-        kind="non_existence", scenario_id=scenario_id,
         growth_series=tuple(series), monotone_divergent=divergent,
-        metadata={
-            "ratio": values[-1] / values[0] if values[0] > 0 else math.inf,
-            "ratio_threshold": GROWTH_RATIO_THRESHOLD,
-            "proxy_note": (
-                "divergence in the truncation level stands in for the exact "
-                "argument, whose exceptional time is not a stopping time and "
-                "admits no direct numerical analogue"),
-        })
+        metadata={"ratio": values[-1] / values[0] if values[0] > 0 else math.inf})
 
 
 # -- non-uniqueness scenarios ------------------------------------------------
@@ -198,12 +187,11 @@ class OdeFamilyScenario:
 
 @dataclass(frozen=True)
 class EkRed:
-    """Drifted family on the exponential-gap intensity with bounded slopes."""
+    """Drifted family on the exponential-gap intensity on [0, 1] with bounded slopes."""
     r: float
     sigma: float
     gamma: float
     y0_list: tuple = (0.0, 1.0)
-    horizon: float = 1.0
     tol: float = 1e-6
 
     def __post_init__(self):
@@ -212,8 +200,7 @@ class EkRed:
                              f"sigma = {self.sigma}")
 
 
-def certify_nonuniqueness(scenario, grid: TimeGrid,
-                          scenario_id: Optional[str] = None) -> PathologyCertificate:
+def certify_nonuniqueness(scenario, grid: TimeGrid) -> PathologyCertificate:
     """Construct at least two family members, verify each by residual check,
     and report their pairwise sup distances."""
     if isinstance(scenario, FundamentalMinus):
@@ -223,8 +210,6 @@ def certify_nonuniqueness(scenario, grid: TimeGrid,
             intensity=model,
             coefficient=CoefficientProcess.constant(0.0, model.horizon),
             sign=MINUS_LAMBDA_Y)
-        tol = scenario.tol
-        sid = scenario_id or "fundamental_minus"
     elif isinstance(scenario, OdeFamilyScenario):
         model = scenario.model
         classification = classify_ode(model, scenario.coefficient,
@@ -243,20 +228,17 @@ def certify_nonuniqueness(scenario, grid: TimeGrid,
         problem = BsdeProblem(
             intensity=model, coefficient=coeff, sign=MINUS_LAMBDA_Y,
             terminal=TerminalSpec.constant(scenario.limit))
-        tol = scenario.tol
-        sid = scenario_id or "ode_family"
     elif isinstance(scenario, EkRed):
-        model = IntensityModel.exp_gap(scenario.gamma, scenario.horizon)
+        model = IntensityModel.exp_gap(scenario.gamma, 1.0)
         members = [fundamental_family(model, y0, grid, y_slope=scenario.r)
                    for y0 in scenario.y0_list]
         problem = BsdeProblem(
             intensity=model,
             coefficient=CoefficientProcess.constant(0.0, model.horizon),
             sign=MINUS_LAMBDA_Y, y_slope=scenario.r, z_slope=scenario.sigma)
-        tol = scenario.tol
-        sid = scenario_id or "ek_red"
     else:
         raise ValueError(f"unknown non-uniqueness scenario {type(scenario).__name__}")
+    tol = scenario.tol
 
     if len(members) < 2:
         raise ValueError("a non-uniqueness certificate needs at least two members")
@@ -284,7 +266,5 @@ def certify_nonuniqueness(scenario, grid: TimeGrid,
             distances.append((i, j, dist))
 
     return PathologyCertificate(
-        kind="non_uniqueness", scenario_id=sid,
         members=tuple(members), member_residuals=tuple(residuals),
-        pairwise_sup_distance=tuple(distances),
-        metadata={"tolerance": tol, "member_count": len(members)})
+        pairwise_sup_distance=tuple(distances))

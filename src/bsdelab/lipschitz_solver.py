@@ -42,16 +42,15 @@ SWEEP_BLOCK = 1 << 14     # the smallest path chunk of a Monte Carlo regression
 
 @dataclass(frozen=True)
 class RegressionBasis:
-    """Feature map applied to the Brownian level at each node."""
+    """Polynomial feature map applied to the Brownian level at each node."""
 
-    kind: str                     # polynomial
     degree: int = 3
 
     @classmethod
     def polynomial(cls, degree: int) -> "RegressionBasis":
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        return cls(kind="polynomial", degree=degree)
+        return cls(degree=degree)
 
     def design(self, w: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Monomials 1, w, ..., w^degree of a one-dimensional level, built column
@@ -205,9 +204,6 @@ class SolutionEstimate:
     def pathwise(self) -> bool:
         return self.y.ndim == 2
 
-    def nodal_mean(self) -> np.ndarray:
-        return self.y.mean(axis=0) if self.pathwise else self.y
-
 
 # ---------------------------------------------------------------------------
 # Implicit step
@@ -348,8 +344,11 @@ def _implicit_step(y_next, forcing, dt, lam, driver, b, work):
     residual, the Newton iterates and the entries that fell back to bisection.
     """
     y = work.y
-    iterations, resid = _newton(y, y_next, forcing, dt, lam, driver, b, work)
-    resid, fallbacks = _bisect_failures(y, y_next, forcing, dt, lam, driver, b, work, resid)
+    # an overflow leaves a residual that is not finite: Newton hands its entry
+    # to the bisection, which solves it or raises NumericsError
+    with np.errstate(over="ignore", invalid="ignore"):
+        iterations, resid = _newton(y, y_next, forcing, dt, lam, driver, b, work)
+        resid, fallbacks = _bisect_failures(y, y_next, forcing, dt, lam, driver, b, work, resid)
     return y, work.f, resid, iterations, fallbacks
 
 
@@ -549,8 +548,6 @@ class NodeSweep:
             if cap is None and problem.intensity.is_singular:
                 raise ValueError("the classical solver needs a bounded (truncated) intensity")
             lam.append(np.asarray(problem.intensity.value(grid.points, cap), dtype=float))
-        if self.mc and bundle.dim != 1:
-            raise ValueError("regression mode currently supports one Brownian dimension")
         self.problem, self.grid, self.caps = problem, grid, list(caps)
         self.bundle, self.basis, self.clamp_margin = bundle, basis, clamp_margin
         self.theta, self.workers, self.level_quantiles = theta, workers, level_quantiles
@@ -746,9 +743,8 @@ class NodeSweep:
         if self.box:
             diagnostics["box_excursion_raw"] = float(self.box_excursion_raw[k])
         if self.mc:
-            diagnostics.update(paths=self.m_paths, basis=self.basis.kind,
-                               basis_degree=self.basis.degree, seed=self.bundle.seed,
-                               y0_mean=float(self.y0_mean[k]),
+            diagnostics.update(paths=self.m_paths, basis_degree=self.basis.degree,
+                               seed=self.bundle.seed, y0_mean=float(self.y0_mean[k]),
                                regression_cond_min=self.regression_cond_min,
                                regression_cond_max=self.regression_cond_max)
         return SolutionEstimate(

@@ -79,9 +79,12 @@ class PathBundle:
         return levels, np.subtract(levels[:, 1:], levels[:, :-1])
 
     def check_grid(self, grid: TimeGrid) -> None:
-        """``ValueError`` unless the bundle's paths live on ``grid``'s nodes."""
+        """``ValueError`` unless the bundle's paths live on ``grid``'s nodes and
+        are one-dimensional: the solvers take one Brownian dimension."""
         if self.grid is not grid and not np.array_equal(self.grid.points, grid.points):
             raise ValueError("bundle was simulated on a different grid")
+        if self.dim != 1:
+            raise ValueError(f"the solvers take one Brownian dimension, got {self.dim}")
 
 
 def _standard_normals(seed: int, stream: int, out: np.ndarray) -> None:
@@ -144,21 +147,20 @@ def _draw_levels(bundle: PathBundle) -> np.ndarray:
     return out
 
 
-def simulate_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int,
-                   memory_cap: int = MEMORY_CAP_ELEMENTS) -> PathBundle:
+def simulate_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int) -> PathBundle:
     """``n_paths`` independent d-dimensional Brownian paths on the grid.
 
     Deterministic in ``seed``, which must lie in [0, 2^64).  The bundle
     holds no path array: a read of its ``levels`` draws them, a backward sweep
-    streams them one node at a time.  ``memory_cap`` bounds the N M d
-    elements of the levels.
+    streams them one node at a time.  ``MEMORY_CAP_ELEMENTS`` bounds the
+    N M d elements of the levels.
     """
     if n_paths < 1 or dim < 1:
         raise ValueError("n_paths and dim must be positive")
     seed = operator.index(seed)
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
-    if n_paths * grid.n_points * dim > memory_cap:
+    if n_paths * grid.n_points * dim > MEMORY_CAP_ELEMENTS:
         raise ResourceLimit(
             f"bundle of {n_paths}x{grid.n_points}x{dim} exceeds the memory cap"
         )

@@ -62,8 +62,8 @@ def solve_level(problem, driver, n: float, times) -> np.ndarray:
 
 def top_level_gap(top, problem) -> float:
     """Sup over the nodes of [0, t_cap] of |Y - y| for the level ``top`` (a
-    ``SolutionEstimate``, such as a report's top level)."""
+    ``SolutionEstimate`` of nodal values, such as a report's top level)."""
     grid = top.grid
     nodes = grid.points[:grid.cap_index + 1]
     reference = solve_level(problem, top.driver_used, top.lambda_cap, nodes)
-    return float(np.max(np.abs(top.nodal_mean()[:grid.cap_index + 1] - reference)))
+    return float(np.max(np.abs(top.y[:grid.cap_index + 1] - reference)))

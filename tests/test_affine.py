@@ -8,6 +8,8 @@ from scipy.integrate import quad
 import bsdelab as bl
 from bsdelab.errors import NoSolution, NumericsError
 
+from test_paths import uniform_grid
+
 
 @pytest.fixture(scope="module")
 def power1():
@@ -135,7 +137,7 @@ class TestFundamentalFamily:
 
     def test_non_singular_rejected(self):
         m = bl.IntensityModel.bounded(1.0, 1.0)
-        grid = bl.make_grid(m, 11, scheme="uniform")
+        grid = uniform_grid(11)
         with pytest.raises(ValueError):
             bl.fundamental_family(m, 1.0, grid)
 

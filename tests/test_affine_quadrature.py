@@ -17,6 +17,8 @@ import bsdelab as bl
 from bsdelab import affine
 from bsdelab.errors import NumericsError
 
+from test_paths import uniform_grid
+
 TOL = 1e-13
 U_SPAN = affine.U_SPAN
 
@@ -144,7 +146,7 @@ def test_affine_plus_matches_per_node_quadpack(name, b):
 
 def test_affine_plus_on_a_uniform_grid_matches_quadpack():
     model = MODELS["power_gap 1"]
-    grid = bl.make_grid(model, 21, scheme="uniform")
+    grid = uniform_grid(21)
     coeff = coefficients(model)["from_function"]
     got = plus_values(model, grid, coeff, 0.6)
     want = [-oracle_tail(model, float(t), coeff, 0.6)

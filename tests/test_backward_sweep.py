@@ -10,6 +10,7 @@ from bsdelab.errors import NumericsError
 
 import per_level_reference as ref
 import stored_scheme_reference
+from test_paths import uniform_grid
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +43,7 @@ def _arctan_driver():
 
 def _arctan_problem():
     model = bl.IntensityModel.bounded(2000.0, 1.0)
-    grid = bl.make_grid(model, 11, scheme="uniform")
+    grid = uniform_grid(11)
     prob = bl.BsdeProblem(intensity=model,
                           coefficient=bl.CoefficientProcess.constant(-50.0, 1.0),
                           sign=bl.NONLINEAR_PLUS, driver=_arctan_driver(),
@@ -77,7 +78,7 @@ def test_mc_levels_match_reference(markovian_case):
         y_ref, z_ref, _ = ref.solve_regression_mc(prob, grid, bundle, lambda_cap=n,
                                                   driver_override=clipped)
         assert sol.y.shape == y_ref.shape and sol.z.shape == z_ref.shape
-        assert np.max(np.abs(sol.nodal_mean() - y_ref.mean(axis=0))) <= 1e-10
+        assert np.max(np.abs(sol.y.mean(axis=0) - y_ref.mean(axis=0))) <= 1e-10
         assert np.max(np.abs(sol.y - y_ref)) <= 1e-9
         assert np.max(np.abs(sol.z - z_ref)) <= 1e-9
         assert sol.diagnostics["residual_max"] < bl.lipschitz_solver.NEWTON_TOL
@@ -100,7 +101,7 @@ def test_scheme_level_equals_lone_solve(markovian_case):
         assert np.max(np.abs(level.z - lone.z)) <= 1e-12
         assert abs(report.y0[k] - lone.diagnostics["y0_mean"]) <= 1e-12
     assert report.final.lambda_cap == schedule[-1]
-    assert np.max(np.abs(report.final.y - lone.nodal_mean())) <= 1e-12
+    assert np.max(np.abs(report.final.y - lone.y.mean(axis=0))) <= 1e-12
 
 
 def test_levels_are_views_of_one_buffer(markovian_case):

@@ -442,6 +442,21 @@ def test_large_alpha_passes_the_flag_sample_quietly(tmp_path):
     assert err == ""
 
 
+@pytest.mark.parametrize("args,error", [
+    (["affine_plus", "--terminal", "1e300", "--p", "3"],
+     "implicit step: no sign change found for bisection"),
+    (["nonlinear_exp", "--alpha", "700"], "declared driver flags fail the sample check"),
+    (["nonlinear_exp", "--alpha", "800"], "declared driver flags fail the sample check"),
+])
+def test_overflow_the_numerics_handle_exits_1_quietly(tmp_path, args, error):
+    # the Newton residual overflows into bisection, the driver's flag sample
+    # overflows into NaN: each is the error it reports, with no numpy warning
+    code, report, err = _run_fresh(args, tmp_path / "overflow")
+    assert code == 1
+    assert report.endswith(f"error: {error}\nstatus: failed\nexit_code: 1\n")
+    assert err == ""
+
+
 class TestRejectedBeforeTheNumerics:
     # each used to reach the numerics: RuntimeWarnings on stderr and an error
     # about colliding grid nodes, failed flag samples or a nan bound

@@ -7,6 +7,8 @@ from scipy.integrate import quad
 import bsdelab as bl
 from bsdelab.errors import InfeasibleGrid
 
+from test_paths import uniform_grid
+
 
 def quad_mass(model, t):
     """Independent oracle: adaptive quadrature of the raw intensity."""
@@ -47,8 +49,7 @@ class TestMakeGrid:
         assert grid.t_cap == pytest.approx(0.75, abs=1e-9)
 
     def test_uniform_two_points(self):
-        m = bl.IntensityModel.bounded(1.0, 1.0)
-        grid = bl.make_grid(m, 2, scheme="uniform")
+        grid = uniform_grid(2)
         assert list(grid.points) == [0.0, 1.0]
 
     def test_bounded_mass_infeasible(self):

@@ -7,6 +7,8 @@ import pytest
 import bsdelab as bl
 from bsdelab.errors import CertificateFailed
 
+from test_paths import uniform_grid
+
 
 @pytest.fixture(scope="module")
 def power1():
@@ -71,7 +73,7 @@ class TestCertifyNonexistence:
 
     def test_bounded_model_refused(self):
         model = bl.IntensityModel.bounded(2.0, 1.0)
-        grid = bl.make_grid(model, 31, scheme="uniform")
+        grid = uniform_grid(31)
         prob = bl.BsdeProblem(
             intensity=model, coefficient=bl.CoefficientProcess.constant(0.0, 1.0),
             sign=bl.MINUS_LAMBDA_Y, terminal=bl.TerminalSpec.constant(1.0))

@@ -6,6 +6,8 @@ import bsdelab as bl
 from bsdelab import lipschitz_solver
 from bsdelab.errors import BasisDegenerate
 
+from test_paths import uniform_grid
+
 
 @pytest.fixture(scope="module")
 def power1():
@@ -26,7 +28,7 @@ def reference_ode(t_eval, terminal, rhs):
 class TestOdeMode:
     def test_zero_driver(self):
         model = bl.IntensityModel.bounded(0.0, 1.0)
-        grid = bl.make_grid(model, 11, scheme="uniform")
+        grid = uniform_grid(11)
         prob = bl.BsdeProblem(intensity=model,
                               coefficient=bl.CoefficientProcess.constant(0.0, 1.0),
                               sign=bl.MINUS_LAMBDA_Y)
@@ -37,7 +39,7 @@ class TestOdeMode:
     def test_pure_quadrature(self):
         # lam = 0 reduces to Y' = phi: Y(t) = -(1 - t)
         model = bl.IntensityModel.bounded(0.0, 1.0)
-        grid = bl.make_grid(model, 101, scheme="uniform")
+        grid = uniform_grid(101)
         prob = bl.BsdeProblem(intensity=model,
                               coefficient=bl.CoefficientProcess.constant(1.0, 1.0),
                               sign=bl.PLUS_LAMBDA_Y)
@@ -113,7 +115,7 @@ class TestRegressionMc:
                                     basis=bl.RegressionBasis.polynomial(2),
                                     lambda_cap=10.0)
         ode = bl.solve_ode_mode(prob, grid, lambda_cap=10.0)
-        assert np.max(np.abs(mc.nodal_mean() - ode.y)) <= 3e-2
+        assert np.max(np.abs(mc.y.mean(axis=0) - ode.y)) <= 3e-2
 
     def test_markovian_cross_seed_stability(self, power1):
         grid = bl.make_grid(power1, 61, mass_cap=10.0)
@@ -128,7 +130,7 @@ class TestRegressionMc:
             bundle = bl.simulate_paths(grid, 1, 100_000, seed=seed)
             sol = bl.solve_regression_mc(prob, grid, bundle, lambda_cap=5.0,
                                          driver_override=clipped)
-            y0.append(sol.nodal_mean()[0])
+            y0.append(sol.y.mean(axis=0)[0])
             box_excess = np.max(sol.y + 0.0), np.max(-(sol.y + (1.0 - grid.points)[None, :]))
             assert max(box_excess) <= 1e-3 + 1e-12
         assert max(y0) - min(y0) < 1e-2
@@ -282,8 +284,7 @@ class TestRandomTerminalAndSlopes:
         return bl.IntensityModel.bounded(0.0, 1.0)
 
     def _grid(self, n=41):
-        model = self._flat_model()
-        return bl.make_grid(model, n, scheme="uniform")
+        return uniform_grid(n)
 
     def test_random_terminal_conditional_expectation(self):
         # dY = Z dW, Y_T = sin(W_T): Y(t, w) = sin(w) exp(-(T-t)/2)

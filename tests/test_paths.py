@@ -46,10 +46,11 @@ class TestSimulatePaths:
         rebuilt = bundle.levels[:, 1:, :] - bundle.levels[:, :-1, :]
         assert np.allclose(rebuilt, bundle.increments, rtol=1e-13, atol=1e-14)
 
-    def test_memory_cap(self):
+    def test_memory_cap(self, monkeypatch):
+        monkeypatch.setattr("bsdelab.paths.MEMORY_CAP_ELEMENTS", 1000)
         grid = uniform_grid(101)
         with pytest.raises(ResourceLimit):
-            bl.simulate_paths(grid, 1, 10_000, seed=1, memory_cap=1000)
+            bl.simulate_paths(grid, 1, 10_000, seed=1)
 
 
 class TestMultidimensional:
@@ -128,3 +129,41 @@ class TestBundleGrid:
                      lambda: bl.solve_regression_mc(nonlinear, grid, other, lambda_cap=4.0)):
             with pytest.raises(ValueError, match="bundle was simulated on a different grid"):
                 call()
+
+
+class TestOneBrownianDimension:
+    """The solvers read one Brownian coordinate: each bundle consumer rejects a
+    two-dimensional bundle on its own grid, with ``check_grid``'s one message."""
+
+    @pytest.fixture(scope="class")
+    def consumers(self):
+        power1 = bl.IntensityModel.power_gap(1.0, 1.0)
+        grid = bl.make_grid(power1, 11, mass_cap=8.0)
+        ours = bl.simulate_paths(grid, 1, 500, seed=3)
+        two = bl.simulate_paths(grid, 2, 500, seed=3)
+        coeff = bl.CoefficientProcess.markovian(
+            lambda t, w: 0.5 * (1.0 + np.sin(w)), 1.0, sup_norm=1.0, nonnegative=True)
+        plus = bl.BsdeProblem(intensity=power1, coefficient=coeff, sign=bl.PLUS_LAMBDA_Y)
+        minus = bl.BsdeProblem(intensity=power1, sign=bl.MINUS_LAMBDA_Y,
+                               coefficient=bl.CoefficientProcess.constant(0.0, 1.0))
+        nonlinear = bl.BsdeProblem(intensity=power1, coefficient=coeff, sign=bl.NONLINEAR_PLUS,
+                                   driver=bl.DriverSpec.exp_utility(1.0))
+        beta = np.ones(grid.n_points - 1)
+        member = bl.fundamental_family(power1, 1.0, grid, beta=beta, bundle=ours)
+        sol = bl.solve_regression_mc(nonlinear, grid, ours, lambda_cap=4.0,
+                                     driver_override=bl.truncate(nonlinear.driver, 1.0, 1.0))
+        return {
+            "NodeSweep": lambda: bl.lipschitz_solver.NodeSweep(nonlinear, grid, [4.0],
+                                                                bundle=two),
+            "residual_check": lambda: bl.residual_check(member, minus, bundle=two),
+            "estimate_bmo": lambda: bl.estimate_bmo(sol, two),
+            "solve_affine_plus": lambda: bl.solve_affine_plus(plus, grid, bundle=two),
+            "fundamental_family": lambda: bl.fundamental_family(power1, 1.0, grid, beta=beta,
+                                                                bundle=two),
+        }
+
+    @pytest.mark.parametrize("consumer", ["NodeSweep", "residual_check", "estimate_bmo",
+                                          "solve_affine_plus", "fundamental_family"])
+    def test_two_dimensional_bundle_rejected(self, consumers, consumer):
+        with pytest.raises(ValueError, match="^the solvers take one Brownian dimension, got 2$"):
+            consumers[consumer]()

@@ -177,7 +177,7 @@ class TestRunScheme:
         rep_ode = bl.run_scheme(prob, grid, [4, 8, 16],
                                 config=bl.SchemeConfig(tol=5e-2))
         assert rep_mc.monotone_violation <= 0.0 + 1e-12
-        diff = np.abs(rep_mc.final.nodal_mean() - rep_ode.final.y)
+        diff = np.abs(rep_mc.final.y - rep_ode.final.y)
         assert np.max(diff) < 2e-2
         assert rep_mc.bmo_estimate >= 0.0
 
