@@ -234,15 +234,14 @@ def solve_affine_plus(problem: BsdeProblem, grid: TimeGrid,
         raise NoSolution("terminal value must vanish")
     # deterministic data have Z = 0, so a z-slope term is inert there
     model, coeff = problem.intensity, problem.coefficient
-    pts = grid.points
-    cap = grid.cap_index
+    pts, cap = grid.points, grid.cap_index
+    box = problem.box(pts)      # None with a y-slope or an unbounded phi
 
     if not coeff.is_markovian:
         y = np.zeros(len(pts))
         y[:cap + 1] = -_tail_integrals(model, grid, coeff, y_slope=problem.y_slope)
-        # no a-priori bound sup|phi| (T - t) with a slope or an unbounded phi
-        bounded = problem.y_slope == 0 and not math.isinf(coeff.sup_norm)
-        margin = _bound_margin(grid, y, coeff.sup_norm) if bounded else None
+        # max(|Y| - w) over the nodes, w = (T - t) sup|phi| = -lo
+        margin = None if box is None else float(np.max(np.abs(y) + box[0]))
         if margin is not None and not margin <= 1e-12:      # NaN fails too
             raise NumericsError(
                 f"representation values exceed the a-priori bound by {margin:.3e}")
@@ -251,18 +250,13 @@ def solve_affine_plus(problem: BsdeProblem, grid: TimeGrid,
 
     if bundle is None:
         raise ValueError("markovian coefficients need a path bundle")
-    if problem.y_slope or problem.z_slope:
-        raise ValueError("markovian representation supports no slope terms")
+    if box is None or problem.z_slope:
+        raise ValueError("markovian representation needs a bounded phi, no slope terms")
     bundle.check_grid(grid)
-    return _solve_affine_plus_markovian(problem, grid, bundle, basis)
+    return _solve_affine_plus_markovian(problem, grid, bundle, basis, *box)
 
 
-def _bound_margin(grid: TimeGrid, y: np.ndarray, sup_norm: float) -> float:
-    """max(|Y| - sup_norm (T - t)) over the nodes."""
-    return float(np.max(np.abs(y) - sup_norm * (grid.horizon - grid.points)))
-
-
-def _solve_affine_plus_markovian(problem, grid, bundle, basis):
+def _solve_affine_plus_markovian(problem, grid, bundle, basis, lo, hi):
     from .lipschitz_solver import DEFAULT_BASIS, fit_coefficients
 
     basis = basis or DEFAULT_BASIS
@@ -281,7 +275,6 @@ def _solve_affine_plus_markovian(problem, grid, bundle, basis):
     z = np.zeros((m_paths, n_pts))
     tail = np.zeros(m_paths)
     fitted_next = np.zeros(m_paths)
-    horizon = grid.horizon
     margin = 0.0
     for i in range(cap, -1, -1):
         tail += phi_nodes[:, i] * weights[i]
@@ -290,11 +283,10 @@ def _solve_affine_plus_markovian(problem, grid, bundle, basis):
                                    fitted_next * incs[:, i] / dt])
         coef, fit = fit_coefficients(basis, levels[:, i], targets, node_index=i)
         fitted, z[:, i] = (fit.design @ coef).T
-        # the representation formula proves |Y| <= sup (T - t): enforce it,
-        # recording how far the raw regression strayed
-        bound = coeff.sup_norm * (horizon - float(pts[i]))
-        margin = max(margin, float(np.max(np.abs(fitted) - bound)))
-        y[:, i] = np.clip(fitted, -bound, 0.0)
+        # the representation formula proves Y in the box [lo, hi]: enforce it,
+        # recording how far the raw regression strayed past |Y| <= w = -lo
+        margin = max(margin, float(np.max(np.abs(fitted) + lo[i])))
+        y[:, i] = np.clip(fitted, lo[i], hi[i])
         fitted_next = y[:, i]
     return AffineSolution(grid=grid, y=y, z=z, provenance=REPRESENTATION,
                           bound_margin=margin)

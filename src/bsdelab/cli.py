@@ -185,7 +185,7 @@ def _run_affine_plus(cfg: ScenarioConfig) -> int:
     cfg.say("results:")
     if terminal.is_zero:
         sol = solve_affine_plus(problem, grid)
-        bound = coeff.sup_norm * (grid.horizon - grid.points) - np.abs(sol.y)
+        bound = -problem.box(grid.points)[0] - np.abs(sol.y)      # w - |Y|
         _write_csv(cfg.out_dir / "solution.csv",
                    ["t", "Y_mean", "Y_sd", "Z_mean", "bound_check"],
                    _solution_rows(grid, sol.y, np.zeros(len(sol.y)), sol.z, bound))
@@ -234,8 +234,8 @@ def _run_ode_trichotomy(cfg: ScenarioConfig) -> int:
         return _finish(cfg, "diverges", EXIT_OK)
     cfg.say("  classification = converges")
     cfg.say(f"  limit = {_fmt(classification.limit)}")
-    scenario = OdeFamilyScenario(model=model, coefficient=coeff, limit=classification.limit,
-                                 y0_list=(0.0, 1.0), classify_tol=p["tol"])
+    scenario = OdeFamilyScenario(model=model, coefficient=coeff,
+                                 classification=classification, y0_list=(0.0, 1.0))
     cert = certify_nonuniqueness(scenario, grid)
     _write_family(cfg, cert, "family_members_written")
     return _finish(cfg, "converges_with_family", EXIT_OK)

@@ -465,6 +465,16 @@ def level_grid(model: IntensityModel, n: int, level: float) -> TimeGrid:
     return TimeGrid(points=np.array([0.0, *inner, model.horizon]), cap_index=n - 1)
 
 
+def check_schedule(schedule) -> list:
+    """The truncation levels as floats: finite, positive, increasing, two at least."""
+    levels = [float(n) for n in schedule]
+    if not all(0 < n < math.inf for n in levels):     # NaN fails too
+        raise ValueError("truncation levels must be finite and positive")
+    if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError("schedule must be increasing with at least two levels")
+    return levels
+
+
 # ---------------------------------------------------------------------------
 # Problem container
 # ---------------------------------------------------------------------------
@@ -560,6 +570,19 @@ class BsdeProblem:
     @property
     def horizon(self) -> float:
         return self.intensity.horizon
+
+    def box(self, t):
+        """The a-priori range (lo, hi) of Y at the times ``t``, w = (T - t) sup|phi|:
+        (-w, 0) under phi >= 0 for the plus sign and for a driver with f(0) = 0,
+        nondecreasing and f(x) <= x; (-w, w) for the plus sign under a signed phi;
+        else None, as with a nonzero terminal value, a y-slope or an infinite sup."""
+        phi, d = self.coefficient, self.effective_driver()
+        if not self.terminal.is_zero or self.y_slope != 0 or math.isinf(phi.sup_norm):
+            return None
+        w = (self.horizon - t) * phi.sup_norm
+        if phi.nonnegative and d.zero_at_zero and d.nondecreasing and d.below_identity:
+            return -w, np.zeros_like(w)
+        return (-w, w) if self.sign == PLUS_LAMBDA_Y else None
 
     def effective_driver(self) -> DriverSpec:
         if self.sign == PLUS_LAMBDA_Y:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .affine import (
     AffineSolution,
-    classify_ode,
+    OdeClassification,
     fundamental_family,
     ode_family_member,
 )
@@ -29,6 +29,7 @@ from .coefficients import (
     IntensityModel,
     TerminalSpec,
     TimeGrid,
+    check_schedule,
 )
 from .errors import CertificateFailed
 from .lipschitz_solver import SolutionEstimate, backward_sweep
@@ -134,13 +135,7 @@ def certify_nonexistence(problem: BsdeProblem, schedule: Sequence[float],
             "(solve_affine_plus raises NoSolution); the mass series stays bounded there"
         )
 
-    schedule = [float(n) for n in schedule]
-    if len(schedule) < 2:
-        raise ValueError("the schedule needs at least two levels to witness growth")
-    if not all(0 < n < math.inf for n in schedule):     # NaN fails too
-        raise ValueError("truncation levels must be finite and positive")
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be increasing")
+    schedule = check_schedule(schedule)     # two levels at least, to witness growth
     # split each segment [t_i, t_i+1) into ceil(2 dt min(n, lam(t_i+1))) equal
     # pieces, lam(T) = inf: then dt min(n, lam) <= 1/2 at the top level and the
     # implicit step stays monotone on any grid.  Only where the regular nodes reach
@@ -179,10 +174,9 @@ class FundamentalMinus:
 class OdeFamilyScenario:
     model: IntensityModel
     coefficient: object                  # CoefficientProcess or callable of time
-    limit: float
+    classification: OdeClassification    # classify_ode's verdict on model and coefficient
     y0_list: tuple
     tol: float = 1e-8                    # member residual tolerance
-    classify_tol: float = 1e-6           # limit-detection tolerance
 
 
 @dataclass(frozen=True)
@@ -211,15 +205,9 @@ def certify_nonuniqueness(scenario, grid: TimeGrid) -> PathologyCertificate:
             coefficient=CoefficientProcess.constant(0.0, model.horizon),
             sign=MINUS_LAMBDA_Y)
     elif isinstance(scenario, OdeFamilyScenario):
-        model = scenario.model
-        classification = classify_ode(model, scenario.coefficient,
-                                      tolerance=scenario.classify_tol)
+        model, classification = scenario.model, scenario.classification
         if not classification.converges:
             raise CertificateFailed("the prefix integral diverges: no family exists")
-        if abs(classification.limit - scenario.limit) > 100 * scenario.tol:
-            raise CertificateFailed(
-                f"classified limit {classification.limit:.6g} disagrees with the "
-                f"scenario limit {scenario.limit:.6g}")
         members = [ode_family_member(model, scenario.coefficient, y0, grid,
                                      classification=classification)
                    for y0 in scenario.y0_list]
@@ -227,7 +215,7 @@ def certify_nonuniqueness(scenario, grid: TimeGrid) -> PathologyCertificate:
             else CoefficientProcess.from_function(scenario.coefficient, model.horizon)
         problem = BsdeProblem(
             intensity=model, coefficient=coeff, sign=MINUS_LAMBDA_Y,
-            terminal=TerminalSpec.constant(scenario.limit))
+            terminal=TerminalSpec.constant(classification.limit))
     elif isinstance(scenario, EkRed):
         model = IntensityModel.exp_gap(scenario.gamma, 1.0)
         members = [fundamental_family(model, y0, grid, y_slope=scenario.r)

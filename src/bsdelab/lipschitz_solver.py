@@ -46,10 +46,14 @@ class RegressionBasis:
 
     degree: int = 3
 
+    def __post_init__(self):
+        if not isinstance(self.degree, int):
+            raise ValueError(f"degree must be an integer, got {self.degree!r}")
+        if self.degree < 0:
+            raise ValueError("degree must be nonnegative")
+
     @classmethod
     def polynomial(cls, degree: int) -> "RegressionBasis":
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
         return cls(degree=degree)
 
     def design(self, w: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -446,12 +450,6 @@ def _explicit_half(y_next, phi_next, lam_next, b, h, f_next, scratch, out):
     return np.subtract(y_next, out, out=out)
 
 
-def _box_clamp_applies(problem: BsdeProblem) -> bool:
-    d = problem.effective_driver()
-    return (problem.terminal.is_zero and problem.coefficient.nonnegative
-            and d.zero_at_zero and d.nondecreasing and d.below_identity)
-
-
 # ---------------------------------------------------------------------------
 # Backward sweep over a schedule of truncation levels
 # ---------------------------------------------------------------------------
@@ -480,11 +478,11 @@ class NodeSweep:
     node's design is built and factored once and all 2L targets (Y and the Z
     increment products of every level) are fitted against it.  Z is frozen
     inside the implicit step (it enters linearly with a bounded slope, one pass
-    is enough at these accuracy targets).  When the problem's flags prove the
-    a-priori box, each level's largest excursion from it is recorded before
-    the Monte Carlo clamp pulls the values into the box with ``clamp_margin``
-    slack.  With ``level_quantiles`` each node's fit carries those quantiles
-    of the Brownian level.
+    is enough at these accuracy targets).  Where the problem has an a-priori
+    box (``BsdeProblem.box``), each level's largest excursion from it is
+    recorded before the Monte Carlo clamp pulls the values into the box with
+    ``clamp_margin`` slack.  With ``level_quantiles`` each node's fit carries
+    those quantiles of the Brownian level.
 
     The implicit half of the step runs ``_implicit_step`` over ``theta dt``;
     ``theta`` = 1, the default and ``backward_sweep``'s, is implicit Euler.
@@ -554,7 +552,7 @@ class NodeSweep:
         self.driver = driver_override if driver_override is not None \
             else problem.effective_driver()
         self.m_paths = bundle.n_paths if self.mc else 1
-        self.box = _box_clamp_applies(problem)
+        self.box = problem.box(grid.points)     # lo and hi at every node, or None
         self._lam = np.array(lam)              # (L, N + 1): lam_n at every node
         n_levels = len(lam)
         self.residual_max = np.zeros(n_levels)
@@ -587,7 +585,7 @@ class NodeSweep:
         problem, grid, driver, theta = self.problem, self.grid, self.driver, self.theta
         mc, coefficient = self.mc, problem.coefficient
         pts, n_levels, shape = grid.points, len(self.caps), (len(self.caps), self.m_paths)
-        sup, b, sigma = coefficient.sup_norm, problem.y_slope, problem.z_slope
+        b, sigma = problem.y_slope, problem.z_slope
         phi = w_i = None    # phi and the level at the last node stepped
 
         def phi_at(t, w):
@@ -678,7 +676,6 @@ class NodeSweep:
                     self.regression_cond_min = float(np.fmin(cond[0], fit.cond))
                     self.regression_cond_max = float(np.fmax(cond[1], fit.cond))
             phi = phi_at(t_i, w_i)
-            lower = -(grid.horizon - t_i) * sup
 
             def step(rows, s):
                 # the fitted values, the implicit step, the excursion from the
@@ -699,10 +696,11 @@ class NodeSweep:
                 _, f_c, resid, iterations, fallbacks = _implicit_step(
                     y_fit, forcing, theta_i * dt, lam_i, driver, b, work)
                 excursion = None
-                if self.box:
-                    excursion = np.maximum(y_c.max(axis=1), lower - y_c.min(axis=1))
+                if self.box is not None:
+                    lo, hi = self.box[0][i], self.box[1][i]
+                    excursion = np.maximum(y_c.max(axis=1) - hi, lo - y_c.min(axis=1))
                     if mc:
-                        lo, hi = lower - self.clamp_margin, self.clamp_margin
+                        lo, hi = lo - self.clamp_margin, hi + self.clamp_margin
                         moved = work.active
                         np.logical_or(np.less(y_c, lo, out=moved),
                                       np.greater(y_c, hi, out=work.above), out=moved)
@@ -718,7 +716,7 @@ class NodeSweep:
             self.newton_iterations += iterations
             np.maximum(self.newton_max_per_node, iterations, out=self.newton_max_per_node)
             self.bisection_entries += reduce(np.add, fallbacks)
-            if self.box:
+            if self.box is not None:
                 np.maximum(self.box_excursion_raw, reduce(np.maximum, excursion),
                            out=self.box_excursion_raw)
             slope = self._merge_ends(*ends)
@@ -740,7 +738,7 @@ class NodeSweep:
                        "newton_max_per_node": int(self.newton_max_per_node[k]),
                        "bisection_entries": int(self.bisection_entries[k]),
                        "theta_fallback_segments": self.theta_fallback_segments}
-        if self.box:
+        if self.box is not None:
             diagnostics["box_excursion_raw"] = float(self.box_excursion_raw[k])
         if self.mc:
             diagnostics.update(paths=self.m_paths, basis_degree=self.basis.degree,
@@ -796,8 +794,8 @@ def solve_regression_mc(problem: BsdeProblem, grid: TimeGrid, bundle: PathBundle
                         clamp_margin: float = 1e-3) -> SolutionEstimate:
     """Least-squares Monte Carlo backward induction on the bundle's paths.
 
-    The one-level case of ``backward_sweep``; when the problem's flags prove
-    the a-priori box, the values are clamped into it with ``clamp_margin`` slack.
+    The one-level case of ``backward_sweep``; where ``BsdeProblem.box`` gives a
+    box, the values are clamped into it with ``clamp_margin`` slack.
     """
     return backward_sweep(problem, grid, [lambda_cap], bundle=bundle, basis=basis,
                           driver_override=driver_override,

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coefficients import NONLINEAR_PLUS, BsdeProblem, DriverSpec, TimeGrid
+from .coefficients import NONLINEAR_PLUS, BsdeProblem, DriverSpec, TimeGrid, check_schedule
 from .diagnostics import by_node
 from .errors import NoSolution
 from .lipschitz_solver import (
@@ -133,10 +133,11 @@ def run_scheme(problem: BsdeProblem, grid: TimeGrid, schedule: Sequence[float],
     and sd of Y and mean of Z; its paths are ``NodeSweep.nodes()``'s.  The
     sweep runs the theta-step at ``SCHEME_THETA``, which needs ``z_slope`` = 0.
 
-    A nonzero terminal value is a certified failure (``NoSolution``); schedule
-    exhaustion above the tolerance is an informative ``not_converged`` report,
-    not an exception; so is a grid on which lam exceeds the second-highest level
-    at no node before T: the top two levels are one array there.
+    A nonzero terminal value is a certified failure (``NoSolution``), a problem
+    without ``BsdeProblem.box``, whose lower end clips the driver, a ``ValueError``;
+    schedule exhaustion above the tolerance is an informative ``not_converged``
+    report, not an exception, and so is a grid on which lam exceeds the
+    second-highest level at no node before T: the top two levels are one array.
     """
     config = config or SchemeConfig()
     if problem.sign != NONLINEAR_PLUS:
@@ -144,11 +145,9 @@ def run_scheme(problem: BsdeProblem, grid: TimeGrid, schedule: Sequence[float],
     if not problem.terminal.is_zero:
         raise NoSolution("the nonlinear singular equation has no solution with "
                          "a nonvanishing terminal value")
-    schedule = [float(n) for n in schedule]
-    if not all(0 < n < math.inf for n in schedule):     # NaN fails too
-        raise ValueError("truncation levels must be finite and positive")
-    if len(schedule) < 2 or any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be increasing with at least two levels")
+    if problem.box(0.0) is None:
+        raise ValueError("the scheme needs the a-priori box: no y-slope, a bounded phi")
+    schedule = check_schedule(schedule)
     if not config.tol >= 0:                   # NaN fails too
         raise ValueError(f"tolerance must be nonnegative, got {config.tol}")
     clipped = truncate(problem.driver, problem.coefficient.sup_norm, problem.horizon)

@@ -22,7 +22,6 @@ from bsdelab.lipschitz_solver import (
     _COND_LIMIT,
     NEWTON_TOL,
     RegressionBasis,
-    _box_clamp_applies,
     _bracket_and_bisect,
     _degenerate_level,
 )
@@ -159,7 +158,7 @@ def solve_regression_mc(problem, grid, bundle, basis=None, lambda_cap=None,
     n_pts, m_paths = len(pts), bundle.n_paths
     levels = bundle.levels[:, :, 0]
     increments = bundle.increments[:, :, 0]
-    clamp = _box_clamp_applies(problem)
+    clamp = problem.box(grid.points) is not None
     sup = problem.coefficient.sup_norm
 
     y = np.zeros((m_paths, n_pts))

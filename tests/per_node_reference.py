@@ -126,7 +126,8 @@ def solve_affine_plus_markovian(problem, grid, bundle, basis=None):
         fitted, z[:, i] = (fit.design @ coef).T
         bound = coeff.sup_norm * (horizon - float(pts[i]))
         margin = max(margin, float(np.max(np.abs(fitted) - bound)))
-        y[:, i] = np.clip(fitted, -bound, 0.0)
+        # the box: [-bound, 0] under phi >= 0, [-bound, bound] under a signed phi
+        y[:, i] = np.clip(fitted, -bound, 0.0 if coeff.nonnegative else bound)
         fitted_next = y[:, i]
     return AffineSolution(grid=grid, y=y, z=z, provenance=REPRESENTATION,
                           bound_margin=margin)

@@ -97,6 +97,29 @@ class TestSolveAffinePlus:
         assert np.all(sol.y <= 0.0) and np.all(sol.y >= -bound[None, :] - 1e-15)
         assert sol.bound_margin < 0.1
 
+    def test_markovian_signed_phi_matches_the_deterministic_solve(self, power1):
+        # phi = -1 is signed: its box is [-w, w], and the regression of a
+        # constant is exact, so the Markovian solve is the deterministic one
+        grid = bl.make_grid(power1, 33, mass_cap=12.0)
+        bundle = bl.simulate_paths(grid, 1, 4000, seed=1)
+        coeff = bl.CoefficientProcess.markovian(
+            lambda t, w: np.full(np.broadcast(t, w).shape, -1.0), 1.0, sup_norm=1.0)
+        got = bl.solve_affine_plus(plus_problem(power1, coeff), grid, bundle=bundle)
+        want = bl.solve_affine_plus(
+            plus_problem(power1, bl.CoefficientProcess.constant(-1.0, 1.0)), grid)
+        assert want.y[0] == pytest.approx(0.5, abs=1e-9)
+        assert np.max(np.abs(got.y - want.y[None, :])) <= 1e-12
+
+    def test_markovian_slope_rejected(self, power1):
+        grid = bl.make_grid(power1, 9, mass_cap=6.0)
+        bundle = bl.simulate_paths(grid, 1, 50, seed=1)
+        coeff = bl.CoefficientProcess.markovian(lambda t, w: np.cos(t + w), 1.0, sup_norm=1.0)
+        for slopes in ({"y_slope": 1.0}, {"z_slope": 1.0}):
+            prob = bl.BsdeProblem(intensity=power1, coefficient=coeff,
+                                  sign=bl.PLUS_LAMBDA_Y, **slopes)
+            with pytest.raises(ValueError, match="no slope terms"):
+                bl.solve_affine_plus(prob, grid, bundle=bundle)
+
 
 class TestFundamentalFamily:
     def test_zero_member(self, power1, grid129):

@@ -90,6 +90,23 @@ class TestRunScenarios:
         assert report.endswith(f"error: member y0=0.0 fails verification: residual "
                                f"{residual} > 1.0e-08\nstatus: failed\nexit_code: 1\n")
 
+    def test_ode_trichotomy_classifies_once_per_run(self, tmp_path, monkeypatch):
+        import bsdelab.affine
+        import bsdelab.diagnostics
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return classify(*args, **kwargs)
+
+        classify = bsdelab.affine.classify_ode
+        monkeypatch.setattr(bsdelab.affine, "classify_ode", counted)
+        # the family certificate takes the run's classification, and classifies nothing
+        monkeypatch.setattr(bsdelab.diagnostics, "classify_ode", counted, raising=False)
+        assert run(["run", "ode_trichotomy", "--out", str(tmp_path / "ode")]) == 0
+        assert len(calls) == 1
+
     def test_affine_plus_solves(self, tmp_path):
         out = tmp_path / "ap"
         assert run(["run", "affine_plus", "--out", str(out)]) == 0
@@ -138,6 +155,19 @@ class TestRunScenarios:
         report = (out / "report.txt").read_text()
         assert "at least two levels" in report
         assert "status: failed" in report
+
+    @pytest.mark.parametrize("schedule,error", [
+        ("4", "schedule must be increasing with at least two levels"),
+        ("16,4", "schedule must be increasing with at least two levels"),
+        ("nan", "truncation levels must be finite and positive"),
+    ])
+    def test_affine_plus_witness_schedule_checked_as_the_scheme_checks(
+            self, tmp_path, schedule, error):
+        out = tmp_path / "ap1"
+        assert run(["run", "affine_plus", "--terminal", "1", "--schedule", schedule,
+                    "--out", str(out)]) == 1
+        assert (out / "report.txt").read_text().endswith(
+            f"error: {error}\nstatus: failed\nexit_code: 1\n")
 
     @pytest.mark.parametrize("schedule", ["2,3", "100,101"])
     def test_affine_plus_weak_witness_is_inconclusive(self, tmp_path, schedule):

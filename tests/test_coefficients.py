@@ -197,6 +197,52 @@ class TestBsdeProblem:
         assert prob.terminal.value == -1.0
 
 
+class TestBox:
+    """``BsdeProblem.box``: the a-priori range of Y, w = (T - t) sup|phi|."""
+
+    t = np.array([0.0, 0.25, 1.0])
+
+    def _problem(self, phi, sign=bl.PLUS_LAMBDA_Y, **kw):
+        m = bl.IntensityModel.power_gap(1.0, 1.0)
+        if sign == bl.NONLINEAR_PLUS:
+            kw.setdefault("driver", bl.DriverSpec.exp_utility(1.0))
+        coeff = phi if isinstance(phi, bl.CoefficientProcess) \
+            else bl.CoefficientProcess.constant(phi, 1.0)
+        return bl.BsdeProblem(intensity=m, coefficient=coeff, sign=sign, **kw)
+
+    @pytest.mark.parametrize("sign", [bl.PLUS_LAMBDA_Y, bl.NONLINEAR_PLUS])
+    def test_nonnegative_phi_gives_the_lower_half(self, sign):
+        lo, hi = self._problem(2.0, sign).box(self.t)
+        assert np.array_equal(lo, [-2.0, -1.5, -0.0]) and np.array_equal(hi, [0.0] * 3)
+
+    def test_signed_phi_under_the_plus_sign_gives_both_halves(self):
+        lo, hi = self._problem(-2.0).box(self.t)
+        assert np.array_equal(lo, [-2.0, -1.5, -0.0]) and np.array_equal(hi, [2.0, 1.5, 0.0])
+
+    def test_scalar_time(self):
+        lo, hi = self._problem(-2.0).box(0.25)
+        assert (lo, hi) == (-1.5, 1.5)
+
+    @pytest.mark.parametrize("case", ["y_slope", "terminal", "minus", "unbounded"])
+    def test_no_box(self, case):
+        m = bl.IntensityModel.power_gap(1.0, 1.0)
+        problem = {
+            "y_slope": lambda: self._problem(1.0, bl.NONLINEAR_PLUS, y_slope=-3.0),
+            "terminal": lambda: self._problem(1.0, terminal=bl.TerminalSpec.constant(1.0)),
+            "minus": lambda: self._problem(1.0, bl.MINUS_LAMBDA_Y),
+            "unbounded": lambda: self._problem(
+                bl.CoefficientProcess.intensity_multiple(1.0, m)),
+        }[case]()
+        assert problem.box(self.t) is None
+
+    def test_z_slope_keeps_the_box(self):
+        assert self._problem(1.0, z_slope=2.0).box(self.t) is not None
+
+    def test_nan_sup_gives_a_nan_box(self):
+        lo, hi = self._problem(math.nan).box(self.t)
+        assert np.all(np.isnan(lo)) and np.all(np.isnan(hi))
+
+
 class TestCoefficientBroadcast:
     @pytest.mark.parametrize("make", [
         lambda m: bl.CoefficientProcess.constant(0.7, 1.0),

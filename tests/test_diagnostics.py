@@ -133,7 +133,8 @@ class TestCertifyNonuniqueness:
     def test_ode_family_members(self, power1, grid241):
         coeff = bl.CoefficientProcess.intensity_multiple(2.0, power1)
         cert = bl.certify_nonuniqueness(
-            bl.OdeFamilyScenario(model=power1, coefficient=coeff, limit=2.0,
+            bl.OdeFamilyScenario(model=power1, coefficient=coeff,
+                                 classification=bl.classify_ode(power1, coeff, 1e-6),
                                  y0_list=(0.0, 1.0)), grid241)
         assert len(cert.members) == 2
         assert max(cert.member_residuals) < 1e-8

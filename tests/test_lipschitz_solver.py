@@ -135,6 +135,21 @@ class TestRegressionMc:
             assert max(box_excess) <= 1e-3 + 1e-12
         assert max(y0) - min(y0) < 1e-2
 
+    def test_y_slope_is_not_clamped_into_a_box(self, power1):
+        # a y-slope voids the a-priori box [-T sup phi, 0]: Y_0 = -1.3468 lies
+        # below it, and a constant phi makes the regression exact
+        grid = bl.make_grid(power1, 41, mass_cap=5.0)
+        bundle = bl.simulate_paths(grid, 1, 4000, seed=1)
+        prob = bl.BsdeProblem(intensity=power1,
+                              coefficient=bl.CoefficientProcess.constant(1.0, 1.0),
+                              sign=bl.NONLINEAR_PLUS, driver=bl.DriverSpec.exp_utility(1.0),
+                              y_slope=-3.0)
+        mc = bl.solve_regression_mc(prob, grid, bundle, lambda_cap=8.0)
+        ode = bl.solve_ode_mode(prob, grid, lambda_cap=8.0)
+        assert ode.y[0] < -1.3
+        assert abs(mc.y[:, 0].mean() - ode.y[0]) <= 1e-9
+        assert "box_excursion_raw" not in mc.diagnostics
+
     def test_measurability_by_construction(self, power1):
         # paths that share the Brownian level at a node must receive the exact
         # same value there, whatever their futures look like
@@ -226,6 +241,14 @@ class TestRegressionBasis:
         assert design.shape == want.shape
         assert np.array_equal(design, want)
         assert np.ascontiguousarray(design).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("degree,error", [(-1, "degree must be nonnegative"),
+                                              (2.5, "degree must be an integer")])
+    def test_bad_degree_rejected_by_both_constructors(self, degree, error):
+        with pytest.raises(ValueError, match=error):
+            bl.RegressionBasis(degree=degree)
+        with pytest.raises(ValueError, match=error):
+            bl.RegressionBasis.polynomial(degree)
 
 
 def _numpy_qr_fit(design, target):

@@ -168,6 +168,15 @@ class TestRunScheme:
         with pytest.raises(ValueError, match=error):
             bl.run_scheme(prob, grid, schedule, config=bl.SchemeConfig())
 
+    def test_y_slope_has_no_box_to_clip_at(self, power1):
+        # the driver is clipped at the box's lower end, which a y-slope voids
+        grid = bl.make_grid(power1, 21, mass_cap=10.0)
+        prob = bl.BsdeProblem(
+            intensity=power1, coefficient=bl.CoefficientProcess.constant(1.0, 1.0),
+            sign=bl.NONLINEAR_PLUS, driver=bl.DriverSpec.exp_utility(1.0), y_slope=-3.0)
+        with pytest.raises(ValueError, match="a-priori box"):
+            bl.run_scheme(prob, grid, [2, 4], config=bl.SchemeConfig())
+
     def test_mc_mode_runs_and_matches_ode(self, power1):
         grid = bl.make_grid(power1, 61, mass_cap=10.0)
         bundle = bl.simulate_paths(grid, 1, 30_000, seed=17)
