@@ -123,20 +123,13 @@ def _decayed_sums(parts, decay):
     return np.array(out)
 
 
-REPRESENTATION = "representation_formula"
-FUNDAMENTAL = "fundamental_family"
-STOCHASTIC_FUNDAMENTAL = "stochastic_fundamental_family"
-ODE_FAMILY = "ode_family"
-
-
 @dataclass(frozen=True)
 class AffineSolution:
-    """Nodal (or path-nodal) values of an affine solution with its provenance."""
+    """Nodal (or path-nodal) values of an affine solution."""
 
     grid: TimeGrid
     y: np.ndarray               # (N,) deterministic or (M, N) pathwise
     z: np.ndarray               # (N,) deterministic, (N-1,) left nodes, or (M, N) pathwise
-    provenance: str
     y0: Optional[float] = None
     bound_margin: Optional[float] = None   # max(|Y| - bound), representation formula only
 
@@ -245,8 +238,7 @@ def solve_affine_plus(problem: BsdeProblem, grid: TimeGrid,
         if margin is not None and not margin <= 1e-12:      # NaN fails too
             raise NumericsError(
                 f"representation values exceed the a-priori bound by {margin:.3e}")
-        return AffineSolution(grid=grid, y=y, z=np.zeros(len(pts)),
-                              provenance=REPRESENTATION, bound_margin=margin)
+        return AffineSolution(grid=grid, y=y, z=np.zeros(len(pts)), bound_margin=margin)
 
     if bundle is None:
         raise ValueError("markovian coefficients need a path bundle")
@@ -288,8 +280,7 @@ def _solve_affine_plus_markovian(problem, grid, bundle, basis, lo, hi):
         margin = max(margin, float(np.max(np.abs(fitted) + lo[i])))
         y[:, i] = np.clip(fitted, lo[i], hi[i])
         fitted_next = y[:, i]
-    return AffineSolution(grid=grid, y=y, z=z, provenance=REPRESENTATION,
-                          bound_margin=margin)
+    return AffineSolution(grid=grid, y=y, z=z, bound_margin=margin)
 
 
 def fundamental_family(model: IntensityModel, y0: float, grid: TimeGrid,
@@ -312,8 +303,7 @@ def fundamental_family(model: IntensityModel, y0: float, grid: TimeGrid,
 
     if beta is None:
         y = y0 * damp
-        return AffineSolution(grid=grid, y=y, z=np.zeros(len(pts)),
-                              provenance=FUNDAMENTAL, y0=y0)
+        return AffineSolution(grid=grid, y=y, z=np.zeros(len(pts)), y0=y0)
 
     if y_slope:
         raise ValueError("stochastic members are only built without slope terms")
@@ -329,8 +319,7 @@ def fundamental_family(model: IntensityModel, y0: float, grid: TimeGrid,
         axis=1)
     y = damp[None, :] * (y0 + martingale)
     z = np.append(damp[:-1] * beta, 0.0)
-    return AffineSolution(grid=grid, y=y, z=z,
-                          provenance=STOCHASTIC_FUNDAMENTAL, y0=y0)
+    return AffineSolution(grid=grid, y=y, z=z, y0=y0)
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +328,9 @@ def fundamental_family(model: IntensityModel, y0: float, grid: TimeGrid,
 
 @dataclass(frozen=True)
 class OdeClassification:
-    case: str                              # "converges" | "diverges"
-    limit: Optional[float]
+    converges: bool                        # the last three estimates within the tolerance
+    limit: Optional[float]                 # the last estimate, None when diverging
     estimates: tuple                       # ((t, m(t)), ...) approaching the horizon
-
-    @property
-    def converges(self) -> bool:
-        return self.case == "converges"
 
 
 def _prefix_means(model: IntensityModel, times: np.ndarray, coefficient,
@@ -384,25 +369,20 @@ def classify_ode(model: IntensityModel, coefficient, tolerance: float) -> OdeCla
         if not math.isfinite(m):
             raise NumericsError(f"prefix integral is {m} at eps={e:g}")
     estimates = tuple(zip(times.tolist(), means.tolist()))
-    tailvals = [v for _, v in estimates[-3:]]
-    spread = max(tailvals) - min(tailvals)
-    if spread <= tolerance:
-        return OdeClassification(case="converges", limit=estimates[-1][1],
-                                 estimates=estimates)
-    return OdeClassification(case="diverges", limit=None, estimates=estimates)
+    tailvals = means[-3:].tolist()
+    converges = max(tailvals) - min(tailvals) <= tolerance
+    return OdeClassification(converges=converges, estimates=estimates,
+                             limit=estimates[-1][1] if converges else None)
 
 
-def ode_family_member(model: IntensityModel, coefficient, y0: float,
-                      grid: TimeGrid,
-                      classification: Optional[OdeClassification] = None,
-                      tolerance: float = 1e-6) -> AffineSolution:
+def ode_family_member(model: IntensityModel, coefficient, y0: float, grid: TimeGrid,
+                      classification: OdeClassification) -> AffineSolution:
     """One member Y_t = exp(-Lam(t)) (y0 + int_0^t exp(Lam(s)) phi(s) ds).
 
-    The terminal node is assigned the classified limit; a divergent prefix
+    The terminal node is assigned the limit of ``classification``, the verdict
+    of ``classify_ode`` on the same model and coefficient; a divergent prefix
     integral is a domain error.
     """
-    if classification is None:
-        classification = classify_ode(model, coefficient, tolerance)
     if not classification.converges:
         raise ValueError("the family exists only when the prefix integral converges")
     pts, cap = grid.points, grid.cap_index
@@ -412,5 +392,4 @@ def ode_family_member(model: IntensityModel, coefficient, y0: float,
     y[-1] = classification.limit
     if cap + 1 < len(pts) - 1:
         y[cap + 1:-1] = classification.limit   # nodes past the cap collapse to the limit
-    return AffineSolution(grid=grid, y=y, z=np.zeros(len(pts)),
-                          provenance=ODE_FAMILY, y0=y0)
+    return AffineSolution(grid=grid, y=y, z=np.zeros(len(pts)), y0=y0)

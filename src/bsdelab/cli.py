@@ -1,10 +1,8 @@
 """Config-driven experiment runner.
 
 Every built-in scenario is a named, reproducible run that writes CSV tables and
-a plain-text report.  Exit codes: 0 success (including a certified no-solution
-outcome where that is the scenario's expected result), 1 usage, config or
-parameter error, 2 scheme did not converge or a certificate was inconclusive,
-3 no-solution certified where a solution was asked for.
+a plain-text report.  A run ends in one status, and ``EXIT_CODES`` gives its
+exit code.
 """
 
 from __future__ import annotations
@@ -50,6 +48,17 @@ EXIT_USAGE = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_NO_SOLUTION = 3
 
+# The exit code of every status a run ends in: 0 the claim reproduced, 1 a usage,
+# config or parameter error, 2 not converged or inconclusive, 3 no solution
+EXIT_CODES = {
+    "solved": EXIT_OK, "converged": EXIT_OK, "converges_with_family": EXIT_OK,
+    "diverges": EXIT_OK, "non_uniqueness_certified": EXIT_OK,
+    "no_solution_certified_expected": EXIT_OK,
+    "failed": EXIT_USAGE,
+    "not_converged": EXIT_NOT_CONVERGED, "witness_inconclusive": EXIT_NOT_CONVERGED,
+    "no_solution_certified": EXIT_NO_SOLUTION,
+}
+
 DEFAULT_SCHEDULE = "2,4,8,16,32,64,128,256"
 NONEXISTENCE_SCHEDULE = "4,16,64,256"
 
@@ -68,7 +77,7 @@ def _fmt(x) -> str:
 class ScenarioInfo:
     claim: str
     defaults: dict
-    run: Callable       # the runner: ScenarioConfig -> exit code
+    run: Callable       # the runner: ScenarioConfig -> status
 
 
 @dataclass
@@ -123,7 +132,8 @@ def _write_family(cfg: ScenarioConfig, cert, count_label: str) -> None:
         cfg.say(f"  sup_distance[{i},{j}] = {_fmt(d)}")
 
 
-def _finish(cfg: ScenarioConfig, status: str, exit_code: int) -> int:
+def _finish(cfg: ScenarioConfig, status: str) -> int:
+    exit_code = EXIT_CODES[status]
     cfg.say(f"status: {status}")
     cfg.say(f"exit_code: {exit_code}")
     (cfg.out_dir / "report.txt").write_text("\n".join(cfg.lines) + "\n")
@@ -156,16 +166,16 @@ def _parse_schedule(raw) -> tuple:
     return tuple(float(v) for v in str(raw).split(","))
 
 
-def _certify_family(cfg: ScenarioConfig, scenario, grid) -> int:
+def _certify_family(cfg: ScenarioConfig, scenario, grid) -> str:
     """Certify a non-uniqueness scenario on ``grid`` and write its family."""
     cert = certify_nonuniqueness(scenario, grid)
     cfg.say("results:")
     _write_family(cfg, cert, "verified_members")
     cfg.say(f"  max_member_residual = {_fmt(max(cert.member_residuals))}")
-    return _finish(cfg, "non_uniqueness_certified", EXIT_OK)
+    return "non_uniqueness_certified"
 
 
-def _run_ek_red(cfg: ScenarioConfig) -> int:
+def _run_ek_red(cfg: ScenarioConfig) -> str:
     p = cfg.params
     model = IntensityModel.exp_gap(p["gamma"], 1.0)
     grid = make_grid(model, int(p["n_grid"]), mass_cap=p["mass_cap"])
@@ -174,7 +184,7 @@ def _run_ek_red(cfg: ScenarioConfig) -> int:
     return _certify_family(cfg, scenario, grid)
 
 
-def _run_affine_plus(cfg: ScenarioConfig) -> int:
+def _run_affine_plus(cfg: ScenarioConfig) -> str:
     p = cfg.params
     model = IntensityModel.power_gap(p["p"], 1.0)
     grid = make_grid(model, int(p["n_grid"]), mass_cap=p["mass_cap"])
@@ -183,21 +193,19 @@ def _run_affine_plus(cfg: ScenarioConfig) -> int:
     problem = BsdeProblem(intensity=model, coefficient=coeff,
                           sign=PLUS_LAMBDA_Y, terminal=terminal)
     cfg.say("results:")
-    if terminal.is_zero:
+    try:
         sol = solve_affine_plus(problem, grid)
+    except NoSolution as exc:
+        cfg.say(f"  no_solution_reason = {exc.reason}")
+    else:
         bound = -problem.box(grid.points)[0] - np.abs(sol.y)      # w - |Y|
         _write_csv(cfg.out_dir / "solution.csv",
                    ["t", "Y_mean", "Y_sd", "Z_mean", "bound_check"],
                    _solution_rows(grid, sol.y, np.zeros(len(sol.y)), sol.z, bound))
         cfg.say(f"  y_at_0 = {_fmt(float(sol.y[0]))}")
         cfg.say(f"  bound_margin = {_fmt(sol.bound_margin)}")
-        return _finish(cfg, "solved", EXIT_OK)
-    # nonzero terminal: no solution; certify and also record the divergence
-    # witness carried by the minus-sign companion with the same data
-    try:
-        solve_affine_plus(problem, grid)
-    except NoSolution as exc:
-        cfg.say(f"  no_solution_reason = {exc.reason}")
+        return "solved"
+    # no solution: the minus-sign companion with the same data carries the witness
     witness = BsdeProblem(intensity=model, coefficient=coeff,
                           sign=MINUS_LAMBDA_Y, terminal=terminal)
     cert = certify_nonexistence(witness, _parse_schedule(p["schedule"]), grid)
@@ -206,12 +214,11 @@ def _run_affine_plus(cfg: ScenarioConfig) -> int:
     cfg.say("  representation_argument = terminal value must vanish")
     cfg.say(f"  witness_monotone_divergent = {cert.monotone_divergent}")
     cfg.say(f"  witness_growth_ratio = {_fmt(cert.metadata['ratio'])}")
-    if not cert.monotone_divergent:
-        return _finish(cfg, "witness_inconclusive", EXIT_NOT_CONVERGED)
-    return _finish(cfg, "no_solution_certified_expected", EXIT_OK)
+    return ("no_solution_certified_expected" if cert.monotone_divergent
+            else "witness_inconclusive")
 
 
-def _run_affine_minus_family(cfg: ScenarioConfig) -> int:
+def _run_affine_minus_family(cfg: ScenarioConfig) -> str:
     p = cfg.params
     model = IntensityModel.power_gap(p["p"], 1.0)
     grid = make_grid(model, int(p["n_grid"]), mass_cap=p["mass_cap"])
@@ -219,7 +226,7 @@ def _run_affine_minus_family(cfg: ScenarioConfig) -> int:
     return _certify_family(cfg, scenario, grid)
 
 
-def _run_ode_trichotomy(cfg: ScenarioConfig) -> int:
+def _run_ode_trichotomy(cfg: ScenarioConfig) -> str:
     from .affine import classify_ode
 
     p = cfg.params
@@ -231,17 +238,17 @@ def _run_ode_trichotomy(cfg: ScenarioConfig) -> int:
     if not classification.converges:
         cfg.say("  classification = diverges")
         cfg.say("  family = none (no terminal value admits a solution)")
-        return _finish(cfg, "diverges", EXIT_OK)
+        return "diverges"
     cfg.say("  classification = converges")
     cfg.say(f"  limit = {_fmt(classification.limit)}")
     scenario = OdeFamilyScenario(model=model, coefficient=coeff,
                                  classification=classification, y0_list=(0.0, 1.0))
     cert = certify_nonuniqueness(scenario, grid)
     _write_family(cfg, cert, "family_members_written")
-    return _finish(cfg, "converges_with_family", EXIT_OK)
+    return "converges_with_family"
 
 
-def _run_nonlinear_exp(cfg: ScenarioConfig) -> int:
+def _run_nonlinear_exp(cfg: ScenarioConfig) -> str:
     p = cfg.params
     model = IntensityModel.power_gap(p["p"], 1.0)
     schedule = _parse_schedule(p["schedule"])
@@ -264,7 +271,7 @@ def _run_nonlinear_exp(cfg: ScenarioConfig) -> int:
         report = run_scheme(problem, grid, schedule, config=config)
     except NoSolution as exc:
         cfg.say(f"  no_solution_reason = {exc}")
-        return _finish(cfg, "no_solution_certified", EXIT_NO_SOLUTION)
+        return "no_solution_certified"
     final = report.final
     resid = final.diagnostics.get("residual_max", 0.0)
     cfg.say(f"  theta_fallback_segments = {final.diagnostics['theta_fallback_segments']}")
@@ -280,7 +287,7 @@ def _run_nonlinear_exp(cfg: ScenarioConfig) -> int:
                  report.monotone_violation,
                  report.lambda_f_integrals[k],
                  report.bmo_estimate)
-                for k, (n, y0) in enumerate(zip(report.schedule, report.y0))])
+                for k, (n, y0) in enumerate(zip(schedule, report.y0))])
     cfg.say(f"  monotone_violation = {_fmt(report.monotone_violation)}")
     cfg.say(f"  bounds_ok = {report.bounds_ok}")
     cfg.say(f"  box_violation = {_fmt(report.box_violation)}")
@@ -291,9 +298,7 @@ def _run_nonlinear_exp(cfg: ScenarioConfig) -> int:
     cfg.say(f"  bmo_estimate = {_fmt(report.bmo_estimate)} "
             f"(bound {_fmt(2.0 * grid.horizon ** 2 * coeff.sup_norm ** 2)})")
     cfg.say(f"  lambda_f_integrals = {','.join(_fmt(v) for v in report.lambda_f_integrals)}")
-    if not report.converged:
-        return _finish(cfg, "not_converged", EXIT_NOT_CONVERGED)
-    return _finish(cfg, "converged", EXIT_OK)
+    return report.status
 
 
 SCENARIOS = {
@@ -445,10 +450,11 @@ def run_scenario(name: str, overrides: dict, out_dir, seed: int = 1,
             raise ValueError(f"threads must be at least 1, got {threads}")
         if not 0 <= seed < 2 ** 64:
             raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
-        return info.run(cfg)
+        status = info.run(cfg)
     except (LabError, ValueError) as exc:
         cfg.say(f"error: {exc}")
-        return _finish(cfg, "failed", EXIT_USAGE)
+        status = "failed"
+    return _finish(cfg, status)
 
 
 def main(argv=None) -> int:

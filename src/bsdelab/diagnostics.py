@@ -84,13 +84,15 @@ def residual_check(candidate: Candidate, problem: BsdeProblem,
     z = z[:, np.minimum(np.arange(cap + 1), z.shape[-1] - 1)]    # Z at each left node
     yc = y[:, :cap + 1]
     phi = problem.coefficient.value(t, None if levels is None else levels[:, :cap + 1])
-    g = (np.asarray(phi, dtype=float) + lam * np.asarray(driver.f(yc))
-         + problem.y_slope * yc + problem.z_slope * z)
     dt = np.diff(t)
-    resid = np.diff(yc, axis=1) - 0.5 * (g[:, :-1] + g[:, 1:]) * dt
-    if levels is not None:
-        resid = resid - z[:, :-1] * increments[:, :cap]
-    mid = 0.5 * (np.abs(g[:, :-1]) + np.abs(g[:, 1:]))
+    # a member too large for the driver reads an inf or NaN residual, and no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = (np.asarray(phi, dtype=float) + lam * np.asarray(driver.f(yc))
+             + problem.y_slope * yc + problem.z_slope * z)
+        resid = np.diff(yc, axis=1) - 0.5 * (g[:, :-1] + g[:, 1:]) * dt
+        if levels is not None:
+            resid = resid - z[:, :-1] * increments[:, :cap]
+        mid = 0.5 * (np.abs(g[:, :-1]) + np.abs(g[:, 1:]))
     terminal = problem.terminal.values(None if levels is None else levels[:, -1])
     return ResidualReport(
         max_residual=float(np.max(by_node(np.abs(resid)).mean(axis=1), initial=0.0)),
@@ -192,6 +194,8 @@ class EkRed:
         if not (math.isfinite(self.r) and math.isfinite(self.sigma)):
             raise ValueError(f"ek_red slopes must be finite, got r = {self.r}, "
                              f"sigma = {self.sigma}")
+        if self.r > math.log(np.finfo(float).max):      # the members carry e^(r t)
+            raise ValueError(f"ek_red needs e^r to be finite, got r = {self.r}")
 
 
 def certify_nonuniqueness(scenario, grid: TimeGrid) -> PathologyCertificate:

@@ -88,7 +88,6 @@ def truncate(driver: DriverSpec, coefficient_bound: float, horizon: float) -> Dr
 
 @dataclass(frozen=True)
 class SchemeReport:
-    schedule: tuple
     cauchy_gaps: tuple               # sup-norm gaps on [0, t_cap] between consecutive levels
     monotone_violation: float        # worst ordering violation across consecutive levels
     bounds_ok: bool
@@ -96,7 +95,6 @@ class SchemeReport:
     final: SolutionEstimate          # the top level: per-node means of Y and Z
     y_sd: np.ndarray                 # per node: sd of the top level's Y over the paths
     converged: bool
-    tolerance: float
     bmo_estimate: float
     bmo_stderr: float
     lambda_f_integrals: tuple
@@ -205,11 +203,9 @@ def run_scheme(problem: BsdeProblem, grid: TimeGrid, schedule: Sequence[float],
         return tuple(float(v) for v in values)
 
     return SchemeReport(
-        schedule=tuple(schedule),
         cauchy_gaps=gaps, monotone_violation=mono, bounds_ok=bounds_ok,
         box_violation=box_viol, final=final, y_sd=y_sd, converged=converged,
-        tolerance=config.tol, bmo_estimate=bmo_value, bmo_stderr=bmo_stderr,
-        lambda_f_integrals=masses,
+        bmo_estimate=bmo_value, bmo_stderr=bmo_stderr, lambda_f_integrals=masses,
         y0=per_level(sweep.y0_mean), residual_max=per_level(sweep.residual_max),
         box_excursion_raw=per_level(sweep.box_excursion_raw),
         y_min=per_level(sweep.y_min), y_max=per_level(sweep.y_max))

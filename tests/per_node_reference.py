@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from bsdelab.affine import AffineSolution, REPRESENTATION, _interval_weights
+from bsdelab.affine import AffineSolution, _interval_weights
 from bsdelab.diagnostics import ResidualReport
 from bsdelab.lipschitz_solver import RegressionBasis, fit_coefficients
 from bsdelab.singular_scheme import _lambda_f_integrals, _mean_abs
@@ -129,5 +129,4 @@ def solve_affine_plus_markovian(problem, grid, bundle, basis=None):
         # the box: [-bound, 0] under phi >= 0, [-bound, bound] under a signed phi
         y[:, i] = np.clip(fitted, -bound, 0.0 if coeff.nonnegative else bound)
         fitted_next = y[:, i]
-    return AffineSolution(grid=grid, y=y, z=z, provenance=REPRESENTATION,
-                          bound_margin=margin)
+    return AffineSolution(grid=grid, y=y, z=z, bound_margin=margin)

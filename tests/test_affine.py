@@ -223,14 +223,16 @@ class TestClassifyOde:
 class TestOdeFamilyMember:
     def test_linear_member(self, power1, grid129):
         coeff = bl.CoefficientProcess.intensity_multiple(2.0, power1)
-        member = bl.ode_family_member(power1, coeff, 0.0, grid129)
+        member = bl.ode_family_member(power1, coeff, 0.0, grid129,
+                                      bl.classify_ode(power1, coeff, 1e-6))
         cap = grid129.cap_index
         assert np.max(np.abs(member.y[:cap + 1] - 2.0 * grid129.points[:cap + 1])) < 1e-10
         assert member.y[-1] == pytest.approx(2.0, abs=1e-6)
 
     def test_pure_damping_member(self, power1, grid129):
+        coeff = bl.CoefficientProcess.constant(0.0, 1.0)
         member = bl.ode_family_member(
-            power1, bl.CoefficientProcess.constant(0.0, 1.0), 5.0, grid129)
+            power1, coeff, 5.0, grid129, bl.classify_ode(power1, coeff, 1e-6))
         cap = grid129.cap_index
         expected = 5.0 * np.asarray(power1.exp_minus_cumulative(grid129.points))
         assert np.max(np.abs(member.y[:cap + 1] - expected[:cap + 1])) < 1e-12
@@ -238,8 +240,9 @@ class TestOdeFamilyMember:
 
     def test_distinct_members_same_terminal(self, power1, grid129):
         coeff = bl.CoefficientProcess.intensity_multiple(2.0, power1)
-        m0 = bl.ode_family_member(power1, coeff, 0.0, grid129)
-        m1 = bl.ode_family_member(power1, coeff, 1.0, grid129)
+        classification = bl.classify_ode(power1, coeff, 1e-6)
+        m0 = bl.ode_family_member(power1, coeff, 0.0, grid129, classification)
+        m1 = bl.ode_family_member(power1, coeff, 1.0, grid129, classification)
         cap = grid129.cap_index
         # members are 2t and 1 + t: the gap is 1 - t, positive before T
         gaps = m1.y[:cap + 1] - m0.y[:cap + 1]
@@ -251,7 +254,8 @@ class TestOdeFamilyMember:
         # phi = 1 - t on lam = 1 / (1 - t): Y = (1 - t) (y0 + t), so y0 = -1 is
         # the member -(1 - t)^2 that vanishes at T
         coeff = bl.CoefficientProcess.from_function(lambda t: 1.0 - t, 1.0)
-        member = bl.ode_family_member(power1, coeff, -1.0, grid129)
+        member = bl.ode_family_member(power1, coeff, -1.0, grid129,
+                                      bl.classify_ode(power1, coeff, 1e-6))
         cap = grid129.cap_index
         exact = -(1.0 - grid129.points) ** 2
         assert np.max(np.abs(member.y[:cap + 1] - exact[:cap + 1])) < 1e-12
@@ -261,8 +265,9 @@ class TestOdeFamilyMember:
         def osc(t):
             t = np.asarray(t, dtype=float)
             return np.asarray(power1.value(t)) * np.cos(np.asarray(power1.cumulative(t)))
+        classification = bl.classify_ode(power1, osc, 1e-6)
         with pytest.raises(ValueError):
-            bl.ode_family_member(power1, osc, 0.0, grid129)
+            bl.ode_family_member(power1, osc, 0.0, grid129, classification)
 
 
 class TestAffinePlusWithSlope:

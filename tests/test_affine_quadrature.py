@@ -168,7 +168,7 @@ def test_ode_family_member_matches_quadpack(name):
     model = MODELS[name]
     grid = grid_of(model)
     cap = grid.cap_index
-    settled = affine.OdeClassification(case="converges", limit=0.0, estimates=())
+    settled = affine.OdeClassification(converges=True, limit=0.0, estimates=())
     damp = np.asarray(model.exp_minus_cumulative(grid.points), dtype=float)
     for kind, coeff in coefficients(model).items():
         member = bl.ode_family_member(model, coeff, 1.5, grid, classification=settled)

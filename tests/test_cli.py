@@ -574,6 +574,56 @@ class TestUsageErrors:
         assert "--n-grid" in capsys.readouterr().out
 
 
+# one run per status, each on valid parameters except the failed one
+STATUS_RUNS = {
+    "solved": ["affine_plus"],
+    "converged": ["nonlinear_exp"],
+    "converges_with_family": ["ode_trichotomy"],
+    "non_uniqueness_certified": ["affine_minus_family"],
+    "no_solution_certified_expected": ["affine_plus", "--terminal", "1"],
+    "failed": ["affine_plus", "--phi-value", "nan"],
+    "not_converged": ["nonlinear_exp", "--p", "4"],
+    "witness_inconclusive": ["affine_plus", "--terminal", "1", "--p", "0.4"],
+    "no_solution_certified": ["nonlinear_exp", "--terminal", "1"],
+}
+
+
+class TestExitTable:
+    def test_readme_table_is_the_exit_table(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = readme.split("\n| status ", 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+        cells = [[c.strip() for c in row.split("|")[1:3]] for row in rows]
+        assert {status.strip("`"): int(code) for status, code in cells} == cli.EXIT_CODES
+        assert len(cells) == len(cli.EXIT_CODES)
+
+    def test_every_status_has_a_run(self):
+        assert set(STATUS_RUNS) | {"diverges"} == set(cli.EXIT_CODES)
+
+    @pytest.mark.parametrize("status", sorted(STATUS_RUNS))
+    def test_status_ends_the_run_with_its_code(self, tmp_path, status):
+        code = run(["run", *STATUS_RUNS[status], "--out", str(tmp_path)])
+        assert code == cli.EXIT_CODES[status]
+        assert (tmp_path / "report.txt").read_text().endswith(
+            f"status: {status}\nexit_code: {code}\n")
+
+    def test_diverges_ends_the_run_with_its_code(self, tmp_path, monkeypatch):
+        # phi = c lam converges at every p, so no correct run diverges: the
+        # runner is handed a divergent classification instead
+        import bsdelab.affine
+
+        def divergent(model, coefficient, tolerance):
+            return bsdelab.affine.OdeClassification(converges=False, limit=None,
+                                                    estimates=())
+
+        monkeypatch.setattr(bsdelab.affine, "classify_ode", divergent)
+        code = run(["run", "ode_trichotomy", "--out", str(tmp_path)])
+        assert code == cli.EXIT_CODES["diverges"] == cli.EXIT_OK
+        report = (tmp_path / "report.txt").read_text()
+        assert "  classification = diverges\n" in report
+        assert report.endswith("status: diverges\nexit_code: 0\n")
+        assert not (tmp_path / "solution.csv").exists()
+
+
 class TestParamTable:
     def test_table_matches_scenario_defaults(self):
         taken = set().union(*(info.defaults for info in cli.SCENARIOS.values()))

@@ -161,6 +161,25 @@ class TestCertifyNonuniqueness:
             bl.certify_nonuniqueness(
                 bl.FundamentalMinus(model=power1, y0_list=(0.0, 1e-9)), grid241)
 
+    def test_ek_red_drift_past_the_largest_exponential_rejected(self):
+        # e^710 overflows: the zero member would read inf * 0 = NaN
+        with pytest.raises(ValueError, match="ek_red needs e\\^r to be finite, got r = 710.0"):
+            bl.EkRed(r=710.0, sigma=0.2, gamma=1.0)
+        bl.EkRed(r=709.78, sigma=0.2, gamma=1.0)          # e^709.78 is finite
+
+    @pytest.mark.parametrize("scenario", [
+        bl.FundamentalMinus(model=bl.IntensityModel.power_gap(1.0, 1.0), y0_list=(0.0, 1e308)),
+        bl.EkRed(r=0.05, sigma=0.2, gamma=1.0, y0_list=(1e308, -1e308)),
+        bl.EkRed(r=709.0, sigma=0.2, gamma=1.0),
+    ])
+    def test_member_too_large_for_the_driver_fails_quietly(self, scenario):
+        # the driver overflows along the member: its residual is not finite, and
+        # the certificate fails on it without a numpy warning
+        model = getattr(scenario, "model", None) or bl.IntensityModel.exp_gap(1.0, 1.0)
+        grid = bl.make_grid(model, 129, mass_cap=12.0)
+        with pytest.raises(CertificateFailed, match="residual inf"):
+            bl.certify_nonuniqueness(scenario, grid)
+
 
 class TestResidualCheck:
     def minus_problem(self, power1, phi_value=0.0):
@@ -177,7 +196,8 @@ class TestResidualCheck:
 
     def test_linear_member_integrability(self, power1, grid241):
         coeff = bl.CoefficientProcess.intensity_multiple(2.0, power1)
-        member = bl.ode_family_member(power1, coeff, 0.0, grid241)
+        member = bl.ode_family_member(power1, coeff, 0.0, grid241,
+                                      bl.classify_ode(power1, coeff, 1e-6))
         prob = bl.BsdeProblem(intensity=power1, coefficient=coeff,
                               sign=bl.MINUS_LAMBDA_Y,
                               terminal=bl.TerminalSpec.constant(2.0))
@@ -192,6 +212,12 @@ class TestResidualCheck:
         corrupted = dataclasses.replace(fam, y=fam.y + 0.01)
         rep = bl.residual_check(corrupted, self.minus_problem(power1))
         assert rep.max_residual > 5e-3
+
+    def test_overflowing_driver_reads_an_infinite_residual(self, power1, grid241):
+        fam = bl.fundamental_family(power1, 1e308, grid241)
+        rep = bl.residual_check(fam, self.minus_problem(power1))
+        assert rep.max_residual == math.inf
+        assert rep.integrability_estimate == math.inf
 
     def test_deterministic_rerun_identical(self, power1, grid241):
         fam = bl.fundamental_family(power1, 2.0, grid241)

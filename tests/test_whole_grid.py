@@ -51,7 +51,8 @@ def ode_family_case():
     grid = bl.make_grid(model, 129, mass_cap=12.0)
     coeff = bl.CoefficientProcess.intensity_multiple(2.0, model)
     problem = minus_problem(model, coeff, terminal=bl.TerminalSpec.constant(2.0))
-    return [(bl.ode_family_member(model, coeff, y0, grid), problem, None)
+    classification = bl.classify_ode(model, coeff, 1e-6)
+    return [(bl.ode_family_member(model, coeff, y0, grid, classification), problem, None)
             for y0 in (0.0, 1.0)]
 
 
